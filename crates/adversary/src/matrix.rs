@@ -10,8 +10,8 @@
 //!
 //! Each cell derives its own RNG seed from the master seed and the pair's
 //! *names* (not its index), so cells are independent of evaluation order and
-//! can run in parallel (`dagsched-bench`'s `par::parallel_map` does exactly
-//! that) while staying byte-deterministic.
+//! can run in parallel (`dagsched-bench` fans them out with
+//! `dagsched_ws::parallel_map`) while staying byte-deterministic.
 
 use crate::search::{search, Budget, Reference, SearchResult};
 use dagsched_core::{registry, AlgoClass, Env};

@@ -373,11 +373,21 @@ mod tests {
                 }
             }
         }
-        // Paper-scale spot checks on top of the small-instance sweep.
-        for &(v, ccr, seed) in &[(150usize, 1.0f64, 7u64), (150, 0.1, 8)] {
+        // Paper-scale spot checks on top of the small-instance sweep: two
+        // on the sweep's 4 processors, then v ∈ {100, 300} × CCR ∈
+        // {0.1, 1, 10} × seeds 0–2 on 8 processors.
+        let paper_grid = [100usize, 300].into_iter().flat_map(|v| {
+            [0.1f64, 1.0, 10.0]
+                .into_iter()
+                .flat_map(move |ccr| (0..3u64).map(move |seed| (v, ccr, seed, 8usize)))
+        });
+        let spot = [(150usize, 1.0f64, 7u64, 4usize), (150, 0.1, 8, 4)]
+            .into_iter()
+            .chain(paper_grid);
+        for (v, ccr, seed, procs) in spot {
             let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
             for (new, old) in &pairs {
-                assert_identical(new.as_ref(), old.as_ref(), &g, &env);
+                assert_identical(new.as_ref(), old.as_ref(), &g, &Env::bnp(procs));
             }
             instances += 1;
         }

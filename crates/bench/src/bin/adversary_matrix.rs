@@ -14,7 +14,7 @@
 //! with the incremental-BSA message-layer overhaul — per-evaluation cost
 //! used to be the blocker); `TASKBENCH_FULL=1` adds BNP and raises the
 //! per-cell evaluation budget. Cells run on the work-stealing runtime
-//! (`bench::par` over `bench::ws` — uneven cells migrate to idle workers
+//! (`dagsched_ws::parallel_map` — uneven cells migrate to idle workers
 //! instead of pinning a static share of the sweep) and derive their seeds
 //! from the pair names, so stdout and every archived file are
 //! byte-identical across runs and thread counts with the same seed and
@@ -24,7 +24,6 @@
 //! ≥ 1.10 on a ≤ 60-node instance.
 
 use dagsched_adversary::{archive, matrix, Budget};
-use dagsched_bench::par;
 use dagsched_core::AlgoClass;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -54,7 +53,8 @@ fn main() {
     let mut max_unc_ratio = 0.0f64;
     for class in classes {
         let pairs = matrix::ordered_pairs(class);
-        let outcomes = par::parallel_map(pairs, |(t, b)| matrix::run_pair(class, &t, &b, &budget));
+        let outcomes =
+            dagsched_ws::parallel_map(pairs, |(t, b)| matrix::run_pair(class, &t, &b, &budget));
 
         println!("{}", matrix::dominance_table(class, &outcomes).ascii());
         for o in &outcomes {

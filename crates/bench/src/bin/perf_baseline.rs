@@ -2,7 +2,7 @@
 #![allow(clippy::print_stdout)]
 //! Records the workspace perf baseline into `BENCH_RESULTS.json`.
 //!
-//! Eight sections, all deterministic given the seed:
+//! Seven sections, all deterministic given the seed:
 //!
 //! 1. **dsc_speedup** — the refactored DSC against the retained
 //!    pre-refactor implementation ([`dagsched_bench::baseline`]) on
@@ -28,43 +28,27 @@
 //!    asserts placement- and message-identical schedules and a ≥5×
 //!    speedup on the headline CCR=0.1 instance (PR 3's acceptance bar),
 //!    with CCR 1.0 and 10.0 rows recorded alongside.
-//! 5. **algo_runtimes** — seconds per run for every registered algorithm
-//!    on RGNOS graphs of growing size (APN capped small: message routing
-//!    is still the slowest class per run). Timing is single-threaded.
-//! 6. **runner_scaling** — wall-clock of the same (algorithm × graph)
+//! 5. **runner_scaling** — wall-clock of the same (algorithm × graph)
 //!    sweep through the work-stealing runner with 1 worker vs all cores
 //!    (warmup pass, then median of 3 timed passes per leg); asserts a
 //!    ≥1.5× speedup when the host has ≥4 cores (PR 6's acceptance bar —
 //!    smaller hosts run the determinism check but are exempt and
 //!    flagged).
-//! 7. **bnb_parallel_speedup** — the parallel branch-and-bound against
+//! 6. **bnb_parallel_speedup** — the parallel branch-and-bound against
 //!    its own serial path on proving RGNOS instances (same warmup +
 //!    median-of-3 protocol); asserts makespan equality and both sides
 //!    proven, records the serial node/prune counters, and gates ≥1.5×
 //!    on ≥4 workers (serial fallback exempt; PR 6's second bar).
-//! 8. **trace_overhead** — the zero-cost-tracing gate: the instrumented
-//!    hot paths under the disabled [`dagsched_obs::NullSink`] against the
-//!    retained pre-instrumentation copies
-//!    ([`dagsched_bench::preobs`]) on the 5000-node DSC headline
-//!    instance and the branch-and-bound headline instance; asserts
-//!    placement/counter identity and an interleaved median-of-N time
-//!    ratio ≤ [`TRACE_OVERHEAD_MAX_RATIO`] (multi-run samples, warmup,
-//!    best of up to [`TRACE_OVERHEAD_ATTEMPTS`] attempts — 2% sits
-//!    inside scheduler noise on a busy host).
-//! 9. **paper_sweep_budget** — wall-clock of the full Table-6 replication
+//! 7. **paper_sweep_budget** — wall-clock of the full Table-6 replication
 //!    (all fifteen algorithms, serial, honest per-run timings) under an
 //!    asserted ceiling: the quick CI-sized sweep must stay under
 //!    [`QUICK_SWEEP_BUDGET_S`], and with `TASKBENCH_FULL=1` the
 //!    paper-scale sweep (10 sizes × 25 (CCR, parallelism) points) must
 //!    stay under [`FULL_SWEEP_BUDGET_S`] — the regression tripwire that
 //!    keeps the whole replication runnable.
-//! 10. **serve_throughput** — an in-process `dagsched-serve` daemon
-//!     replaying the RGNOS loadgen suite with verification on: gates that
-//!     every served schedule is byte-identical to in-process scheduling
-//!     (`errors == 0`) and that the repeated suite hits the schedule
-//!     cache (`cache_hit_rate > 0`). Throughput and p50/p95/p99 latency
-//!     are recorded but never gated — wall-clock serving numbers are
-//!     indicative only.
+//!
+//! Per-algorithm running times and the served path are measured by the
+//! `perfbench` benchmark (`core.<ALGO>.ns_per_task`, `serve_*`), not here.
 //!
 //! Output path: `TASKBENCH_BENCH_OUT` or `<workspace>/BENCH_RESULTS.json`.
 //! Additionally, one summary record per run is *appended* to
@@ -73,22 +57,12 @@
 //! overwrite of the full report. Run with `--release`; debug timings are
 //! not comparable.
 
-use dagsched_bench::baseline::bnp::{DlsMono, EtfMono, HlfetMono, IshMono, LastMono, McpMono};
 use dagsched_bench::baseline::{BsaBaseline, DcpScan, DscBaseline, DscScanBaseline, MdScan};
-use dagsched_bench::par;
-use dagsched_bench::preobs;
 use dagsched_bench::report::Json;
-use dagsched_core::{registry, AlgoClass, Env, Scheduler};
+use dagsched_core::{registry, Env, Scheduler};
 use dagsched_optimal::{solve, OptimalParams};
 use dagsched_suites::rgnos::{self, RgnosParams};
 use std::time::Instant;
-
-/// Ceiling on instrumented-over-preobs time with tracing disabled: the
-/// observability PR's acceptance bar (≤2%).
-const TRACE_OVERHEAD_MAX_RATIO: f64 = 1.02;
-/// Re-measurement attempts before the overhead gate fails; the best
-/// (lowest) attempt ratio is the one gated and recorded.
-const TRACE_OVERHEAD_ATTEMPTS: usize = 4;
 
 /// Wall-clock ceiling for the quick (CI-sized) Table-6 replication sweep.
 const QUICK_SWEEP_BUDGET_S: f64 = 120.0;
@@ -276,38 +250,6 @@ fn bsa_speedup_section() -> Json {
     ])
 }
 
-fn algo_runtimes_section() -> Json {
-    let apn_env = Env::apn(dagsched_bench::Config::quick(0x1998).apn_topology());
-    let mut rows = Vec::new();
-    for class in [AlgoClass::Bnp, AlgoClass::Unc, AlgoClass::Apn] {
-        let sizes: &[usize] = if class == AlgoClass::Apn {
-            &[50, 100]
-        } else {
-            &[200, 500, 1000]
-        };
-        for &v in sizes {
-            let g = rgnos::generate(RgnosParams::new(v, 1.0, 3, 42));
-            let env = match class {
-                AlgoClass::Apn => apn_env.clone(),
-                _ => Env::bnp(v.min(32)),
-            };
-            for algo in registry::by_class(class) {
-                let (secs, out) = time_schedule(3, algo.as_ref(), &g, &env);
-                let makespan = out.schedule.makespan();
-                println!("{:>8} v={v}: {secs:.5}s (makespan {makespan})", algo.name());
-                rows.push(Json::obj([
-                    ("algo", Json::str(algo.name())),
-                    ("class", Json::str(class.to_string())),
-                    ("nodes", Json::Int(v as i64)),
-                    ("seconds", Json::Num(secs)),
-                    ("makespan", Json::Int(makespan as i64)),
-                ]));
-            }
-        }
-    }
-    Json::Arr(rows)
-}
-
 /// Median wall time of three timed passes of `f`, after one untimed
 /// warmup pass (page-faults, branch predictors and allocator pools paid
 /// for up front — the median then resists one-off scheduling noise that
@@ -344,14 +286,15 @@ fn runner_scaling_section() -> Json {
             .makespan()
     };
 
-    let (serial_s, serial) = median_of_3(|| par::parallel_map_with(1, cells.clone(), run_cell));
+    let (serial_s, serial) =
+        median_of_3(|| dagsched_ws::parallel_map_with(1, cells.clone(), run_cell));
     // On a small host a timing comparison is meaningless (too few cores to
     // clear the bar); still run the sweep on ≥2 workers so the threaded
     // path's determinism is exercised, but flag the numbers.
-    let cores = par::worker_count();
+    let cores = dagsched_ws::worker_count();
     let workers = cores.max(2);
     let (parallel_s, parallel) =
-        median_of_3(|| par::parallel_map_with(workers, cells.clone(), run_cell));
+        median_of_3(|| dagsched_ws::parallel_map_with(workers, cells.clone(), run_cell));
     assert_eq!(serial, parallel, "parallel runner changed results");
     let speedup = serial_s / parallel_s;
     let meaningful = cores >= 4;
@@ -394,7 +337,7 @@ fn bnb_parallel_speedup_section() -> Json {
         (14, 1.0, 4, 7, 4),
         (16, 1.0, 2, 7, 2),
     ];
-    let cores = par::worker_count();
+    let cores = dagsched_ws::worker_count();
     let workers = cores.max(2);
     let meaningful = cores >= 4;
     let mut rows = Vec::new();
@@ -473,224 +416,6 @@ fn bnb_parallel_speedup_section() -> Json {
     ])
 }
 
-/// Interleaved median-of-N A/B timing with retries — the same warmup +
-/// median protocol the scaling gates use. Each timed sample covers
-/// `runs_per_sample` consecutive invocations so a sample is long enough
-/// (tens of ms) for a 2% resolution; samples interleave the two legs
-/// *and alternate which leg goes first* (frequency scaling and allocator
-/// reuse systematically favor whichever closure runs first in a pair —
-/// a fixed order shows up as a phantom percent-level "overhead"); the
-/// attempt's ratio is median/median, robust against outliers in *either*
-/// direction (a one-off turbo-boosted run must not poison the estimate
-/// the way it would a running minimum). The best attempt wins; the gate
-/// passes as soon as one attempt clears.
-fn overhead_ratio(
-    label: &str,
-    samples: usize,
-    runs_per_sample: usize,
-    mut pre: impl FnMut(),
-    mut instrumented: impl FnMut(),
-) -> (f64, f64, f64) {
-    fn median(xs: &mut [f64]) -> f64 {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    }
-    // Warmup: page-in, branch predictors, allocator state.
-    pre();
-    instrumented();
-    let mut best: Option<(f64, f64, f64)> = None;
-    for attempt in 1..=TRACE_OVERHEAD_ATTEMPTS {
-        let mut pre_s = Vec::with_capacity(samples);
-        let mut new_s = Vec::with_capacity(samples);
-        for i in 0..samples {
-            let timed = |leg: &mut dyn FnMut(), out: &mut Vec<f64>| {
-                let t0 = Instant::now();
-                for _ in 0..runs_per_sample {
-                    leg();
-                }
-                out.push(t0.elapsed().as_secs_f64());
-            };
-            if i % 2 == 0 {
-                timed(&mut pre, &mut pre_s);
-                timed(&mut instrumented, &mut new_s);
-            } else {
-                timed(&mut instrumented, &mut new_s);
-                timed(&mut pre, &mut pre_s);
-            }
-        }
-        let per = runs_per_sample as f64;
-        let pre_med = median(&mut pre_s) / per;
-        let new_med = median(&mut new_s) / per;
-        let ratio = new_med / pre_med;
-        println!(
-            "trace-overhead {label}: preobs {pre_med:.4}s vs instrumented {new_med:.4}s \
-             → ratio {ratio:.4} (attempt {attempt}, median of {samples}×{runs_per_sample})"
-        );
-        if best.is_none_or(|(_, _, r)| ratio < r) {
-            best = Some((pre_med, new_med, ratio));
-        }
-        if ratio <= TRACE_OVERHEAD_MAX_RATIO {
-            break;
-        }
-    }
-    let (pre_med, new_med, ratio) = best.expect("at least one attempt ran");
-    assert!(
-        ratio <= TRACE_OVERHEAD_MAX_RATIO,
-        "acceptance bar: disabled tracing must cost ≤{:.0}% on {label}, \
-         got {:.2}% after {TRACE_OVERHEAD_ATTEMPTS} attempts",
-        (TRACE_OVERHEAD_MAX_RATIO - 1.0) * 100.0,
-        (ratio - 1.0) * 100.0
-    );
-    (pre_med, new_med, ratio)
-}
-
-fn trace_overhead_section() -> Json {
-    // DSC leg: the 5000-node headline instance of dsc_incremental_speedup.
-    let dsc = registry::by_name("DSC").unwrap();
-    let env = Env::bnp(1);
-    let g = rgnos::generate(RgnosParams::new(5000, 1.0, 3, 42));
-    // Identity first (also the freshness check on the frozen copy): the
-    // pre-obs engine must still produce today's exact placements.
-    let pre_out = preobs::DscPreObs.schedule(&g, &env).unwrap();
-    let new_out = dsc.schedule(&g, &env).unwrap();
-    for n in g.tasks() {
-        assert_eq!(
-            pre_out.schedule.placement(n),
-            new_out.schedule.placement(n),
-            "pre-obs DSC copy diverged from the instrumented engine on task {n}"
-        );
-    }
-    let (dsc_pre_s, dsc_new_s, dsc_ratio) = overhead_ratio(
-        "DSC v=5000",
-        7,
-        5,
-        || {
-            preobs::DscPreObs.schedule(&g, &env).unwrap();
-        },
-        || {
-            dsc.schedule(&g, &env).unwrap();
-        },
-    );
-
-    // B&B leg: the headline instance of bnb_parallel_speedup, serial on
-    // both sides. The counter identity is the satellite's migration proof:
-    // moving `nodes_expanded`/`pruned` onto the obs registry (and splitting
-    // the prune reasons) changed no search decision.
-    let (v, ccr, gpar, seed, procs) = (24usize, 1.0f64, 3u32, 42u64, 4usize);
-    let gb = rgnos::generate(RgnosParams::new(v, ccr, gpar, seed));
-    let params = OptimalParams {
-        procs: Some(procs),
-        node_limit: 4_000_000,
-        heuristic_incumbent: true,
-        threads: Some(1),
-    };
-    let pre_bnb = preobs::bnb_solve_serial(&gb, procs, params.node_limit);
-    let new_bnb = solve(&gb, &params);
-    assert!(pre_bnb.proven && new_bnb.proven, "headline instance proves");
-    assert_eq!(pre_bnb.length, new_bnb.length, "B&B optimum diverged");
-    assert_eq!(
-        pre_bnb.nodes_expanded, new_bnb.nodes_expanded,
-        "registry-backed expansion counter diverged from the pre-obs field"
-    );
-    assert_eq!(
-        new_bnb.pruned,
-        new_bnb.pruned_bound + new_bnb.pruned_duplicate,
-        "prune breakdown must partition the aggregate"
-    );
-    assert_eq!(
-        pre_bnb.pruned, new_bnb.pruned,
-        "registry-backed prune counter diverged from the pre-obs field"
-    );
-    let (bnb_pre_s, bnb_new_s, bnb_ratio) = overhead_ratio(
-        "B&B v=24 serial",
-        5,
-        1,
-        || {
-            preobs::bnb_solve_serial(&gb, procs, params.node_limit);
-        },
-        || {
-            solve(&gb, &params);
-        },
-    );
-
-    Json::obj([
-        ("max_ratio", Json::Num(TRACE_OVERHEAD_MAX_RATIO)),
-        (
-            "dsc",
-            Json::obj([
-                ("nodes", Json::Int(5000)),
-                ("preobs_s", Json::Num(dsc_pre_s)),
-                ("instrumented_s", Json::Num(dsc_new_s)),
-                ("ratio", Json::Num(dsc_ratio)),
-            ]),
-        ),
-        (
-            "bnb",
-            Json::obj([
-                ("nodes", Json::Int(v as i64)),
-                ("procs", Json::Int(procs as i64)),
-                ("preobs_s", Json::Num(bnb_pre_s)),
-                ("instrumented_s", Json::Num(bnb_new_s)),
-                ("ratio", Json::Num(bnb_ratio)),
-                ("nodes_expanded", Json::Int(new_bnb.nodes_expanded as i64)),
-                ("pruned", Json::Int(new_bnb.pruned as i64)),
-            ]),
-        ),
-    ])
-}
-
-/// Release-mode spot check of the composable-scheduler rewire: the six
-/// presets against the retained monoliths at paper scale (the exhaustive
-/// small-instance sweep lives in `dagsched-bench`'s tests), plus the size
-/// of the composed space the registry grammar opens. Any placement
-/// divergence panics — `compose_presets_equiv` is only ever written as
-/// `true`, but the field pins the fact into the trend record.
-fn compose_equivalence_section() -> Json {
-    let pairs: Vec<(Box<dyn Scheduler>, Box<dyn Scheduler>)> = vec![
-        (Box::new(dagsched_core::bnp::hlfet()), Box::new(HlfetMono)),
-        (Box::new(dagsched_core::bnp::ish()), Box::new(IshMono)),
-        (
-            Box::new(dagsched_core::bnp::mcp()),
-            Box::new(McpMono::default()),
-        ),
-        (Box::new(dagsched_core::bnp::etf()), Box::new(EtfMono)),
-        (Box::new(dagsched_core::bnp::dls()), Box::new(DlsMono)),
-        (Box::new(dagsched_core::bnp::last()), Box::new(LastMono)),
-    ];
-    let env = Env::bnp(8);
-    let mut instances = 0usize;
-    for &v in &[100usize, 300] {
-        for &ccr in &[0.1f64, 1.0, 10.0] {
-            for seed in 0..3u64 {
-                let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
-                for (new, old) in &pairs {
-                    let a = old.schedule(&g, &env).expect("monolith schedules");
-                    let b = new.schedule(&g, &env).expect("preset schedules");
-                    for n in g.tasks() {
-                        assert_eq!(
-                            a.schedule.placement(n),
-                            b.schedule.placement(n),
-                            "{} diverged from its monolith on v={v} ccr={ccr} seed={seed}",
-                            new.name(),
-                        );
-                    }
-                }
-                instances += 1;
-            }
-        }
-    }
-    let variants_total = registry::enumerate().len();
-    println!(
-        "compose: 6 presets placement-identical to monoliths on {instances} paper-scale \
-         instances; {variants_total} composed variants enumerable"
-    );
-    Json::obj([
-        ("presets_equiv", Json::Bool(true)),
-        ("instances", Json::Int(instances as i64)),
-        ("variants_total", Json::Int(variants_total as i64)),
-    ])
-}
-
 fn paper_sweep_budget_section() -> Json {
     let cfg = dagsched_bench::Config::from_env();
     let budget = if cfg.full {
@@ -716,54 +441,6 @@ fn paper_sweep_budget_section() -> Json {
         ("full", Json::Bool(cfg.full)),
         ("elapsed_s", Json::Num(elapsed)),
         ("budget_s", Json::Num(budget)),
-    ])
-}
-
-/// In-process daemon + loadgen replay: the serving path's correctness
-/// gates (byte-identity under load, cache effectiveness on a repeated
-/// suite) with throughput/latency recorded alongside, never gated.
-fn serve_throughput_section() -> Json {
-    use dagsched_serve::loadgen::{self, LoadgenParams};
-    use dagsched_serve::server::{start, Config};
-
-    let handle = start(Config::default()).expect("bind serve daemon");
-    let params = LoadgenParams {
-        addr: handle.addr().to_string(),
-        qps: 500.0,
-        conns: 2,
-        repeat: 3, // repeats 2..3 should be pure cache hits
-        seed: 42,
-        verify: true,
-        algos: vec!["MCP".into(), "DSC".into(), "BSA".into()],
-        graphs: [0.1, 1.0, 10.0]
-            .iter()
-            .map(|&ccr| rgnos::generate(RgnosParams::new(40, ccr, 2, 42)))
-            .collect(),
-        shutdown: false,
-    };
-    let report = loadgen::run(&params).expect("loadgen runs");
-    handle.shutdown();
-
-    assert_eq!(
-        report.errors, 0,
-        "serve replay must be error-free and byte-identical to in-process \
-         scheduling; first failures: {:?}",
-        report.error_detail
-    );
-    let hit_rate = report.cache_hits as f64 / report.requests as f64;
-    assert!(
-        hit_rate > 0.0,
-        "a 3× repeated suite must hit the schedule cache"
-    );
-    Json::obj([
-        ("requests", Json::Int(report.requests as i64)),
-        ("errors", Json::Int(report.errors as i64)),
-        ("cache_hit_rate", Json::Num(hit_rate)),
-        ("elapsed_s", Json::Num(report.elapsed.as_secs_f64())),
-        ("throughput_rps", Json::Num(report.throughput_rps)),
-        ("p50_us", Json::Int(report.p50_us as i64)),
-        ("p95_us", Json::Int(report.p95_us as i64)),
-        ("p99_us", Json::Int(report.p99_us as i64)),
     ])
 }
 
@@ -839,25 +516,17 @@ fn main() {
     let bsa = bsa_speedup_section();
     let runner = runner_scaling_section();
     let bnb = bnb_parallel_speedup_section();
-    let overhead = trace_overhead_section();
-    let compose = compose_equivalence_section();
     let sweep = paper_sweep_budget_section();
-    let serve = serve_throughput_section();
     let report = Json::obj([
-        ("schema", Json::Int(8)),
         ("suite", Json::str("rgnos ccr=1.0 par=3")),
         ("dsc_speedup", dsc.clone()),
         ("dsc_incremental_speedup", dsc_inc.clone()),
         ("md_incremental_speedup", md_inc.clone()),
         ("dcp_incremental_speedup", dcp_inc.clone()),
         ("bsa_speedup", bsa.clone()),
-        ("algo_runtimes", algo_runtimes_section()),
         ("runner_scaling", runner.clone()),
         ("bnb_parallel_speedup", bnb.clone()),
-        ("trace_overhead", overhead.clone()),
-        ("compose_equivalence", compose.clone()),
         ("paper_sweep_budget", sweep.clone()),
-        ("serve_throughput", serve.clone()),
     ]);
     let path = dagsched_bench::config::bench_out().unwrap_or_else(|| {
         format!("{}/../../BENCH_RESULTS.json", env!("CARGO_MANIFEST_DIR")).into()
@@ -869,7 +538,6 @@ fn main() {
     // Append the run's headline numbers to the trend file: one JSONL record
     // per run, keyed by commit and date, never overwritten.
     let record = Json::obj([
-        ("schema", Json::Int(8)),
         ("sha", Json::str(git_sha())),
         ("date", Json::str(utc_date())),
         ("dsc_speedup_v1000", field(&dsc, "headline_speedup_v1000")),
@@ -895,25 +563,8 @@ fn main() {
         ("bnb_parallel_speedup", field(&bnb, "speedup")),
         ("bnb_nodes_expanded", field(&bnb, "nodes_expanded")),
         ("bnb_pruned", field(&bnb, "pruned")),
-        (
-            "trace_overhead_dsc",
-            field(&field(&overhead, "dsc"), "ratio"),
-        ),
-        (
-            "trace_overhead_bnb",
-            field(&field(&overhead, "bnb"), "ratio"),
-        ),
         ("paper_sweep_full", field(&sweep, "full")),
         ("paper_sweep_s", field(&sweep, "elapsed_s")),
-        ("compose_presets_equiv", field(&compose, "presets_equiv")),
-        ("compose_variants_total", field(&compose, "variants_total")),
-        ("serve_throughput_rps", field(&serve, "throughput_rps")),
-        ("serve_p50_us", field(&serve, "p50_us")),
-        ("serve_p95_us", field(&serve, "p95_us")),
-        ("serve_p99_us", field(&serve, "p99_us")),
-        ("serve_requests", field(&serve, "requests")),
-        ("serve_errors", field(&serve, "errors")),
-        ("serve_cache_hit_rate", field(&serve, "cache_hit_rate")),
     ]);
     let history = dagsched_bench::config::bench_history().unwrap_or_else(|| {
         format!("{}/../../BENCH_HISTORY.jsonl", env!("CARGO_MANIFEST_DIR")).into()

@@ -11,8 +11,8 @@
 use dagsched_core::{registry, AlgoClass, Env};
 use dagsched_metrics::{table::f2, Running, Table};
 use dagsched_suites::{rgnos::RgnosParams, traced};
+use dagsched_ws::parallel_map;
 
-use crate::par::parallel_map;
 use crate::runner::run_timed;
 use crate::Config;
 

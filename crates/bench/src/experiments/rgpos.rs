@@ -17,8 +17,8 @@
 use dagsched_core::{registry, AlgoClass, Env};
 use dagsched_metrics::{measures, table::f1, Running, Table};
 use dagsched_suites::rgpos::{self, RgposParams};
+use dagsched_ws::parallel_map;
 
-use crate::par::parallel_map;
 use crate::runner::run_timed;
 use crate::Config;
 

@@ -28,11 +28,8 @@
 pub mod baseline;
 pub mod config;
 pub mod experiments;
-pub mod par;
-pub mod preobs;
 pub mod report;
 pub mod runner;
-pub mod ws;
 
 pub use config::Config;
 pub use runner::{run_timed, RunRecord};

@@ -63,4 +63,23 @@ mod tests {
         assert!(rec.nsl >= 1.0);
         assert!(rec.procs_used >= 1 && rec.procs_used <= 4);
     }
+
+    #[test]
+    fn scheduling_cells_in_parallel_matches_serial_results() {
+        use dagsched_core::{registry, Env};
+        use dagsched_suites::rgnos::{self, RgnosParams};
+        use dagsched_ws::parallel_map_with;
+        let algos = registry::bnp();
+        let cells: Vec<(usize, u64)> = (0..algos.len())
+            .flat_map(|ai| (0..3u64).map(move |seed| (ai, seed)))
+            .collect();
+        let run = |(ai, seed): (usize, u64)| {
+            let g = rgnos::generate(RgnosParams::new(40, 1.0, 2, seed));
+            let env = Env::bnp(8);
+            algos[ai].schedule(&g, &env).unwrap().schedule.makespan()
+        };
+        let serial = parallel_map_with(1, cells.clone(), run);
+        let parallel = parallel_map_with(4, cells, run);
+        assert_eq!(serial, parallel);
+    }
 }

@@ -45,7 +45,7 @@
 //! | MH / DLS-APN | O(r·p·route) with a route `Vec` + `link_between` per hop per probe | — shape, but probes walk precomputed route slices and batch over processors | `Topology` CSR route tables; [`apn`]'s `probe_est_all` kernel |
 //! | BU | O(v·p) assignment + list pass | — | rides the same allocation-free probes |
 //! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; measured ≥5× on the paper-scale APN instance (`perf_baseline` gate) |
-//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | same tree split across workers: depth-≤8 DFS prefixes become stealable jobs on the `bench::ws` work-stealing runtime, incumbent shared via one atomic CAS-min, O(v·p + e) replay per stolen prefix | per-worker deques + duplicate sets; `TASKBENCH_THREADS=1` is byte-identical to the old serial search; gated ≥1.5× on ≥4 workers (`perf_baseline` `bnb_parallel_speedup`) |
+//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | same tree split across workers: depth-≤8 DFS prefixes become stealable jobs on the `dagsched-ws` work-stealing runtime, incumbent shared via one atomic CAS-min, O(v·p + e) replay per stolen prefix | per-worker deques + duplicate sets; `TASKBENCH_THREADS=1` is byte-identical to the old serial search; gated ≥1.5× on ≥4 workers (`perf_baseline` `bnb_parallel_speedup`) |
 //!
 //! Substrate changes underneath all of them: adjacency is CSR (flat
 //! offsets + packed `(TaskId, cost)` entries — cache-line sweeps instead of

@@ -22,6 +22,7 @@
 //! | `relaxed-ordering-audit` | every `Ordering::Relaxed` carries a `// relaxed-ok: <reason>` |
 //! | `one-artifact-stdout` | stdout carries exactly one artifact (no `println!` outside binaries) |
 //! | `env-discipline` | `TASKBENCH_*` is read only through the parse helpers |
+//! | `sink-via-emit` | trace events reach a `Sink` only through the guarded `emit!` (zero-cost tracing) |
 //!
 //! Exceptions are granted inline — `lint:allow(<rule>) <reason>` — and
 //! are themselves audited: a reasonless allow is a `bare-allow` error,

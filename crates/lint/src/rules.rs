@@ -19,7 +19,7 @@
 //!   `relaxed-ordering-audit` rule requires at every
 //!   `Ordering::Relaxed` use site.
 
-use crate::scan::{has_macro, has_token, scan, Line};
+use crate::scan::{has_macro, has_qualified_call, has_token, scan, Line};
 
 /// One `file:line: RULE_ID message` finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,13 +34,14 @@ pub struct Diagnostic {
 }
 
 /// Invariant rules, in diagnostic-ID order.
-pub const RULES: [&str; 7] = [
+pub const RULES: [&str; 8] = [
     ENV_DISCIPLINE,
     NO_FLOAT_DECISIONS,
     NO_UNORDERED_OUTPUT,
     NO_WALL_CLOCK,
     ONE_ARTIFACT_STDOUT,
     RELAXED_ORDERING_AUDIT,
+    SINK_VIA_EMIT,
     UNSAFE_FREE,
 ];
 
@@ -51,6 +52,7 @@ pub const UNSAFE_FREE: &str = "unsafe-free";
 pub const RELAXED_ORDERING_AUDIT: &str = "relaxed-ordering-audit";
 pub const ONE_ARTIFACT_STDOUT: &str = "one-artifact-stdout";
 pub const ENV_DISCIPLINE: &str = "env-discipline";
+pub const SINK_VIA_EMIT: &str = "sink-via-emit";
 
 /// Pragma meta-rules (not allowable themselves).
 pub const BARE_ALLOW: &str = "bare-allow";
@@ -95,6 +97,10 @@ const ENV_HELPERS: [&str; 3] = [
     "crates/obs/src/env.rs",
     "crates/ws/src/lib.rs",
 ];
+
+/// The tracing layer: the only place a `Sink` may be driven directly
+/// (the `emit!` macro itself and the forwarding impls).
+const SINK_OWNER: &str = "crates/obs/src/";
 
 /// Paths where `println!`/`print!` are legitimate: CLI/binary front
 /// doors, examples, tests, and the criterion stand-in's report printer.
@@ -392,6 +398,25 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 ENV_DISCIPLINE,
                 "TASKBENCH_* read outside the parse helpers — go through \
                  ws::worker_count/parse_workers, bench::Config, or obs::env"
+                    .into(),
+            );
+        }
+
+        // sink-via-emit: zero-cost tracing holds structurally. Every event
+        // delivery goes through `emit!`, whose `Sink::enabled` guard is a
+        // constant `false` under `NullSink`, so the disabled path never
+        // builds a payload. A direct `.emit(` / `Sink::emit(` outside the
+        // tracing layer would skip that guard. Like every token rule, the
+        // match is textual: `. emit (` with inner spaces is not seen.
+        if !path.starts_with(SINK_OWNER) && has_qualified_call(code, "emit") {
+            push(
+                &mut diags,
+                &mut pragmas,
+                lineno,
+                SINK_VIA_EMIT,
+                "direct Sink::emit outside crates/obs — deliver events with \
+                 `emit!(sink, event)` so the payload is only built when the \
+                 sink is enabled"
                     .into(),
             );
         }

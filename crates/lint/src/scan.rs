@@ -237,6 +237,13 @@ pub fn has_macro(code: &str, name: &str) -> bool {
     false
 }
 
+/// Whether `name` is called in `code` as a method (`x.name(`) or through
+/// a path (`Trait::name(`, `<T as Trait>::name(`). A bare `name(` call
+/// and longer names such as `.name_all(` never match.
+pub fn has_qualified_call(code: &str, name: &str) -> bool {
+    code.contains(&format!(".{name}(")) || code.contains(&format!("::{name}("))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -182,3 +182,39 @@ fn env_discipline_fires_outside_the_parse_helpers() {
     "#;
     assert_eq!(fired("crates/graph/src/util.rs", good), Vec::<&str>::new());
 }
+
+#[test]
+fn sink_via_emit_fires_on_direct_sink_calls_outside_obs() {
+    let bad = r#"
+        fn trace<S: Sink>(sink: &mut S, ev: Event) {
+            sink.emit(ev);
+        }
+    "#;
+    assert_eq!(
+        fired("crates/core/src/sched.rs", bad),
+        vec![rules::SINK_VIA_EMIT]
+    );
+    // Path-qualified calls skip the guard just the same.
+    let ufcs = r#"
+        fn trace<S: Sink>(sink: &mut S, ev: Event) { Sink::emit(sink, ev); }
+    "#;
+    assert_eq!(
+        fired("crates/core/src/sched.rs", ufcs),
+        vec![rules::SINK_VIA_EMIT]
+    );
+    // The tracing layer itself drives sinks directly (the macro body and
+    // the forwarding impls).
+    assert_eq!(fired("crates/obs/src/sink.rs", bad), Vec::<&str>::new());
+    assert_eq!(fired("crates/obs/src/sink.rs", ufcs), Vec::<&str>::new());
+    // The guarded macro, a free `emit(` helper and longer method names
+    // are fine.
+    let good = r#"
+        fn trace<S: Sink>(sink: &mut S, ev: Event) {
+            emit!(sink, ev);
+            dagsched_obs::emit!(sink, Event::BnbExpanded { depth: 0 });
+            emit(&text);
+            out.emit_all();
+        }
+    "#;
+    assert_eq!(fired("crates/core/src/sched.rs", good), Vec::<&str>::new());
+}

@@ -41,9 +41,9 @@
 //! O(p) for the earliest-start probe plus O(v + e) amortized for bound
 //! maintenance. The parallel path ([`OptimalParams::threads`] ≠ 1) splits
 //! shallow DFS prefixes (depth ≤ 8) into stealable jobs on the
-//! work-stealing runtime (`dagsched-ws`, re-exported as `bench::ws`);
-//! replaying a stolen prefix costs O(v·p + e), negligible against its
-//! subtree. The incumbent *length* crosses workers through a single
+//! work-stealing runtime (`dagsched-ws`, the same one the experiment
+//! sweeps use); replaying a stolen prefix costs O(v·p + e), negligible
+//! against its subtree. The incumbent *length* crosses workers through a single
 //! CAS-min `AtomicU64` — a stale read only weakens a prune bound, never
 //! soundness — so the proven optimum is thread-count independent, and the
 //! returned placements are tie-broken by a canonical placement key rather

@@ -470,96 +470,34 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Required fields added at each `BENCH_HISTORY.jsonl` schema version,
-/// with a one-letter type tag: `s`tring, `n`umeric (int or float),
-/// `i`nteger, `b`oolean. A record of schema K must carry exactly the
-/// fields of versions 1..=K (plus `schema` itself) — nothing missing,
-/// nothing unknown.
-const HISTORY_SCHEMA: [&[(&str, u8)]; 8] = [
-    &[
-        ("sha", b's'),
-        ("date", b's'),
-        ("dsc_speedup_v1000", b'n'),
-        ("runner_speedup", b'n'),
-        ("runner_workers", b'i'),
-        ("runner_cells", b'i'),
-    ],
-    &[("bsa_speedup_v500_ccr01", b'n')],
-    &[
-        ("dsc_incremental_speedup_v5000", b'n'),
-        ("paper_sweep_full", b'b'),
-        ("paper_sweep_s", b'n'),
-    ],
-    &[
-        ("md_incremental_speedup_v2000", b'n'),
-        ("dcp_incremental_speedup_v2000", b'n'),
-    ],
-    &[
-        ("bnb_parallel_speedup", b'n'),
-        ("bnb_nodes_expanded", b'i'),
-        ("bnb_pruned", b'i'),
-    ],
-    &[("trace_overhead_dsc", b'n'), ("trace_overhead_bnb", b'n')],
-    &[
-        ("compose_presets_equiv", b'b'),
-        ("compose_variants_total", b'i'),
-    ],
-    &[
-        ("serve_throughput_rps", b'n'),
-        ("serve_p50_us", b'i'),
-        ("serve_p95_us", b'i'),
-        ("serve_p99_us", b'i'),
-        ("serve_requests", b'i'),
-        ("serve_errors", b'i'),
-        ("serve_cache_hit_rate", b'n'),
-    ],
-];
-
-/// Validate one history record against [`HISTORY_SCHEMA`]; returns its
-/// schema version.
-fn validate_history_record(rec: &taskbench::bench::report::Json) -> Result<i64, String> {
+/// Validate one `BENCH_HISTORY.jsonl` record: a JSON object whose `sha`
+/// and `date` are strings and whose every other field is a metric — a
+/// number or a bool — with at least one metric present. A new metric is
+/// a new field; no version table needs to know about it.
+fn validate_history_record(rec: &taskbench::bench::report::Json) -> Result<(), String> {
     use taskbench::bench::report::Json;
 
-    let fields = match rec {
-        Json::Obj(fields) => fields,
-        _ => return Err("record is not a JSON object".into()),
+    let Json::Obj(fields) = rec else {
+        return Err("record is not a JSON object".into());
     };
-    let schema = match rec.get("schema") {
-        Some(Json::Int(v)) => *v,
-        Some(_) => return Err("`schema` must be an integer".into()),
-        None => return Err("missing `schema` field".into()),
-    };
-    if !(1..=HISTORY_SCHEMA.len() as i64).contains(&schema) {
-        return Err(format!(
-            "unknown schema version {schema} (known: 1..={})",
-            HISTORY_SCHEMA.len()
-        ));
-    }
-    let required: Vec<(&str, u8)> = HISTORY_SCHEMA[..schema as usize]
-        .iter()
-        .flat_map(|v| v.iter().copied())
-        .collect();
-    for (key, ty) in &required {
-        let v = rec
-            .get(key)
-            .ok_or_else(|| format!("schema {schema} record is missing `{key}`"))?;
-        let ok = match ty {
-            b's' => matches!(v, Json::Str(_)),
-            b'n' => v.as_f64().is_some(),
-            b'i' => matches!(v, Json::Int(_)),
-            b'b' => matches!(v, Json::Bool(_)),
-            _ => unreachable!("tags are s/n/i/b"),
-        };
-        if !ok {
-            return Err(format!("field `{key}` has the wrong type"));
+    for key in ["sha", "date"] {
+        match rec.get(key) {
+            Some(Json::Str(_)) => {}
+            Some(_) => return Err(format!("`{key}` must be a string")),
+            None => return Err(format!("missing `{key}` field")),
         }
     }
-    for (key, _) in fields {
-        if key != "schema" && !required.iter().any(|(k, _)| k == key) {
-            return Err(format!("unknown field `{key}` for schema {schema}"));
+    let mut metrics = 0;
+    for (key, v) in fields.iter().filter(|(k, _)| k != "sha" && k != "date") {
+        if v.as_f64().is_none() && !matches!(v, Json::Bool(_)) {
+            return Err(format!("metric `{key}` must be a number or a bool"));
         }
+        metrics += 1;
     }
-    Ok(schema)
+    if metrics == 0 {
+        return Err("record carries no metrics".into());
+    }
+    Ok(())
 }
 
 fn cmd_bench_history(args: &[String]) -> Result<(), String> {
@@ -574,23 +512,23 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
 
-    let mut records: Vec<(i64, Json)> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let lineno = idx + 1;
         let rec = Json::parse(line).map_err(|e| format!("{path}:{lineno}: {e}"))?;
-        let schema = validate_history_record(&rec).map_err(|e| format!("{path}:{lineno}: {e}"))?;
-        records.push((schema, rec));
+        validate_history_record(&rec).map_err(|e| format!("{path}:{lineno}: {e}"))?;
+        records.push(rec);
     }
     if records.is_empty() {
         return Err(format!("{path}: no records"));
     }
 
-    // Short header per column; `-` marks fields the record's schema
-    // predates. Ratios >= baseline render with two decimals.
-    let cols: [(&str, &str); 10] = [
+    // Short header per column; `-` marks metrics the record lacks.
+    // Ratios render with two decimals.
+    let cols: [(&str, &str); 7] = [
         ("dsc", "dsc_speedup_v1000"),
         ("dsc-inc", "dsc_incremental_speedup_v5000"),
         ("md-inc", "md_incremental_speedup_v2000"),
@@ -598,21 +536,18 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
         ("bsa", "bsa_speedup_v500_ccr01"),
         ("runner", "runner_speedup"),
         ("bnb-par", "bnb_parallel_speedup"),
-        ("ovh-dsc", "trace_overhead_dsc"),
-        ("ovh-bnb", "trace_overhead_bnb"),
-        ("srv-rps", "serve_throughput_rps"),
     ];
-    let mut out = format!("{:<13} {:<11} {:>2}", "sha", "date", "sv");
+    let mut out = format!("{:<13} {:<11}", "sha", "date");
     for (hdr, _) in &cols {
         out.push_str(&format!(" {hdr:>8}"));
     }
     out.push('\n');
-    for (schema, rec) in &records {
+    for rec in &records {
         let s = |key: &str| match rec.get(key) {
             Some(Json::Str(v)) => v.clone(),
             _ => "?".into(),
         };
-        out.push_str(&format!("{:<13} {:<11} {:>2}", s("sha"), s("date"), schema));
+        out.push_str(&format!("{:<13} {:<11}", s("sha"), s("date")));
         for (_, key) in &cols {
             match rec.get(key).and_then(Json::as_f64) {
                 Some(x) => out.push_str(&format!(" {x:>8.2}")),
@@ -623,8 +558,7 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
     }
     emit(&out);
     note(&format!(
-        "{} records from {path}; columns are speedup ratios \
-         (ovh-* are instrumented/pre-instrumentation overhead, gate <= 1.02)",
+        "{} records from {path}; columns are speedup ratios",
         records.len()
     ));
     Ok(())

@@ -238,6 +238,56 @@ fn composed_variant_names_run_end_to_end() {
 }
 
 #[test]
+fn bench_history_renders_and_rejects_malformed_records() {
+    // The committed trend file renders: a header plus one row per record.
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_HISTORY.jsonl");
+    let (ok, table, stderr) = taskbench(&["bench-history", committed]);
+    assert!(ok, "{stderr}");
+    let records = std::fs::read_to_string(committed)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .count();
+    assert!(records > 0);
+    assert_eq!(table.lines().count(), records + 1, "{table}");
+    assert!(table.starts_with("sha"), "{table}");
+
+    // A record is flat: a metric no earlier record carried needs no
+    // schema bump, so the good first line below renders on its own.
+    let dir = std::env::temp_dir().join(format!("taskbench-history-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = r#"{"sha":"abc123","date":"2026-01-01","dsc_speedup_v1000":9.5,"new_metric":3,"flag":true}"#;
+    let path = dir.join("good.jsonl");
+    std::fs::write(&path, format!("{good}\n")).unwrap();
+    let (ok, table, stderr) = taskbench(&["bench-history", path.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(table.contains("abc123"), "{table}");
+
+    // Malformed records fail with a `path:line:` error naming the fault.
+    for (name, bad, why) in [
+        (
+            "string-metric",
+            r#"{"sha":"abc","date":"2026-01-01","dsc_speedup_v1000":"fast"}"#,
+            "metric `dsc_speedup_v1000` must be a number or a bool",
+        ),
+        (
+            "no-sha",
+            r#"{"date":"2026-01-01","dsc_speedup_v1000":9.5}"#,
+            "missing `sha` field",
+        ),
+    ] {
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, format!("{good}\n{bad}\n")).unwrap();
+        let p = path.to_str().unwrap();
+        let (ok, _, stderr) = taskbench(&["bench-history", p]);
+        assert!(!ok, "{name} must be rejected");
+        assert!(stderr.contains(&format!("{p}:2: {why}")), "{stderr}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn psg_indices_cover_the_set() {
     let (ok, tgf, _) = taskbench(&["gen", "psg", "0"]);
     assert!(ok);
