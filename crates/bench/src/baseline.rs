@@ -7,8 +7,8 @@
 //! an O(|ready|) membership scan inside the partially-free search (via
 //! `LinearReadySet`), and its own uncached b-level pass. The refactored
 //! `dagsched_core::unc::Dsc` must produce byte-identical schedules; the
-//! `algo_runtimes` bench and the `perf_baseline` binary check both the
-//! speedup and the equivalence.
+//! `perf_baseline` binary checks the speedup and the tests below the
+//! equivalence.
 //!
 //! [`DscScanBaseline`] is DSC as it stood *after* that first overhaul but
 //! before the incremental priority-queue engine: clone-free DSRW and an
@@ -19,16 +19,16 @@
 //! schedules; `perf_baseline`'s `dsc_incremental_speedup` section gates
 //! the speedup at paper scale.
 //!
-//! [`DynScanBaseline`] is the dynamic-levels computation as MD and DCP
-//! consumed it before the incremental engine: a full rebuild of the
+//! [`MdScan`] and [`DcpScan`] are MD and DCP as they stood before the
+//! incremental engine: a full [`DynLevels::compute`] rescan of the
 //! scheduled-graph view — combined adjacency vectors, Kahn order, forward
-//! and backward passes — after **every** placement. [`MdScan`] and
-//! [`DcpScan`] are MD and DCP over that rescan, decision-identical to the
-//! engine-driven `dagsched_core::unc::{Md, Dcp}` (including the repaired
-//! look-ahead probe, which changed decisions and is pinned by its own
-//! regression test + the golden table); `perf_baseline` gates
-//! `md_incremental_speedup` / `dcp_incremental_speedup` and the sweep
-//! below proves placement identity.
+//! and backward passes — after **every** placement. They are
+//! decision-identical to the engine-driven `dagsched_core::unc::{Md, Dcp}`
+//! (including the repaired look-ahead probe, which changed decisions and
+//! is pinned by its own regression test + the golden table);
+//! `perf_baseline` gates `md_incremental_speedup` /
+//! `dcp_incremental_speedup` and the sweep below proves placement
+//! identity.
 //!
 //! [`BsaBaseline`] is BSA as it stood before the APN message-layer
 //! overhaul, over a verbatim retention of the old message layer
@@ -50,7 +50,7 @@
 
 pub mod bnp;
 
-use dagsched_core::common::{drt, ReadySet};
+use dagsched_core::common::{drt, DynLevels, ReadySet};
 use dagsched_core::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 use dagsched_graph::{levels, TaskGraph, TaskId};
 use dagsched_platform::{Message, MessageHop, Network, ProcId, Schedule, Topology};
@@ -366,107 +366,6 @@ fn partially_free_max_scan(
         .max_by_key(|&n| (priority(n, tlevel, bl), std::cmp::Reverse(n.0)))
 }
 
-/// The dynamic-levels rescan as MD and DCP consumed it before the
-/// incremental engine, retained verbatim (modulo the acyclicity hard
-/// error and recorded-finish reads, correctness fixes that must hold on
-/// both sides of the equivalence sweep): every placement pays a full
-/// O(v + e) rebuild of the scheduled-graph view.
-///
-/// This is a deliberate frozen copy even though
-/// `dagsched_core::common::DynLevels::compute` still exists upstream: the
-/// original now serves only as the property-test oracle and is free to be
-/// optimized, while this retention must keep the *old cost profile* so
-/// the `md_incremental_speedup` / `dcp_incremental_speedup` gates compare
-/// against the real former code (the same discipline as
-/// [`DscScanBaseline`]). Semantic fixes to the scheduled-graph view must
-/// be mirrored here or the placement-identity sweep below will flag the
-/// divergence. The incremental `dagsched_core::common::DynLevelsEngine`
-/// must stay value-identical; [`MdScan`] / [`DcpScan`] drive
-/// whole-schedule comparisons.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DynScanBaseline;
-
-impl DynScanBaseline {
-    /// Compute levels for graph `g` under partial schedule `s`, from
-    /// scratch.
-    pub fn compute(g: &TaskGraph, s: &Schedule) -> dagsched_core::common::DynLevels {
-        let v = g.num_tasks();
-        // Combined adjacency = original edges (possibly zeroed) + sequence
-        // edges. Build successor lists once per call.
-        let mut succs: Vec<Vec<(TaskId, u64)>> = vec![Vec::new(); v];
-        let mut indeg: Vec<u32> = vec![0; v];
-        for e in g.edges() {
-            let cost = match (s.placement(e.src), s.placement(e.dst)) {
-                (Some(a), Some(b)) if a.proc == b.proc => 0,
-                _ => e.cost,
-            };
-            succs[e.src.index()].push((e.dst, cost));
-            indeg[e.dst.index()] += 1;
-        }
-        for pi in 0..s.num_procs() as u32 {
-            let slots = s.timeline(ProcId(pi)).slots();
-            for w in slots.windows(2) {
-                succs[w[0].tag.index()].push((w[1].tag, 0));
-                indeg[w[1].tag.index()] += 1;
-            }
-        }
-
-        // Kahn order over the combined DAG.
-        let mut queue: std::collections::VecDeque<TaskId> = (0..v as u32)
-            .map(TaskId)
-            .filter(|n| indeg[n.index()] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(v);
-        {
-            let mut indeg = indeg.clone();
-            while let Some(n) = queue.pop_front() {
-                order.push(n);
-                for &(m, _) in &succs[n.index()] {
-                    indeg[m.index()] -= 1;
-                    if indeg[m.index()] == 0 {
-                        queue.push_back(m);
-                    }
-                }
-            }
-        }
-        assert_eq!(order.len(), v, "combined scheduled graph must stay acyclic");
-
-        // Forward pass: t-levels (placed tasks pinned at their start,
-        // propagating their recorded finish).
-        let mut tl = vec![0u64; v];
-        for &n in &order {
-            let finish = match s.placement(n) {
-                Some(p) => {
-                    tl[n.index()] = p.start;
-                    p.finish
-                }
-                None => tl[n.index()] + g.weight(n),
-            };
-            for &(m, c) in &succs[n.index()] {
-                if s.placement(m).is_none() {
-                    let cand = finish + c;
-                    if cand > tl[m.index()] {
-                        tl[m.index()] = cand;
-                    }
-                }
-            }
-        }
-
-        // Backward pass: b-levels.
-        let mut bl = vec![0u64; v];
-        for &n in order.iter().rev() {
-            let mut best = 0u64;
-            for &(m, c) in &succs[n.index()] {
-                best = best.max(c + bl[m.index()]);
-            }
-            bl[n.index()] = g.weight(n) + best;
-        }
-
-        let cp = (0..v).map(|i| tl[i] + bl[i]).max().unwrap_or(0);
-        dagsched_core::common::DynLevels { tl, bl, cp }
-    }
-}
-
 /// DCP's candidate processor set, as shared by the scan-era schedulers:
 /// processors holding a parent or child of `n`, plus the first idle one.
 fn neighbourhood_procs_scan(g: &TaskGraph, s: &Schedule, n: TaskId) -> Vec<ProcId> {
@@ -487,7 +386,7 @@ fn neighbourhood_procs_scan(g: &TaskGraph, s: &Schedule, n: TaskId) -> Vec<ProcI
     out
 }
 
-/// MD over the per-placement [`DynScanBaseline`] rescan — the pre-engine
+/// MD over the per-placement `DynLevels` rescan — the pre-engine
 /// implementation, decision-identical to `dagsched_core::unc::Md`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MdScan;
@@ -508,7 +407,7 @@ impl Scheduler for MdScan {
         let mut used = 0u32; // processors 0..used have been opened
 
         while !ready.is_empty() {
-            let d = DynScanBaseline::compute(g, &s);
+            let d = DynLevels::compute(g, &s);
             // Minimum relative mobility; exact comparison via
             // cross-multiplication: M(a) < M(b) ⇔ slack_a·w_b < slack_b·w_a.
             let n = ready
@@ -554,7 +453,7 @@ impl Scheduler for MdScan {
     }
 }
 
-/// DCP over the per-placement [`DynScanBaseline`] rescan — the pre-engine
+/// DCP over the per-placement `DynLevels` rescan — the pre-engine
 /// implementation, decision-identical to `dagsched_core::unc::Dcp` with
 /// the look-ahead enabled (including the repaired insertion-policy child
 /// probe, so the only difference is how levels are obtained).
@@ -576,7 +475,7 @@ impl Scheduler for DcpScan {
         let mut ready = ReadySet::new(g);
 
         while !ready.is_empty() {
-            let d = DynScanBaseline::compute(g, &s);
+            let d = DynLevels::compute(g, &s);
             // Smallest mobility (ALST − AEST), then smallest AEST, then id.
             let n = ready
                 .iter()
@@ -1156,22 +1055,6 @@ mod tests {
     fn incremental_dcp_matches_scan_baseline_across_sweep() {
         let dcp = registry::by_name("DCP").unwrap();
         dyn_levels_sweep(dcp.as_ref(), &DcpScan);
-    }
-
-    /// The retained rescan must carry the same acyclicity hard error as
-    /// the engine (correctness fixes hold on both sides of the sweep).
-    #[test]
-    #[should_panic(expected = "stay acyclic")]
-    fn dyn_scan_baseline_rejects_corrupt_schedules() {
-        let mut gb = dagsched_graph::GraphBuilder::new();
-        let a = gb.add_task(2);
-        let b = gb.add_task(3);
-        gb.add_edge(a, b, 5).unwrap();
-        let g = gb.build().unwrap();
-        let mut s = Schedule::new(g.num_tasks(), 1);
-        s.place(b, ProcId(0), 0, 3).unwrap();
-        s.place(a, ProcId(0), 3, 2).unwrap(); // a after its child: cycle
-        let _ = DynScanBaseline::compute(&g, &s);
     }
 
     /// The refactored DSC must match the baseline schedule exactly — same

@@ -8,8 +8,8 @@
 //! contended message arrivals on the topology. Non-insertion, greedy.
 //!
 //! The exhaustive (ready node × processor) probe scan makes DLS the
-//! slowest APN algorithm in the paper's Table 6 — reproduced in our
-//! Criterion benches.
+//! slowest APN algorithm in the paper's Table 6 — reproduced by the
+//! `table6_runtimes` bin and perfbench's `core.DLS-APN.ns_per_task`.
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_platform::ProcId;

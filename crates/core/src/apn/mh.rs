@@ -81,9 +81,9 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
                 best = (ProcId(pi as u32), est);
             }
         }
-        // Route the parent messages through the traced commit (emits one
-        // `MessageRouted` per cross-processor edge), then append-place.
-        let drt = st.commit_parent_messages_traced(g, n, best.0, sink);
+        // Route the parent messages (emits one `MessageRouted` per
+        // cross-processor edge), then append-place.
+        let drt = st.commit_parent_messages(g, n, best.0, sink, |_| {});
         let w = g.weight(n);
         let start = st.s.timeline(best.0).earliest_append(drt);
         st.s.place(n, best.0, start, w)

@@ -44,7 +44,7 @@ pub use dls_apn::DlsApn;
 pub use mh::Mh;
 
 use dagsched_graph::{TaskGraph, TaskId};
-use dagsched_obs::{emit, Event, Sink};
+use dagsched_obs::{emit, Event, NullSink, Sink};
 use dagsched_platform::{MsgId, Network, ProcId, Schedule, Topology};
 
 use crate::{Env, Outcome, SchedError};
@@ -124,13 +124,18 @@ impl ApnState {
     /// Commit the messages from all placed parents of `n` toward `p`
     /// (ascending parent id — deterministic), returning the actual
     /// data-ready time. Same-processor and zero-cost edges need no message.
-    /// Every committed message id is reported to `sink` (the journal hook).
-    fn commit_parent_messages_with(
+    /// Every routed message is reported to `sink` as
+    /// [`Event::MessageRouted`] (MH's traced path) and its id to `journal`
+    /// (the replay engine's rollback log). The replay engine passes a
+    /// [`NullSink`]: per-message events in BSA's trial loop would swamp
+    /// both the sink and the hot path.
+    pub fn commit_parent_messages<S: Sink>(
         &mut self,
         g: &TaskGraph,
         n: TaskId,
         p: ProcId,
-        mut sink: impl FnMut(MsgId),
+        sink: &mut S,
+        mut journal: impl FnMut(MsgId),
     ) -> u64 {
         let mut drt = 0u64;
         let mut committed = 0u64;
@@ -141,45 +146,8 @@ impl ApnState {
             } else {
                 let (id, arr) = self.net.commit(q, n, pl.proc, p, pl.finish, c);
                 if let Some(id) = id {
-                    sink(id);
+                    journal(id);
                     committed += 1;
-                }
-                arr
-            };
-            drt = drt.max(arrival);
-        }
-        if committed > 0 {
-            dagsched_obs::global().add(dagsched_obs::Metric::ApnMsgsCommitted, committed);
-        }
-        drt
-    }
-
-    /// [`ApnState::commit_parent_messages_with`] without a journal.
-    pub fn commit_parent_messages(&mut self, g: &TaskGraph, n: TaskId, p: ProcId) -> u64 {
-        self.commit_parent_messages_with(g, n, p, |_| {})
-    }
-
-    /// [`ApnState::commit_parent_messages`] that also reports every routed
-    /// message to a trace sink — the hook MH's traced path uses to emit
-    /// [`Event::MessageRouted`]. The replay engine deliberately does *not*
-    /// go through this (per-message events in BSA's trial loop would swamp
-    /// both the sink and the hot path).
-    pub fn commit_parent_messages_traced<S: Sink>(
-        &mut self,
-        g: &TaskGraph,
-        n: TaskId,
-        p: ProcId,
-        sink: &mut S,
-    ) -> u64 {
-        let mut drt = 0u64;
-        for &(q, c) in g.preds(n) {
-            let pl = self.s.placement(q).expect("commit: parent must be placed");
-            let arrival = if pl.proc == p || c == 0 {
-                pl.finish
-            } else {
-                let (id, arr) = self.net.commit(q, n, pl.proc, p, pl.finish, c);
-                if id.is_some() {
-                    dagsched_obs::global().incr(dagsched_obs::Metric::ApnMsgsCommitted);
                 }
                 emit!(
                     sink,
@@ -195,13 +163,16 @@ impl ApnState {
             };
             drt = drt.max(arrival);
         }
+        if committed > 0 {
+            dagsched_obs::global().add(dagsched_obs::Metric::ApnMsgsCommitted, committed);
+        }
         drt
     }
 
     /// Commit messages and place `n` on `p` under the append policy.
     /// Returns the start time.
     pub fn commit_and_place(&mut self, g: &TaskGraph, n: TaskId, p: ProcId) -> u64 {
-        let drt = self.commit_parent_messages(g, n, p);
+        let drt = self.commit_parent_messages(g, n, p, &mut NullSink, |_| {});
         let start = self.s.timeline(p).earliest_append(drt);
         self.s
             .place(n, p, start, g.weight(n))
@@ -493,7 +464,7 @@ impl ReplayEngine {
         for i in k..self.seq.len() {
             let (n, p) = self.seq[i];
             let (st, msg_log) = (&mut self.st, &mut self.msg_log);
-            let drt = st.commit_parent_messages_with(g, n, p, |id| msg_log.push(id));
+            let drt = st.commit_parent_messages(g, n, p, &mut NullSink, |id| msg_log.push(id));
             let start = st.s.timeline(p).earliest_append(drt);
             let finish = start + g.weight(n);
             st.s.place(n, p, start, g.weight(n))
@@ -851,7 +822,7 @@ mod tests {
         let mut st = ApnState::new(&g, &env).unwrap();
         st.s.place(a, ProcId(0), 0, 2).unwrap();
         let probed = st.probe_est(&g, b, ProcId(2));
-        let drt = st.commit_parent_messages(&g, b, ProcId(2));
+        let drt = st.commit_parent_messages(&g, b, ProcId(2), &mut NullSink, |_| {});
         assert_eq!(probed, drt); // empty network: two hops of 5 → 12
         assert_eq!(drt, 12);
     }
@@ -870,7 +841,7 @@ mod tests {
         st.s.place(a, ProcId(0), 0, 2).unwrap();
         st.s.place(b, ProcId(1), 0, 2).unwrap();
         // c on P0: a local (no message), b remote but zero-cost (no message).
-        let drt = st.commit_parent_messages(&g, c, ProcId(0));
+        let drt = st.commit_parent_messages(&g, c, ProcId(0), &mut NullSink, |_| {});
         assert_eq!(drt, 2);
         assert_eq!(st.net.messages().count(), 0);
     }

@@ -15,8 +15,11 @@
 //! view.
 //!
 //! [`DynLevels::compute`] is the full O(v + e) rescan — the reference
-//! implementation the property tests check against. The schedulers
-//! themselves maintain the same values incrementally through
+//! implementation the property tests check against, and the per-placement
+//! rescan the retained `bench::baseline::{MdScan, DcpScan}` baselines run
+//! for the MD/DCP speedup gates. Optimizing it only makes those gates
+//! compare against a faster baseline — stricter, never looser. The
+//! schedulers themselves maintain the same values incrementally through
 //! [`super::DynLevelsEngine`], which repairs only the cone a single
 //! placement can affect.
 

@@ -61,16 +61,13 @@ pub const UNKNOWN_RULE: &str = "unknown-rule";
 
 /// The timing layer: the only files where wall clock may be read.
 /// Everything here feeds human-facing timing output (span profiles,
-/// Table-6 runtimes, loadgen latency percentiles, criterion samples) —
-/// never scheduler decisions or committed artifacts.
-const WALL_CLOCK_ALLOWED: [&str; 7] = [
+/// Table-6 runtimes, loadgen latency percentiles) — never scheduler
+/// decisions or committed artifacts.
+const WALL_CLOCK_ALLOWED: [&str; 4] = [
     "crates/obs/src/span.rs",
-    "crates/metrics/src/stats.rs",
     "crates/serve/src/loadgen.rs",
-    "crates/compat/criterion/",
     "crates/bench/src/runner.rs",
     "crates/bench/src/bin/",
-    "crates/bench/benches/",
 ];
 
 /// Files that render committed artifacts or stdout output; unordered
@@ -103,8 +100,8 @@ const ENV_HELPERS: [&str; 3] = [
 const SINK_OWNER: &str = "crates/obs/src/";
 
 /// Paths where `println!`/`print!` are legitimate: CLI/binary front
-/// doors, examples, tests, and the criterion stand-in's report printer.
-const STDOUT_ALLOWED: [&str; 4] = ["/bin/", "examples/", "/tests/", "crates/compat/criterion/"];
+/// doors, examples and tests.
+const STDOUT_ALLOWED: [&str; 3] = ["/bin/", "examples/", "/tests/"];
 
 /// `path` matches an allowlist entry: exact file, or prefix/substring
 /// for entries ending in `/` (substring so `/bin/` and `/tests/` match
@@ -298,7 +295,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 lineno,
                 NO_WALL_CLOCK,
                 "wall clock outside the timing layer — route timing through obs::span, \
-                 metrics::stats::Stopwatch or the bench/loadgen timing bins"
+                 bench::runner or the bench/loadgen timing bins"
                     .into(),
             );
         }
@@ -369,7 +366,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
         }
 
         // one-artifact-stdout: stdout is the artifact channel; only
-        // binaries, examples, tests and the criterion stand-in print.
+        // binaries, examples and tests print.
         if !in_list(path, &STDOUT_ALLOWED)
             && (has_macro(code, "println") || has_macro(code, "print"))
         {

@@ -28,6 +28,10 @@ fn no_wall_clock_fires_outside_the_timing_layer() {
         fired("crates/core/src/sched.rs", bad),
         vec![rules::NO_WALL_CLOCK]
     );
+    // Statistics helpers and bench targets are not part of the timing layer.
+    for path in ["crates/metrics/src/stats.rs", "crates/bench/benches/x.rs"] {
+        assert_eq!(fired(path, bad), vec![rules::NO_WALL_CLOCK], "{path}");
+    }
     // Same source inside the timing layer is fine.
     assert_eq!(fired("crates/obs/src/span.rs", bad), Vec::<&str>::new());
     // Mentions in comments and strings never count.

@@ -50,7 +50,7 @@ fn every_crate_root_forbids_unsafe() {
         }
         // compat/* nests one level deeper.
         if dir.ends_with("compat") {
-            for sub in ["rand", "proptest", "criterion"] {
+            for sub in ["rand", "proptest"] {
                 let p = dir.join(sub).join("src/lib.rs");
                 if p.exists() {
                     roots.push(p);

@@ -14,7 +14,10 @@
 //!   measures (serial time over makespan).
 //! * number of processors used — available directly as
 //!   `Schedule::procs_used` (§6.4.2).
-//! * running time — measured by the harness with [`stats::Stopwatch`].
+//!
+//! Running time (Table 6) is wall clock, so it is measured outside this
+//! crate: `bench::runner::run_timed` times each harness run, and the
+//! `perfbench` benchmark records each algorithm's ns per task.
 //!
 //! [`stats::Running`] aggregates mean/min/max/std via Welford's method;
 //! [`table::Table`] renders aligned ASCII tables and CSV for
@@ -25,5 +28,5 @@ pub mod stats;
 pub mod table;
 
 pub use measures::{degradation_pct, efficiency, nsl, speedup};
-pub use stats::{percentile, summary, Running, Stopwatch, Summary};
+pub use stats::{percentile, Running};
 pub use table::Table;

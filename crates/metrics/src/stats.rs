@@ -1,6 +1,4 @@
-//! Streaming statistics (Welford) and wall-clock measurement.
-
-use std::time::{Duration, Instant};
+//! Streaming statistics (Welford) and nearest-rank percentiles.
 
 /// Streaming mean / variance / min / max accumulator (Welford's method —
 /// numerically stable for long experiment sweeps).
@@ -107,63 +105,6 @@ pub fn percentile(xs: &[u64], q: f64) -> Option<u64> {
     Some(sorted[rank])
 }
 
-/// Five-number-ish summary of a sample: count, min/max, mean, and the
-/// nearest-rank p50/p90/p99 (see [`percentile`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    pub count: usize,
-    pub min: u64,
-    pub max: u64,
-    pub mean: f64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p99: u64,
-}
-
-/// Summarize an unsorted sample. Returns `None` on an empty slice.
-pub fn summary(xs: &[u64]) -> Option<Summary> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_unstable();
-    let rank = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-    Some(Summary {
-        count: sorted.len(),
-        min: sorted[0],
-        max: sorted[sorted.len() - 1],
-        mean: sorted.iter().map(|&x| x as f64).sum::<f64>() / sorted.len() as f64,
-        p50: rank(0.50),
-        p90: rank(0.90),
-        p99: rank(0.99),
-    })
-}
-
-/// Wall-clock stopwatch for the paper's "algorithm running time" measure
-/// (Table 6). Returns the mean over `reps` runs of `f`.
-#[derive(Debug)]
-pub struct Stopwatch;
-
-impl Stopwatch {
-    /// Time one closure invocation.
-    pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-        let t0 = Instant::now();
-        let out = f();
-        (out, t0.elapsed())
-    }
-
-    /// Mean duration of `reps` invocations (the last result is returned).
-    pub fn time_mean<T>(reps: u32, mut f: impl FnMut() -> T) -> (T, Duration) {
-        assert!(reps >= 1);
-        let t0 = Instant::now();
-        let mut out = None;
-        for _ in 0..reps {
-            out = Some(f());
-        }
-        (out.expect("reps >= 1"), t0.elapsed() / reps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +159,6 @@ mod tests {
     #[test]
     fn percentile_empty_is_none() {
         assert_eq!(percentile(&[], 0.5), None);
-        assert_eq!(summary(&[]), None);
     }
 
     #[test]
@@ -226,12 +166,6 @@ mod tests {
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
             assert_eq!(percentile(&[7], q), Some(7));
         }
-        let s = summary(&[7]).unwrap();
-        assert_eq!(
-            (s.count, s.min, s.max, s.p50, s.p90, s.p99),
-            (1, 7, 7, 7, 7, 7)
-        );
-        assert_eq!(s.mean, 7.0);
     }
 
     #[test]
@@ -255,11 +189,7 @@ mod tests {
         let xs = [5, 1, 5, 5, 2, 5, 5];
         assert_eq!(percentile(&xs, 0.5), Some(5));
         assert_eq!(percentile(&xs, 0.0), Some(1));
-        let s = summary(&xs).unwrap();
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 5);
-        assert_eq!(s.p50, 5);
-        assert_eq!(s.count, 7);
+        assert_eq!(percentile(&xs, 1.0), Some(5));
     }
 
     #[test]
@@ -267,27 +197,5 @@ mod tests {
         let xs = [3, 1, 2];
         assert_eq!(percentile(&xs, -1.0), Some(1));
         assert_eq!(percentile(&xs, 2.0), Some(3));
-    }
-
-    #[test]
-    fn summary_mean_matches_running() {
-        let xs: Vec<u64> = (0..50).map(|i| (i * 13) % 31).collect();
-        let s = summary(&xs).unwrap();
-        let mut r = Running::new();
-        for &x in &xs {
-            r.push(x as f64);
-        }
-        assert!((s.mean - r.mean()).abs() < 1e-12);
-        assert_eq!(s.min as f64, r.min());
-        assert_eq!(s.max as f64, r.max());
-    }
-
-    #[test]
-    fn stopwatch_returns_value_and_positive_time() {
-        let (x, d) = Stopwatch::time(|| (0..1000).sum::<u64>());
-        assert_eq!(x, 499500);
-        assert!(d.as_nanos() > 0);
-        let (x, _) = Stopwatch::time_mean(3, || 42);
-        assert_eq!(x, 42);
     }
 }

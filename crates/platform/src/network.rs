@@ -27,10 +27,10 @@
 //! lookups. Committed messages live in a **slab with a free list**: removal
 //! leaves a reusable hole instead of a tombstone, so migration-heavy
 //! algorithms (BSA removes and re-commits messages thousands of times) keep
-//! the store at its live size. A per-task **incidence index** maps each task
-//! to the messages entering or leaving it, making
-//! [`Network::remove_task_messages`] proportional to the task's degree
-//! instead of a scan over every message ever committed.
+//! the store at its live size. A per-producer **edge index** finds the
+//! live message of an edge `src → dst` by scanning only `src`'s outgoing
+//! messages, so re-commits and [`Network::remove_edge`] never walk the
+//! whole store.
 
 use dagsched_graph::TaskId;
 
@@ -67,8 +67,8 @@ pub struct Message {
 
 /// Link-occupancy state of one machine during APN scheduling.
 ///
-/// Both secondary indices are plain vectors indexed by task id (grown
-/// lazily to the highest task seen): APN inner loops commit and roll back
+/// The edge index is a plain vector indexed by task id (grown lazily to
+/// the highest producer seen): APN inner loops commit and roll back
 /// messages millions of times, and hashing task-pair keys dominated the
 /// profile before the journal-driven BSA rewrite.
 #[derive(Debug, Clone)]
@@ -82,9 +82,7 @@ pub struct Network {
     /// Edge index: `by_edge[src]` lists `(dst, id)` of src's live outgoing
     /// messages (out-degree is small, so a scan beats hashing).
     by_edge: Vec<Vec<(TaskId, MsgId)>>,
-    /// Incidence index: every live message entering or leaving a task.
-    by_task: Vec<Vec<MsgId>>,
-    /// Recycled hop buffers (see [`Network::remove_recycle`]): commit/remove
+    /// Recycled hop buffers (see [`Network::remove_batch`]): commit/remove
     /// churn in migration loops stops hitting the allocator per message.
     hop_pool: Vec<Vec<MessageHop>>,
     /// Scratch for [`Network::remove_batch`]: which links need compaction.
@@ -101,7 +99,6 @@ impl Network {
             messages: Vec::new(),
             free: Vec::new(),
             by_edge: Vec::new(),
-            by_task: Vec::new(),
             hop_pool: Vec::new(),
             dirty_links: Vec::new(),
         }
@@ -120,21 +117,6 @@ impl Network {
     /// All committed (live) messages.
     pub fn messages(&self) -> impl Iterator<Item = &Message> {
         self.messages.iter().flatten()
-    }
-
-    /// Slab capacity actually occupied (live messages + free holes) —
-    /// diagnostic for the store's memory behaviour under churn.
-    pub fn slab_len(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// Messages entering or leaving `task`, in no particular order.
-    pub fn task_messages(&self, task: TaskId) -> impl Iterator<Item = &Message> {
-        self.by_task
-            .get(task.index())
-            .into_iter()
-            .flatten()
-            .filter_map(|id| self.messages[id.0 as usize].as_ref())
     }
 
     /// The live message carrying edge `src → dst`, if committed.
@@ -219,9 +201,6 @@ impl Network {
         });
         Self::ensure_task_slot(&mut self.by_edge, src_task);
         self.by_edge[src_task.index()].push((dst_task, id));
-        Self::ensure_task_slot(&mut self.by_task, src_task.max(dst_task));
-        self.by_task[src_task.index()].push(id);
-        self.by_task[dst_task.index()].push(id);
         (Some(id), arrival)
     }
 
@@ -237,25 +216,16 @@ impl Network {
                 row.swap_remove(pos);
             }
         }
-        self.unindex(msg.src_task, id);
-        self.unindex(msg.dst_task, id);
         Some(msg)
-    }
-
-    /// Drop `id` from `task`'s incidence list.
-    fn unindex(&mut self, task: TaskId, id: MsgId) {
-        if let Some(ids) = self.by_task.get_mut(task.index()) {
-            if let Some(pos) = ids.iter().position(|&m| m == id) {
-                ids.swap_remove(pos);
-            }
-        }
     }
 
     /// Remove a batch of committed messages at once. Exactly equivalent to
     /// removing each id in turn, but every affected link track is
     /// compacted in a single pass: a migration rollback retiring dozens of
     /// messages pays O(track) per link instead of O(track) per hop. Hop
-    /// buffers are recycled as in [`Network::remove_recycle`].
+    /// buffers are recycled into an internal pool and handed to later
+    /// [`Network::commit`]s, so migration churn allocates nothing per
+    /// message.
     pub fn remove_batch(&mut self, ids: &[MsgId]) {
         if self.dirty_links.len() < self.tracks.len() {
             self.dirty_links.resize(self.tracks.len(), false);
@@ -274,8 +244,6 @@ impl Network {
                     row.swap_remove(pos);
                 }
             }
-            self.unindex(msg.src_task, id);
-            self.unindex(msg.dst_task, id);
             msg.hops.clear();
             self.hop_pool.push(std::mem::take(&mut msg.hops));
             any = true;
@@ -293,38 +261,10 @@ impl Network {
         }
     }
 
-    /// [`Network::remove`] for callers that do not need the message back:
-    /// the hop buffer is recycled into an internal pool and handed to a
-    /// later [`Network::commit`]. Single-message counterpart of
-    /// [`Network::remove_batch`] (which migration rollback uses); removal
-    /// loops that go one message at a time — [`Network::remove_task_messages`]
-    /// — allocate nothing per message through it. Returns whether a message
-    /// was removed.
-    pub fn remove_recycle(&mut self, id: MsgId) -> bool {
-        match self.remove(id) {
-            Some(mut msg) => {
-                msg.hops.clear();
-                self.hop_pool.push(std::mem::take(&mut msg.hops));
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Remove the message (if any) carrying edge `src → dst`.
     pub fn remove_edge(&mut self, src: TaskId, dst: TaskId) -> Option<Message> {
         let id = self.edge_id(src, dst)?;
         self.remove(id)
-    }
-
-    /// Remove every message entering or leaving `task` (BSA migration).
-    /// O(deg(task)) via the incidence index.
-    pub fn remove_task_messages(&mut self, task: TaskId) {
-        if let Some(ids) = self.by_task.get_mut(task.index()) {
-            for id in std::mem::take(ids) {
-                self.remove_recycle(id);
-            }
-        }
     }
 
     /// Drop all messages and link reservations. Keeps the slab, track and
@@ -336,9 +276,6 @@ impl Network {
         self.messages.clear();
         self.free.clear();
         for row in &mut self.by_edge {
-            row.clear();
-        }
-        for row in &mut self.by_task {
             row.clear();
         }
     }
@@ -514,7 +451,6 @@ mod tests {
         assert_eq!(c, a);
         assert_ne!(c, b);
         assert_eq!(net.messages().count(), 2);
-        assert_eq!(net.slab_len(), 2);
     }
 
     #[test]
@@ -527,17 +463,6 @@ mod tests {
         // Old reservation must be gone: the P0–P1 link is free at [0,10)
         // only for the new message itself, which occupies [0,10) there.
         assert_eq!(net.messages().count(), 1);
-    }
-
-    #[test]
-    fn remove_task_messages_clears_all_incident() {
-        let mut net = chain3();
-        net.commit(TaskId(0), TaskId(5), ProcId(0), ProcId(1), 0, 5);
-        net.commit(TaskId(5), TaskId(2), ProcId(1), ProcId(2), 5, 5);
-        net.commit(TaskId(3), TaskId(4), ProcId(0), ProcId(1), 10, 5);
-        net.remove_task_messages(TaskId(5));
-        assert_eq!(net.messages().count(), 1);
-        assert!(net.message_for(TaskId(3), TaskId(4)).is_some());
     }
 
     #[test]
