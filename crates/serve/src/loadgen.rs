@@ -279,10 +279,10 @@ fn conn_run(
     if items.is_empty() {
         return stats;
     }
-    let mut stream = match TcpStream::connect(addr) {
+    let mut stream = match connect(addr) {
         Ok(s) => s,
         Err(e) => {
-            errors.lock().unwrap().push(format!("connect {addr}: {e}"));
+            errors.lock().unwrap().push(e);
             return stats;
         }
     };
@@ -400,9 +400,19 @@ fn read_one(stream: &mut TcpStream, reader: &mut FrameReader) -> io::Result<Vec<
     }
 }
 
+/// Connect with `TCP_NODELAY` set, so a request frame is sent as soon as
+/// it is written instead of waiting on the daemon's delayed ACK.
+fn connect(addr: &str) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("set TCP_NODELAY on {addr}: {e}"))?;
+    Ok(stream)
+}
+
 /// Open a fresh connection, send `shutdown`, and expect `bye`.
 pub fn shutdown_daemon(addr: &str) -> Result<(), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut stream = connect(addr)?;
     write_frame(&mut stream, proto::SHUTDOWN_REQUEST).map_err(|e| e.to_string())?;
     let mut reader = FrameReader::new();
     let payload = read_one(&mut stream, &mut reader).map_err(|e| e.to_string())?;

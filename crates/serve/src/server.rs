@@ -202,7 +202,11 @@ pub fn start(cfg: Config) -> io::Result<Handle> {
                     .name("serve-conn".into())
                     .spawn(move || conn_loop(stream, &sh2))
                     .expect("spawn conn thread");
-                sh.conns.lock().unwrap().push(h);
+                // Drop the handles of connections that already closed, so
+                // `conns` tracks open connections, not every one accepted.
+                let mut conns = sh.conns.lock().unwrap();
+                conns.retain(|c| !c.is_finished());
+                conns.push(h);
             }
         })
         .expect("spawn acceptor");
@@ -214,9 +218,17 @@ pub fn start(cfg: Config) -> io::Result<Handle> {
     })
 }
 
+/// Socket options for an accepted stream: the shutdown-poll read timeout,
+/// and `TCP_NODELAY` so a response frame leaves as soon as it is written
+/// instead of waiting on the client's delayed ACK.
+fn tune(stream: &TcpStream) {
+    let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_nodelay(true);
+}
+
 /// One connection: read frames, admit requests, relay responses.
 fn conn_loop(mut stream: TcpStream, sh: &Shared) {
-    let _ = stream.set_read_timeout(Some(POLL));
+    tune(&stream);
     let mut reader = FrameReader::new();
     let mut grace = MID_FRAME_GRACE;
     loop {
@@ -384,4 +396,39 @@ fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
     sh.cache
         .insert(key, Arc::new(rendered.clone().into_bytes()));
     Ok(encode_ok(&rendered, false, sh.queue.len()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_streams_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        tune(&stream);
+        assert!(stream.nodelay().unwrap());
+        assert!(stream.read_timeout().unwrap().is_some());
+    }
+
+    #[test]
+    fn closed_connections_are_reaped() {
+        let handle = start(Config {
+            workers: 1,
+            ..Config::default()
+        })
+        .unwrap();
+        for _ in 0..64 {
+            // A round trip proves the daemon accepted this connection
+            // before the client closes it.
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            write_frame(&mut stream, b"bogus").unwrap();
+            let resp = FrameReader::new().poll(&mut stream).unwrap().unwrap();
+            assert!(resp.starts_with(b"err "));
+        }
+        let open = handle.shared.conns.lock().unwrap().len();
+        assert!(open <= 8, "{open} connection handles kept after 64 closed");
+        handle.shutdown();
+    }
 }
