@@ -2,44 +2,32 @@
 #![allow(clippy::print_stdout)]
 //! Records the workspace perf baseline into `BENCH_RESULTS.json`.
 //!
-//! Seven sections, all deterministic given the seed:
+//! Four sections, all deterministic given the seed:
 //!
-//! 1. **dsc_speedup** — the refactored DSC against the retained
-//!    pre-refactor implementation ([`dagsched_bench::baseline`]) on
-//!    1000-node CCR=1.0 RGNOS graphs; asserts byte-identical placements
-//!    and a ≥5× speedup (PR 1's acceptance bar).
-//! 2. **dsc_incremental_speedup** — the indexed-heap DSC engine against
-//!    the retained scan version
-//!    ([`dagsched_bench::baseline::DscScanBaseline`]: clone-free DSRW but
-//!    O(v + e) partially-free rescans per step) on paper-scale 5000-node
-//!    RGNOS graphs; asserts placement-identical schedules and a ≥2×
-//!    speedup on the headline v=5000 instance (PR 4's acceptance bar).
-//! 3. **md_incremental_speedup** / **dcp_incremental_speedup** — the
-//!    [`DynLevelsEngine`](dagsched_core::common::DynLevelsEngine)-driven
-//!    MD and DCP against the retained per-placement-rescan versions
-//!    ([`dagsched_bench::baseline::MdScan`] /
-//!    [`dagsched_bench::baseline::DcpScan`]) on paper-scale 2000-node
-//!    RGNOS graphs; asserts placement-identical schedules and a ≥3×
-//!    speedup on each headline v=2000 instance (PR 5's acceptance bar).
-//! 4. **bsa_speedup** — the journal-driven incremental BSA against the
-//!    retained replay-per-candidate baseline over the old message layer
-//!    ([`dagsched_bench::baseline::BsaBaseline`]) on the paper-scale APN
-//!    instance (500-node RGNOS on the 8-processor hypercube, §6.4);
-//!    asserts placement- and message-identical schedules and a ≥5×
-//!    speedup on the headline CCR=0.1 instance (PR 3's acceptance bar),
-//!    with CCR 1.0 and 10.0 rows recorded alongside.
-//! 5. **runner_scaling** — wall-clock of the same (algorithm × graph)
+//! 1. **work** — the headline instances of the DSC, MD, DCP and BSA
+//!    hot-path overhauls (paper-scale RGNOS, parallelism 3), each run once
+//!    on the main thread. Every run must reproduce its committed
+//!    [`Outcome::digest`](dagsched_core::Outcome::digest), and its
+//!    `obs::registry` counter deltas are gated on logical work: DSC pops
+//!    each task once (`heap.pops == v`) within [`HEAP_OPS_MAX`] heap
+//!    operations per task (a scan selects with no pops); MD and DCP make
+//!    one engine repair per placement within [`CONE_NODES_MAX`] cone nodes
+//!    per repair (a rescan touches 2v); BSA commits at most [`MSGS_MAX`]
+//!    messages per trial (a full replay recommits every cross-processor
+//!    message). Single-threaded counters are identical on every host, so
+//!    these gates need no core-count exemption and no retries.
+//! 2. **runner_scaling** — wall-clock of the same (algorithm × graph)
 //!    sweep through the work-stealing runner with 1 worker vs all cores
 //!    (warmup pass, then median of 3 timed passes per leg); asserts a
 //!    ≥1.5× speedup when the host has ≥4 cores (PR 6's acceptance bar —
 //!    smaller hosts run the determinism check but are exempt and
 //!    flagged).
-//! 6. **bnb_parallel_speedup** — the parallel branch-and-bound against
+//! 3. **bnb_parallel_speedup** — the parallel branch-and-bound against
 //!    its own serial path on proving RGNOS instances (same warmup +
 //!    median-of-3 protocol); asserts makespan equality and both sides
 //!    proven, records the serial node/prune counters, and gates ≥1.5×
 //!    on ≥4 workers (serial fallback exempt; PR 6's second bar).
-//! 7. **paper_sweep_budget** — wall-clock of the full Table-6 replication
+//! 4. **paper_sweep_budget** — wall-clock of the full Table-6 replication
 //!    (all fifteen algorithms, serial, honest per-run timings) under an
 //!    asserted ceiling: the quick CI-sized sweep must stay under
 //!    [`QUICK_SWEEP_BUDGET_S`], and with `TASKBENCH_FULL=1` the
@@ -57,9 +45,8 @@
 //! overwrite of the full report. Run with `--release`; debug timings are
 //! not comparable.
 
-use dagsched_bench::baseline::{BsaBaseline, DcpScan, DscBaseline, DscScanBaseline, MdScan};
 use dagsched_bench::report::Json;
-use dagsched_core::{registry, Env, Scheduler};
+use dagsched_core::{registry, Env};
 use dagsched_optimal::{solve, OptimalParams};
 use dagsched_suites::rgnos::{self, RgnosParams};
 use std::time::Instant;
@@ -69,185 +56,127 @@ const QUICK_SWEEP_BUDGET_S: f64 = 120.0;
 /// Wall-clock ceiling for the `TASKBENCH_FULL=1` paper-scale Table-6 sweep.
 const FULL_SWEEP_BUDGET_S: f64 = 900.0;
 
-/// Best-of-`reps` wall time of `algo`, with the outcome of the last rep
-/// (so equivalence checks can reuse a timed run instead of paying an
-/// extra one).
-fn time_schedule(
-    reps: usize,
-    algo: &dyn Scheduler,
-    g: &dagsched_graph::TaskGraph,
-    env: &Env,
-) -> (f64, dagsched_core::Outcome) {
-    let mut best = f64::INFINITY;
-    let mut outcome = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = algo.schedule(g, env).expect("schedules");
-        best = best.min(t0.elapsed().as_secs_f64());
-        outcome = Some(out);
-    }
-    (best, outcome.expect("reps >= 1"))
-}
+/// Ceiling on DSC's `heap.*` operations per task (5.99 at v=5000).
+const HEAP_OPS_MAX: f64 = 12.0;
+/// Ceiling on MD/DCP `(engine.fwd_nodes + engine.bwd_nodes) / repairs`
+/// (44 and 52 at v=2000; a full rescan touches 2v = 4000 per placement).
+const CONE_NODES_MAX: f64 = 100.0;
+/// Ceiling on BSA's `apn.msgs_committed / bsa.trials` (427 at v=500, CCR
+/// 0.1; a full replay recommits up to e = 2632 messages per trial).
+const MSGS_MAX: f64 = 1000.0;
 
-fn dsc_speedup_section() -> Json {
-    let dsc = registry::by_name("DSC").unwrap();
-    let env = Env::bnp(1); // UNC algorithms ignore the environment
-    let mut rows = Vec::new();
-    let mut headline = 0.0;
-    for &(v, seed) in &[(500usize, 42u64), (1000, 42), (1000, 43)] {
-        let g = rgnos::generate(RgnosParams::new(v, 1.0, 3, seed));
-        let reps = 3;
-        let (base_s, base_out) = time_schedule(reps, &DscBaseline, &g, &env);
-        let (new_s, new_out) = time_schedule(reps, dsc.as_ref(), &g, &env);
-        let (base_m, new_m) = (base_out.schedule.makespan(), new_out.schedule.makespan());
-        assert_eq!(
-            base_m, new_m,
-            "refactored DSC changed the makespan on v={v} seed={seed}"
-        );
-        let speedup = base_s / new_s;
-        if v == 1000 && seed == 42 {
-            headline = speedup;
-        }
-        println!(
-            "DSC v={v} seed={seed}: baseline {base_s:.4}s vs refactored {new_s:.4}s \
-             → {speedup:.1}x (makespan {new_m})"
-        );
-        rows.push(Json::obj([
-            ("nodes", Json::Int(v as i64)),
-            ("ccr", Json::Num(1.0)),
-            ("seed", Json::Int(seed as i64)),
-            ("baseline_s", Json::Num(base_s)),
-            ("refactored_s", Json::Num(new_s)),
-            ("speedup", Json::Num(speedup)),
-            ("makespan", Json::Int(new_m as i64)),
-        ]));
-    }
-    assert!(
-        headline >= 5.0,
-        "acceptance bar: DSC must be ≥5x faster on the 1000-node CCR=1.0 instance, got {headline:.1}x"
-    );
-    Json::obj([
-        ("headline_speedup_v1000", Json::Num(headline)),
-        ("instances", Json::Arr(rows)),
-    ])
-}
+/// One `work` instance: RGNOS `(v, ccr, seed)` at parallelism 3 and the
+/// committed digest of its schedule.
+type WorkInstance = (usize, f64, u64, [u64; 2]);
 
-/// Shared driver for the incremental-vs-rescan speedup sections (DSC's
-/// heap engine, MD/DCP's dynamic-levels engine): time the engine-driven
-/// scheduler against its retained rescan baseline, assert
-/// placement-identical schedules (reusing the timed outcomes — no extra
-/// runs), and gate the speedup on the `(headline_v, 42)` instance.
-fn incremental_speedup_section(
-    name: &str,
-    scan: &dyn Scheduler,
-    instances: &[(usize, u64)],
-    headline_v: usize,
-    bar: f64,
-) -> Json {
-    let algo = registry::by_name(name).unwrap();
-    let env = Env::bnp(1); // UNC algorithms ignore the environment
+/// The `work` instances per algorithm; BSA runs on the quick APN topology
+/// (the 8-processor hypercube). The digests were generated from the
+/// pre-overhaul reference schedulers, which the live ones matched.
+const WORK: &[(&str, &[WorkInstance])] = &[
+    (
+        "DSC",
+        &[
+            (500, 1.0, 42, [0xf9f93f868ddd6823, 0x145879764e97f098]),
+            (1000, 1.0, 42, [0xa9a6103fbe9308bb, 0x68179e96194e6905]),
+            (1000, 1.0, 43, [0x73521a470ed8f028, 0x00d8bc2a6434994b]),
+            (2000, 1.0, 42, [0x0db71b2e4548b2f1, 0x35641c5bc935671b]),
+            (5000, 1.0, 42, [0x54643699064d2fe2, 0x96e4761e2139925c]),
+            (5000, 1.0, 43, [0x3249d43d77396e0f, 0xe4d457b5d644cc7c]),
+        ],
+    ),
+    (
+        "MD",
+        &[
+            (1000, 1.0, 42, [0x5172631ff470f4f6, 0xfe97717fe7d785b9]),
+            (2000, 1.0, 42, [0x16bf209b976e59a6, 0x49b14af2f6e02c08]),
+            (2000, 1.0, 43, [0x760e87047a8edb2f, 0x60d7f3285bd93c6f]),
+        ],
+    ),
+    (
+        "DCP",
+        &[
+            (1000, 1.0, 42, [0x9173b36fe1ce4402, 0xf4a78658206773b9]),
+            (2000, 1.0, 42, [0xc7f2a0dd95cda5b4, 0x7817f42908189f3c]),
+            (2000, 1.0, 43, [0x6840135b66ef625a, 0xc296061d6691dba4]),
+        ],
+    ),
+    (
+        "BSA",
+        &[
+            (500, 0.1, 42, [0xbbdea3c473d9fa56, 0x7fce281a4a0cfcf7]),
+            (500, 1.0, 42, [0x58e3872c82edf92f, 0x3f7a316697c6f2bf]),
+            (500, 10.0, 42, [0xd603be9b99c074ae, 0x30a7dc24dbae8407]),
+        ],
+    ),
+];
+
+fn work_section() -> Json {
+    use dagsched_obs::Metric::*;
+    let reg = dagsched_obs::global();
+    let apn = Env::apn(dagsched_bench::Config::quick(0x1998).apn_topology());
+    let unc = Env::bnp(1); // UNC algorithms ignore the environment
+    let mut summary = Vec::new();
     let mut rows = Vec::new();
-    let mut headline = 0.0;
-    for &(v, seed) in instances {
-        let g = rgnos::generate(RgnosParams::new(v, 1.0, 3, seed));
-        let reps = 3;
-        let (base_s, base_out) = time_schedule(reps, scan, &g, &env);
-        let (new_s, new_out) = time_schedule(reps, algo.as_ref(), &g, &env);
-        // Placement-identical schedules, not just equal makespans.
-        for n in g.tasks() {
-            assert_eq!(
-                base_out.schedule.placement(n),
-                new_out.schedule.placement(n),
-                "incremental {name} placement diverged on v={v} seed={seed} task {n}"
+    for &(name, instances) in WORK {
+        let algo = registry::by_name(name).unwrap();
+        let env = if name == "BSA" { &apn } else { &unc };
+        for &(v, ccr, seed, digest) in instances {
+            let tag = format!("{name} v={v} ccr={ccr} seed={seed}");
+            let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
+            let before = reg.snapshot();
+            let out = algo.schedule(&g, env).expect("schedules");
+            let d = reg.snapshot().since(&before);
+            assert_eq!(out.digest(), digest, "{tag}: placement digest changed");
+            let pops = d.get(HeapPops);
+            let heap_ops = pops + d.get(HeapInserts) + d.get(HeapRekeys) + d.get(HeapRemoves);
+            let repairs = d.get(EngineRepairs);
+            let cone = d.get(EngineFwdNodes) + d.get(EngineBwdNodes);
+            let (msgs, trials) = (d.get(ApnMsgsCommitted), d.get(BsaTrials));
+            // Work per unit against its ceiling.
+            let v64 = v as u64;
+            let (key, num, den, max) = match name {
+                "DSC" => ("heap_ops_per_task", heap_ops, v64, HEAP_OPS_MAX),
+                "BSA" => ("msgs_per_trial", msgs, trials, MSGS_MAX),
+                _ => ("cone_nodes_per_repair", cone, repairs, CONE_NODES_MAX),
+            };
+            let value = num as f64 / den.max(1) as f64;
+            println!("work {tag}: {key} {value:.2} {:?}", d.nonzero());
+            assert!(value <= max, "{tag}: {key} {value:.2} > ceiling {max}");
+            // Exactly one heap pop per DSC task, one repair per MD/DCP placement.
+            match name {
+                "DSC" => assert_eq!(pops, v64, "{tag}: heap.pops must equal v"),
+                "MD" | "DCP" => assert_eq!(repairs, v64, "{tag}: engine.repairs must equal v"),
+                _ => {}
+            }
+            // The headline instance of each overhaul names the section's
+            // summary fields (and their BENCH_HISTORY columns).
+            let suffix = match (name, v, ccr, seed) {
+                ("DSC", 5000, _, 42) | ("MD" | "DCP", 2000, _, 42) => Some(""),
+                ("BSA", _, 0.1, _) => Some("_ccr01"),
+                _ => None,
+            };
+            if let Some(suffix) = suffix {
+                let field = format!("{}_{key}_v{v}{suffix}", name.to_lowercase());
+                summary.push((field, Json::Num(value)));
+            }
+            let mut row = vec![
+                ("algorithm", Json::str(name)),
+                ("nodes", Json::Int(v as i64)),
+                ("ccr", Json::Num(ccr)),
+                ("seed", Json::Int(seed as i64)),
+                ("makespan", Json::Int(out.schedule.makespan() as i64)),
+                (key, Json::Num(value)),
+            ];
+            row.extend(
+                d.nonzero()
+                    .into_iter()
+                    .map(|(k, n)| (k, Json::Int(n as i64))),
             );
+            rows.push(Json::obj(row));
         }
-        let makespan = new_out.schedule.makespan();
-        let speedup = base_s / new_s;
-        if v == headline_v && seed == 42 {
-            headline = speedup;
-        }
-        println!(
-            "{name}-incremental v={v} seed={seed}: rescan {base_s:.4}s vs engine {new_s:.4}s \
-             → {speedup:.1}x (makespan {makespan})"
-        );
-        rows.push(Json::obj([
-            ("nodes", Json::Int(v as i64)),
-            ("ccr", Json::Num(1.0)),
-            ("seed", Json::Int(seed as i64)),
-            ("rescan_s", Json::Num(base_s)),
-            ("incremental_s", Json::Num(new_s)),
-            ("speedup", Json::Num(speedup)),
-            ("makespan", Json::Int(makespan as i64)),
-        ]));
     }
-    assert!(
-        headline >= bar,
-        "acceptance bar: incremental {name} must be ≥{bar}x faster than the \
-         retained rescan baseline on the {headline_v}-node RGNOS instance, \
-         got {headline:.1}x"
-    );
-    Json::Obj(vec![
-        (
-            format!("headline_speedup_v{headline_v}"),
-            Json::Num(headline),
-        ),
-        ("instances".to_string(), Json::Arr(rows)),
-    ])
-}
-
-fn bsa_speedup_section() -> Json {
-    let bsa = registry::by_name("BSA").unwrap();
-    let topo = dagsched_bench::Config::quick(0x1998).apn_topology();
-    let env = Env::apn(topo);
-    let mut rows = Vec::new();
-    let mut headline = 0.0;
-    for &ccr in &[0.1f64, 1.0, 10.0] {
-        let g = rgnos::generate(RgnosParams::new(500, ccr, 3, 42));
-        let reps = 3;
-        let (base_s, a) = time_schedule(reps, &BsaBaseline, &g, &env);
-        let (new_s, b) = time_schedule(reps, bsa.as_ref(), &g, &env);
-        let new_m = b.schedule.makespan();
-        // Byte-identical schedules: placements AND committed messages
-        // (reusing the timed outcomes — no extra runs).
-        for n in g.tasks() {
-            assert_eq!(
-                a.schedule.placement(n),
-                b.schedule.placement(n),
-                "BSA placement diverged on ccr={ccr} task {n}"
-            );
-        }
-        let msgs = |o: &dagsched_core::Outcome| {
-            let mut m: Vec<_> = o.network.as_ref().unwrap().messages().cloned().collect();
-            m.sort_by_key(|m| (m.src_task, m.dst_task));
-            m
-        };
-        assert_eq!(msgs(&a), msgs(&b), "BSA messages diverged on ccr={ccr}");
-        let speedup = base_s / new_s;
-        if ccr == 0.1 {
-            headline = speedup;
-        }
-        println!(
-            "BSA v=500 ccr={ccr}: baseline {base_s:.4}s vs incremental {new_s:.4}s \
-             → {speedup:.1}x (makespan {new_m})"
-        );
-        rows.push(Json::obj([
-            ("nodes", Json::Int(500)),
-            ("ccr", Json::Num(ccr)),
-            ("seed", Json::Int(42)),
-            ("baseline_s", Json::Num(base_s)),
-            ("incremental_s", Json::Num(new_s)),
-            ("speedup", Json::Num(speedup)),
-            ("makespan", Json::Int(new_m as i64)),
-        ]));
-    }
-    assert!(
-        headline >= 5.0,
-        "acceptance bar: BSA must be ≥5x faster on the 500-node CCR=0.1 APN instance, got {headline:.1}x"
-    );
-    Json::obj([
-        ("headline_speedup_v500_ccr01", Json::Num(headline)),
-        ("instances", Json::Arr(rows)),
-    ])
+    summary.push(("instances".to_string(), Json::Arr(rows)));
+    Json::Obj(summary)
 }
 
 /// Median wall time of three timed passes of `f`, after one untimed
@@ -491,39 +420,13 @@ fn field(j: &Json, key: &str) -> Json {
 }
 
 fn main() {
-    let dsc = dsc_speedup_section();
-    let dsc_inc = incremental_speedup_section(
-        "DSC",
-        &DscScanBaseline,
-        &[(2000, 42), (5000, 42), (5000, 43)],
-        5000,
-        2.0,
-    );
-    let md_inc = incremental_speedup_section(
-        "MD",
-        &MdScan,
-        &[(1000, 42), (2000, 42), (2000, 43)],
-        2000,
-        3.0,
-    );
-    let dcp_inc = incremental_speedup_section(
-        "DCP",
-        &DcpScan,
-        &[(1000, 42), (2000, 42), (2000, 43)],
-        2000,
-        3.0,
-    );
-    let bsa = bsa_speedup_section();
+    let work = work_section();
     let runner = runner_scaling_section();
     let bnb = bnb_parallel_speedup_section();
     let sweep = paper_sweep_budget_section();
     let report = Json::obj([
         ("suite", Json::str("rgnos ccr=1.0 par=3")),
-        ("dsc_speedup", dsc.clone()),
-        ("dsc_incremental_speedup", dsc_inc.clone()),
-        ("md_incremental_speedup", md_inc.clone()),
-        ("dcp_incremental_speedup", dcp_inc.clone()),
-        ("bsa_speedup", bsa.clone()),
+        ("work", work.clone()),
         ("runner_scaling", runner.clone()),
         ("bnb_parallel_speedup", bnb.clone()),
         ("paper_sweep_budget", sweep.clone()),
@@ -540,22 +443,21 @@ fn main() {
     let record = Json::obj([
         ("sha", Json::str(git_sha())),
         ("date", Json::str(utc_date())),
-        ("dsc_speedup_v1000", field(&dsc, "headline_speedup_v1000")),
         (
-            "dsc_incremental_speedup_v5000",
-            field(&dsc_inc, "headline_speedup_v5000"),
+            "dsc_heap_ops_per_task_v5000",
+            field(&work, "dsc_heap_ops_per_task_v5000"),
         ),
         (
-            "md_incremental_speedup_v2000",
-            field(&md_inc, "headline_speedup_v2000"),
+            "md_cone_nodes_per_repair_v2000",
+            field(&work, "md_cone_nodes_per_repair_v2000"),
         ),
         (
-            "dcp_incremental_speedup_v2000",
-            field(&dcp_inc, "headline_speedup_v2000"),
+            "dcp_cone_nodes_per_repair_v2000",
+            field(&work, "dcp_cone_nodes_per_repair_v2000"),
         ),
         (
-            "bsa_speedup_v500_ccr01",
-            field(&bsa, "headline_speedup_v500_ccr01"),
+            "bsa_msgs_per_trial_v500_ccr01",
+            field(&work, "bsa_msgs_per_trial_v500_ccr01"),
         ),
         ("runner_speedup", field(&runner, "speedup")),
         ("runner_workers", field(&runner, "workers")),

@@ -25,7 +25,6 @@
 //! * `TASKBENCH_SEED=<u64>` — alternative master seed (default
 //!   `0x1998`, the publication year).
 
-pub mod baseline;
 pub mod config;
 pub mod experiments;
 pub mod report;

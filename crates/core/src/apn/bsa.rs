@@ -24,8 +24,9 @@
 //!    sequence is diffed against the live journal, only the divergent
 //!    suffix is rolled back (batched) and recommitted, and the resulting
 //!    schedule is byte-identical to a from-scratch replay (locked by
-//!    equivalence tests against the retained `replay` reference and the
-//!    `bench::baseline::BsaBaseline` oracle).
+//!    equivalence tests against the retained `replay` reference, and by
+//!    the committed placement-and-message digests of the workspace's
+//!    `tests/placement_digests.rs`).
 //!
 //! The incremental update discipline follows the original publication
 //! (which bubbles messages and tasks in place rather than rebuilding);
@@ -45,8 +46,9 @@
 //! collapsing most candidates' suffix work — against the former
 //! O(v · deg · replay) with replay = O(v·p + e·hops) *plus* a topology
 //! clone, a fresh network/schedule and per-hop allocations per candidate.
-//! Measured 5.4× on the paper-scale instance (500-node CCR 0.1 RGNOS on
-//! the 8-processor hypercube); `perf_baseline` gates ≥5×.
+//! On the paper-scale instance (500-node CCR 0.1 RGNOS on the 8-processor
+//! hypercube) a trial commits ~427 messages where a full replay recommits
+//! up to e = 2632; `perf_baseline`'s `work` section gates that count.
 
 use dagsched_graph::{levels, TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, Sink, TrialVerdict};

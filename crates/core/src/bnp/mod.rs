@@ -6,10 +6,10 @@
 //! dynamism and slot policy — exactly the §3 taxonomy axes — and since the
 //! composable-scheduler refactor each is a named *preset* of
 //! [`crate::compose::ComposedScheduler`] (see the preset → component table
-//! in [`crate::compose`]). The pre-refactor monolith implementations are
-//! retained verbatim in `dagsched-bench`'s `baseline::bnp` and every preset
-//! is proven placement-identical to its monolith across a multi-thousand-
-//! instance RGNOS sweep there.
+//! in [`crate::compose`]). Every preset was proven placement-identical to
+//! its pre-refactor monolith across a multi-thousand-instance RGNOS sweep;
+//! the workspace's `tests/placement_digests.rs` now pins those placements
+//! as committed digests.
 
 use crate::compose::{self, ComposedScheduler, SlotPolicy};
 

@@ -41,10 +41,11 @@
 //! The engine is value-identical to [`super::DynLevels::compute`] after
 //! every placement (proptested per step in
 //! `crates/core/tests/dynlevels_properties.rs`, and end-to-end by the
-//! MD/DCP placement-identity sweeps against `bench::baseline`). Worst-case
-//! repair cost per placement is still O((v + e) · log v), but the touched
-//! cone is typically a small neighbourhood — `perf_baseline` gates the
-//! resulting MD/DCP speedups at paper scale.
+//! MD/DCP placement digests of the workspace's
+//! `tests/placement_digests.rs`). Worst-case repair cost per placement is
+//! still O((v + e) · log v), but the touched cone is typically a small
+//! neighbourhood — `perf_baseline`'s `work` section gates the cone nodes
+//! per repair at paper scale (≤ 100, against 2v for a full rescan).
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_platform::{Placement, Schedule};

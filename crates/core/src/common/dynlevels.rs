@@ -14,14 +14,11 @@
 //! `AEST`/`ALST` of the DCP paper are exactly `tl` and `cp − bl` on this
 //! view.
 //!
-//! [`DynLevels::compute`] is the full O(v + e) rescan — the reference
-//! implementation the property tests check against, and the per-placement
-//! rescan the retained `bench::baseline::{MdScan, DcpScan}` baselines run
-//! for the MD/DCP speedup gates. Optimizing it only makes those gates
-//! compare against a faster baseline — stricter, never looser. The
-//! schedulers themselves maintain the same values incrementally through
-//! [`super::DynLevelsEngine`], which repairs only the cone a single
-//! placement can affect.
+//! [`DynLevels::compute`] is the full O(v + e) rescan — the independent
+//! oracle `crates/core/tests/dynlevels_properties.rs` checks the engine
+//! against after every placement. The schedulers themselves maintain the
+//! same values incrementally through [`super::DynLevelsEngine`], which
+//! repairs only the cone a single placement can affect.
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_platform::Schedule;

@@ -29,9 +29,10 @@
 //! adversary/dominance machinery.
 //!
 //! The six paper algorithms are named *presets* of the same driver
-//! ([`preset`]), proven placement-identical to the retained monolith
-//! implementations (now in `dagsched-bench`'s `baseline::bnp`) across a
-//! multi-thousand-instance RGNOS sweep:
+//! ([`preset`]), proven placement-identical to the monolith
+//! implementations they replaced across a multi-thousand-instance RGNOS
+//! sweep, whose placements the workspace's `tests/placement_digests.rs`
+//! pins as committed digests:
 //!
 //! | Preset | `PRIO` | `LIST` | `SLOT` | `SEL` | `FILL` |
 //! |--------|--------|--------|--------|-------|--------|

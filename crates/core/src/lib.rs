@@ -38,13 +38,13 @@
 //! | MCP | O(v log v) static sort, O(p·len) slot search | — , binary-search start in `Track::earliest_fit` | slot search skips slots ending before the DRT |
 //! | ETF / DLS | O(r·p) pair scan | — | the (node, processor) min pair is recomputed by definition |
 //! | LAST | O(r·e_local) | — | dynamic edge-locality priority |
-//! | DSC | O(v·r) partially-free scan + O(v) `Schedule` clone in DSRW; then (PR 1) clone-free but still an O(v + e) rescan per step | O(log v) free-node pop + O(1) partially-free peek; each edge relaxation is one O(log v) rekey — whole pass O((v+e)·log v), the original's bound | two rekeyable [`common::IndexedHeap`]s (free + partially free), incremental t-levels under merges; clone-free DSRW retained; both scan stages kept verbatim in `bench::baseline` and gated ≥2× at v=5000 (measured ~24×) |
+//! | DSC | O(v·r) partially-free scan + O(v) `Schedule` clone in DSRW; then (PR 1) clone-free but still an O(v + e) rescan per step | O(log v) free-node pop + O(1) partially-free peek; each edge relaxation is one O(log v) rekey — whole pass O((v+e)·log v), the original's bound | two rekeyable [`common::IndexedHeap`]s (free + partially free), incremental t-levels under merges; clone-free DSRW retained; placements pinned by `tests/placement_digests.rs`; `perf_baseline` `work` gates `heap.pops == v` and ≤ 12 heap ops per task at v=5000 (measured 5.99) |
 //! | EZ | O(e) edge rescan | — | |
 //! | LC | O(v + e) level recompute | — (input levels now cached per graph) | static level passes shared via `TaskGraph::levels` |
-//! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); rescan versions kept verbatim in `bench::baseline` (`MdScan`/`DcpScan`) and gated ≥3× at v=2000 (measured ~50× / ~42×) |
-//! | MH / DLS-APN | O(r·p·route) with a route `Vec` + `link_between` per hop per probe | — shape, but probes walk precomputed route slices and batch over processors | `Topology` CSR route tables; [`apn`]'s `probe_est_all` kernel |
+//! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); placements pinned by `tests/placement_digests.rs`; `perf_baseline` `work` gates one repair per placement and ≤ 100 cone nodes per repair at v=2000 (measured 44 / 52, against 2v = 4000 for the rescan) |
+//! | MH / DLS-APN | O(r·p·route) with a route `Vec` + an adjacency lookup per hop per probe | — shape, but probes walk precomputed route slices and batch over processors | `Topology` CSR route tables; [`apn`]'s `probe_est_all` kernel |
 //! | BU | O(v·p) assignment + list pass | — | rides the same allocation-free probes |
-//! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; measured ≥5× on the paper-scale APN instance (`perf_baseline` gate) |
+//! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; `perf_baseline` `work` gates ≤ 1000 messages committed per trial on the paper-scale APN instance (measured 427, against up to e = 2632 for a full replay) |
 //! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | same tree split across workers: depth-≤8 DFS prefixes become stealable jobs on the `dagsched-ws` work-stealing runtime, incumbent shared via one atomic CAS-min, O(v·p + e) replay per stolen prefix | per-worker deques + duplicate sets; `TASKBENCH_THREADS=1` is byte-identical to the old serial search; gated ≥1.5× on ≥4 workers (`perf_baseline` `bnb_parallel_speedup`) |
 //!
 //! Substrate changes underneath all of them: adjacency is CSR (flat
@@ -211,6 +211,55 @@ impl Outcome {
             None => self.schedule.validate(g),
         }
     }
+
+    /// A 128-bit fingerprint of every decision the scheduler made: each
+    /// task's `(proc, start, finish)` in task order and, for APN outcomes,
+    /// every committed message sorted by `(src_task, dst_task)` with its
+    /// endpoints, `ready`, `arrival` and each hop's `(link, start,
+    /// finish)`. `tests/placement_digests.rs` pins these against a
+    /// committed table.
+    pub fn digest(&self) -> [u64; 2] {
+        let s = &self.schedule;
+        let mut words = vec![s.num_tasks() as u64];
+        for i in 0..s.num_tasks() as u32 {
+            match s.placement(dagsched_graph::TaskId(i)) {
+                Some(p) => words.extend([p.proc.0 as u64, p.start, p.finish]),
+                None => words.push(u64::MAX),
+            }
+        }
+        if let Some(net) = &self.network {
+            let mut msgs: Vec<_> = net.messages().collect();
+            msgs.sort_by_key(|m| (m.src_task, m.dst_task));
+            words.push(msgs.len() as u64);
+            for m in msgs {
+                let ends = [m.src_task.0, m.dst_task.0, m.from.0, m.to.0];
+                words.extend(ends.map(u64::from));
+                words.extend([m.ready, m.arrival, m.hops.len() as u64]);
+                for h in &m.hops {
+                    words.extend([h.link.0 as u64, h.start, h.finish]);
+                }
+            }
+        }
+        digest_words(words)
+    }
+}
+
+/// Two-stream FNV-1a over little-endian `u64` words, the second stream
+/// rotated after every word (mixed like `binio::structural_hash`): the
+/// hash under [`Outcome::digest`], also used to fold instance digests
+/// into one per sweep cell.
+pub fn digest_words(words: impl IntoIterator<Item = u64>) -> [u64; 2] {
+    let mut h = [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64];
+    for w in words {
+        for b in w.to_le_bytes() {
+            for s in h.iter_mut() {
+                *s ^= b as u64;
+                *s = s.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h[1] = h[1].rotate_left(17);
+    }
+    h
 }
 
 /// A static DAG scheduling algorithm.

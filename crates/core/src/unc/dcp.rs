@@ -32,9 +32,9 @@
 //! Complexity: levels are maintained by [`crate::common::DynLevelsEngine`]
 //! — each placement repairs only the affected cone instead of the former
 //! O(v + e) whole-graph rescan, leaving the O(|ready|) selection scan and
-//! the neighbourhood probes as the per-step cost. The rescan version is
-//! retained verbatim as `bench::baseline::DcpScan` and proven
-//! placement-identical.
+//! the neighbourhood probes as the per-step cost. The engine was proven
+//! placement-identical to the rescan version it replaced; the workspace's
+//! `tests/placement_digests.rs` pins those placements as digests.
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, Sink};

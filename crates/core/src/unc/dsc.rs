@@ -18,8 +18,7 @@
 //!
 //! This implementation hits the original's **O((v+e)·log v)** bound with
 //! two rekeyable [`IndexedHeap`]s, replacing the per-step scans of the
-//! previous revision (retained verbatim as `bench::baseline`'s
-//! `DscScanBaseline`):
+//! previous revision:
 //!
 //! * **free heap** — free nodes keyed by `t-level + b-level`. A node's
 //!   t-level is final by the time its last parent is scheduled, so entries
@@ -38,8 +37,9 @@
 //! stays O(e_local) via clone-free place/estimate/unplace on the live
 //! schedule. Selection order is bit-for-bit the order of the scan version:
 //! both heaps break key ties toward the smallest task id, exactly like
-//! `ReadySet::argmax_by_key` and the old `max_by_key` scan, which the
-//! multi-thousand-instance equivalence sweep in `bench::baseline` locks in.
+//! `ReadySet::argmax_by_key` and the old `max_by_key` scan. A
+//! multi-thousand-instance equivalence sweep proved that, and the
+//! workspace's `tests/placement_digests.rs` pins its placements.
 //!
 //! Simplification vs. the original (recorded in DESIGN.md): the DSRW is
 //! enforced via an explicit re-estimation of the protected node's start

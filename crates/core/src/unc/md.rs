@@ -22,8 +22,9 @@
 //! Complexity: levels are maintained by [`crate::common::DynLevelsEngine`]
 //! — each placement repairs only the affected cone instead of the former
 //! O(v + e) whole-graph rescan, leaving the O(|ready|) selection scan per
-//! step as the dominant cost. The rescan version is retained verbatim as
-//! `bench::baseline::MdScan` and proven placement-identical.
+//! step as the dominant cost. The engine was proven placement-identical
+//! to the rescan version it replaced; the workspace's
+//! `tests/placement_digests.rs` pins those placements as digests.
 
 use dagsched_graph::TaskGraph;
 use dagsched_obs::{emit, Event, NullSink, Sink};

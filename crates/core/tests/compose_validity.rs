@@ -2,7 +2,7 @@
 //! grammar can express must produce a valid schedule — on the classic-nine
 //! peer fixture, on seeded RGNOS instances, and on proptest-generated
 //! arbitrary DAGs. The six paper presets are pinned exactly elsewhere
-//! (`dagsched-bench`'s monolith sweep); this file covers the other 122
+//! (the workspace's `tests/placement_digests.rs`); this file covers the other 122
 //! combinations nobody hand-checks.
 
 use dagsched_core::{registry, Env, Scheduler};

@@ -2,8 +2,8 @@
 //! incremental repair must be **value-identical** to the full
 //! [`dagsched_core::common::DynLevels::compute`] rescan after *every*
 //! placement of a random placement sequence over a random DAG — the
-//! per-step analog of the whole-schedule MD/DCP placement-identity sweep
-//! in `bench::baseline`. Placement sequences deliberately include
+//! per-step analog of the whole-schedule MD/DCP placement digests in the
+//! workspace's `tests/placement_digests.rs`. Placement sequences deliberately include
 //! insert-into-hole seatings (random start padding), co-located parents
 //! and children (edge zeroing), and late pins, so every repair path of
 //! the engine — forward cone, backward cone, sequence-edge rewiring, cp

@@ -28,9 +28,8 @@
 //!   under either communication model, Gantt rendering, and the performance
 //!   measures the paper reports (makespan, processors used).
 //! * [`Topology`] — the interconnect graph with deterministic BFS routing.
-//!   All `p²` routes are flattened into CSR arrays at construction, so
-//!   [`Topology::route`] / [`Topology::route_procs`] are allocation-free
-//!   slice views.
+//!   All `p²` routes are flattened into one CSR array at construction, so
+//!   [`Topology::route`] is an allocation-free slice view.
 //! * [`Network`] — mutable link-schedule state used by APN algorithms to
 //!   probe and commit message transmissions. Messages live in a slab with
 //!   a free list behind vector-backed edge and per-task incidence indices;

@@ -72,11 +72,10 @@ pub enum TopologyKind {
 /// route always steps to the smallest-id neighbour that stays on a shortest
 /// path. Benchmarks therefore reproduce exactly across runs.
 ///
-/// All `p²` routes are materialized once at construction into two flat CSR
-/// arrays (link sequences and processor sequences), so [`Topology::route`]
-/// and [`Topology::route_procs`] are O(1) slice views — the APN message
-/// layer walks routes on every probe and must not allocate or chase
-/// `next_hop`/`link_between` lookups per hop.
+/// All `p²` routes are materialized once at construction into one flat CSR
+/// array of link sequences, so [`Topology::route`] is an O(1) slice view —
+/// the APN message layer walks routes on every probe and must not allocate
+/// or chase per-hop `next_hop` lookups.
 #[derive(Debug, Clone)]
 pub struct Topology {
     kind: TopologyKind,
@@ -92,10 +91,6 @@ pub struct Topology {
     route_off: Vec<u32>,
     /// All `p²` deterministic shortest routes as link sequences, flattened.
     route_links: Vec<LinkId>,
-    /// The same routes as processor sequences (each one hop longer than its
-    /// link sequence: both endpoints included), flattened. Offsets are
-    /// derived from `route_off` by adding one slot per (src, dst) pair.
-    route_procs: Vec<ProcId>,
 }
 
 impl Topology {
@@ -333,12 +328,10 @@ impl Topology {
         let total_hops: usize = dist_sd.iter().map(|&d| d as usize).sum();
         let mut route_off = Vec::with_capacity(p * p + 1);
         let mut route_links = Vec::with_capacity(total_hops);
-        let mut route_procs = Vec::with_capacity(total_hops + p * p);
         route_off.push(0u32);
         for src in 0..p {
             for dst in 0..p {
                 let mut cur = src;
-                route_procs.push(ProcId(cur as u32));
                 while cur != dst {
                     let next = next_hop[cur * p + dst] as usize;
                     let row = &adj[cur];
@@ -347,7 +340,6 @@ impl Topology {
                         .expect("next hop must be adjacent")]
                     .1;
                     route_links.push(link);
-                    route_procs.push(ProcId(next as u32));
                     cur = next;
                 }
                 route_off.push(route_links.len() as u32);
@@ -362,7 +354,6 @@ impl Topology {
             dist: dist_sd,
             route_off,
             route_links,
-            route_procs,
         })
     }
 
@@ -397,14 +388,6 @@ impl Topology {
         &self.adj[p.index()]
     }
 
-    /// The link joining `a` and `b`, if adjacent.
-    pub fn link_between(&self, a: ProcId, b: ProcId) -> Option<LinkId> {
-        self.adj[a.index()]
-            .binary_search_by_key(&b, |&(n, _)| n)
-            .ok()
-            .map(|i| self.adj[a.index()][i].1)
-    }
-
     /// Hop distance between two processors.
     pub fn distance(&self, a: ProcId, b: ProcId) -> u32 {
         if a == b {
@@ -420,15 +403,6 @@ impl Topology {
     pub fn route(&self, a: ProcId, b: ProcId) -> &[LinkId] {
         let k = a.index() * self.num_procs + b.index();
         &self.route_links[self.route_off[k] as usize..self.route_off[k + 1] as usize]
-    }
-
-    /// The processor sequence of [`Topology::route`], including both ends —
-    /// also a precomputed slice view. Every route stores exactly one more
-    /// processor than it has links, so the CSR offsets are
-    /// `route_off[k] + k` for flat pair index `k`.
-    pub fn route_procs(&self, a: ProcId, b: ProcId) -> &[ProcId] {
-        let k = a.index() * self.num_procs + b.index();
-        &self.route_procs[self.route_off[k] as usize + k..self.route_off[k + 1] as usize + k + 1]
     }
 
     /// Breadth-first processor order from `start` (neighbours visited in
@@ -483,13 +457,29 @@ mod tests {
         assert_eq!(r.len(), 3);
     }
 
+    /// Walk `route(a, b)` from `a` by link endpoints, checking that each
+    /// link touches the current processor and that the walk ends at `b`.
+    /// Returns the processors visited, both ends included.
+    fn walk(t: &Topology, a: ProcId, b: ProcId) -> Vec<ProcId> {
+        let mut procs = vec![a];
+        let mut cur = a;
+        for &link in t.route(a, b) {
+            let (lo, hi) = t.link_ends(link);
+            assert!(cur == lo || cur == hi, "{a}->{b}: {link:?} misses {cur}");
+            cur = if cur == lo { hi } else { lo };
+            procs.push(cur);
+        }
+        assert_eq!(cur, b, "{a}->{b}: route ends elsewhere");
+        procs
+    }
+
     #[test]
     fn star_routes_through_hub() {
         let t = Topology::star(5).unwrap();
         assert_eq!(t.num_links(), 4);
         assert_eq!(t.distance(ProcId(1), ProcId(4)), 2);
         assert_eq!(
-            t.route_procs(ProcId(1), ProcId(4)),
+            walk(&t, ProcId(1), ProcId(4)),
             vec![ProcId(1), ProcId(0), ProcId(4)]
         );
     }
@@ -523,16 +513,8 @@ mod tests {
         ] {
             for a in t.procs() {
                 for b in t.procs() {
-                    let r = t.route(a, b);
-                    assert_eq!(r.len() as u32, t.distance(a, b), "{a}->{b}");
-                    let procs = t.route_procs(a, b);
-                    assert_eq!(procs.len(), r.len() + 1);
-                    // consecutive route processors joined by the listed link
-                    for (i, link) in r.iter().enumerate() {
-                        let (lo, hi) = t.link_ends(*link);
-                        let (x, y) = (procs[i], procs[i + 1]);
-                        assert!((lo, hi) == (x.min(y), x.max(y)));
-                    }
+                    let hops = walk(&t, a, b).len() - 1;
+                    assert_eq!(hops as u32, t.distance(a, b), "{a}->{b}");
                 }
             }
         }

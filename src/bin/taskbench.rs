@@ -526,14 +526,13 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
         return Err(format!("{path}: no records"));
     }
 
-    // Short header per column; `-` marks metrics the record lacks.
-    // Ratios render with two decimals.
-    let cols: [(&str, &str); 7] = [
-        ("dsc", "dsc_speedup_v1000"),
-        ("dsc-inc", "dsc_incremental_speedup_v5000"),
-        ("md-inc", "md_incremental_speedup_v2000"),
-        ("dcp-inc", "dcp_incremental_speedup_v2000"),
-        ("bsa", "bsa_speedup_v500_ccr01"),
+    // Short header per column; `-` marks metrics the record lacks (older
+    // records predate the work columns). Values render with two decimals.
+    let cols: [(&str, &str); 6] = [
+        ("heap/task", "dsc_heap_ops_per_task_v5000"),
+        ("md-cone/rep", "md_cone_nodes_per_repair_v2000"),
+        ("dcp-cone/rep", "dcp_cone_nodes_per_repair_v2000"),
+        ("msgs/trial", "bsa_msgs_per_trial_v500_ccr01"),
         ("runner", "runner_speedup"),
         ("bnb-par", "bnb_parallel_speedup"),
     ];
@@ -548,17 +547,20 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
             _ => "?".into(),
         };
         out.push_str(&format!("{:<13} {:<11}", s("sha"), s("date")));
-        for (_, key) in &cols {
+        for (hdr, key) in &cols {
+            let w = hdr.len().max(8);
             match rec.get(key).and_then(Json::as_f64) {
-                Some(x) => out.push_str(&format!(" {x:>8.2}")),
-                None => out.push_str(&format!(" {:>8}", "-")),
+                Some(x) => out.push_str(&format!(" {x:>w$.2}")),
+                None => out.push_str(&format!(" {:>w$}", "-")),
             }
         }
         out.push('\n');
     }
     emit(&out);
     note(&format!(
-        "{} records from {path}; columns are speedup ratios",
+        "{} records from {path}; work columns are DSC heap ops per task, MD/DCP \
+         cone nodes per repair and BSA messages per trial; runner and bnb-par \
+         are speedup ratios",
         records.len()
     ));
     Ok(())
