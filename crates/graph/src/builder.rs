@@ -3,6 +3,7 @@
 use crate::error::GraphError;
 use crate::graph::{TaskGraph, TaskId};
 use crate::topo;
+use std::sync::Arc;
 
 /// Incremental builder for a [`TaskGraph`].
 ///
@@ -170,18 +171,18 @@ impl GraphBuilder {
 
         let mut g = TaskGraph {
             name: self.name,
-            weights: self.weights,
-            labels: self.labels,
-            succ_off,
-            succ_adj,
-            pred_off,
-            pred_adj,
-            topo: Vec::new(),
+            weights: self.weights.into(),
+            labels: self.labels.into(),
+            succ_off: succ_off.into(),
+            succ_adj: succ_adj.into(),
+            pred_off: pred_off.into(),
+            pred_adj: pred_adj.into(),
+            topo: Arc::from([]),
             levels: std::sync::OnceLock::new(),
         };
         match topo::topological_order(&g) {
             Some(order) => {
-                g.topo = order;
+                g.topo = order.into();
                 Ok(g)
             }
             None => {

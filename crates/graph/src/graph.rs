@@ -48,21 +48,26 @@ pub struct EdgeRef {
 /// and the flat layout keeps those sweeps on contiguous cache lines instead
 /// of chasing one heap allocation per task. The public [`TaskGraph::succs`] /
 /// [`TaskGraph::preds`] slice API is unchanged from the `Vec<Vec<_>>` days.
+///
+/// A graph never changes after it is built, so its arrays are
+/// reference-counted slices: a clone shares them (as it already shares
+/// the level attributes) instead of copying the adjacency. Reading
+/// through an `Arc<[T]>` costs the same single indirection as a `Vec`.
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
     pub(crate) name: String,
-    pub(crate) weights: Vec<u64>,
-    pub(crate) labels: Vec<String>,
+    pub(crate) weights: Arc<[u64]>,
+    pub(crate) labels: Arc<[String]>,
     /// CSR offsets into `succ_adj`; row `i` is `succ_adj[off[i]..off[i+1]]`.
-    pub(crate) succ_off: Vec<u32>,
+    pub(crate) succ_off: Arc<[u32]>,
     /// Packed successor entries `(child, edge cost)`, each row sorted by id.
-    pub(crate) succ_adj: Vec<(TaskId, u64)>,
+    pub(crate) succ_adj: Arc<[(TaskId, u64)]>,
     /// CSR offsets into `pred_adj`.
-    pub(crate) pred_off: Vec<u32>,
+    pub(crate) pred_off: Arc<[u32]>,
     /// Packed predecessor entries `(parent, edge cost)`, each row sorted by id.
-    pub(crate) pred_adj: Vec<(TaskId, u64)>,
+    pub(crate) pred_adj: Arc<[(TaskId, u64)]>,
     /// Cached deterministic topological order (parents before children).
-    pub(crate) topo: Vec<TaskId>,
+    pub(crate) topo: Arc<[TaskId]>,
     /// Level attributes, computed on first use and shared across clones.
     pub(crate) levels: OnceLock<Arc<Levels>>,
 }
@@ -293,6 +298,16 @@ mod tests {
         assert_eq!(g.edge_cost(TaskId(0), TaskId(2)), Some(6));
         assert_eq!(g.edge_cost(TaskId(1), TaskId(2)), None);
         assert!(g.has_edge(TaskId(1), TaskId(3)));
+    }
+
+    #[test]
+    fn clones_share_the_arrays() {
+        let g = diamond();
+        let h = g.clone();
+        assert!(std::ptr::eq(g.weights(), h.weights()));
+        assert!(std::ptr::eq(g.succs(TaskId(0)), h.succs(TaskId(0))));
+        assert!(std::ptr::eq(g.preds(TaskId(3)), h.preds(TaskId(3))));
+        assert!(std::ptr::eq(g.topo_order(), h.topo_order()));
     }
 
     #[test]

@@ -65,22 +65,26 @@ pub enum Metric {
     BnbPrunedDuplicate,
     /// Runner: experiment cells executed.
     RunnerCells,
-    /// serve: schedule requests admitted to the worker queue.
+    /// serve: schedule requests answered from the wire cache tier or
+    /// admitted to the worker queue.
     ServeRequests,
     /// serve: requests answered with a structured error.
     ServeErrors,
     /// serve: requests rejected by queue backpressure (retry-after sent).
     ServeQueueRejects,
-    /// serve: schedule cache hits.
+    /// serve: schedule cache hits, in either tier.
     ServeCacheHits,
     /// serve: schedule cache misses (schedule computed and inserted).
     ServeCacheMisses,
-    /// serve: cache entries evicted by the per-shard LRU.
+    /// serve: structural-tier cache entries evicted by the per-shard LRU.
     ServeCacheEvictions,
+    /// serve: cache hits answered from the wire tier (raw request bytes)
+    /// on the connection thread; a subset of `serve.cache_hits`.
+    ServeCacheWireHits,
 }
 
 /// All metrics, in declaration (= print) order.
-pub const METRICS: [Metric; 27] = [
+pub const METRICS: [Metric; 28] = [
     Metric::WsStealAttempts,
     Metric::WsStealHits,
     Metric::WsParks,
@@ -108,6 +112,7 @@ pub const METRICS: [Metric; 27] = [
     Metric::ServeCacheHits,
     Metric::ServeCacheMisses,
     Metric::ServeCacheEvictions,
+    Metric::ServeCacheWireHits,
 ];
 
 impl Metric {
@@ -140,6 +145,7 @@ impl Metric {
             Metric::ServeCacheHits => "serve.cache_hits",
             Metric::ServeCacheMisses => "serve.cache_misses",
             Metric::ServeCacheEvictions => "serve.cache_evictions",
+            Metric::ServeCacheWireHits => "serve.cache_wire_hits",
         }
     }
 }
@@ -407,6 +413,27 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(r.get(Metric::WsStealAttempts), threads * iters);
+    }
+
+    #[test]
+    fn serve_metric_names_are_pinned() {
+        let serve: Vec<&str> = METRICS
+            .iter()
+            .map(|m| m.name())
+            .filter(|n| n.starts_with("serve."))
+            .collect();
+        assert_eq!(
+            serve,
+            [
+                "serve.requests",
+                "serve.errors",
+                "serve.queue_rejects",
+                "serve.cache_hits",
+                "serve.cache_misses",
+                "serve.cache_evictions",
+                "serve.cache_wire_hits",
+            ]
+        );
     }
 
     #[test]

@@ -161,8 +161,12 @@ pub fn self_time_table(recs: &[SpanRec]) -> Vec<SelfTime> {
 mod tests {
     use super::*;
 
+    /// `ENABLED` is process-wide: the tests that flip it must not overlap.
+    static FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn disabled_spans_record_nothing() {
+        let _flag = FLAG.lock().unwrap_or_else(|e| e.into_inner());
         disable();
         drain();
         {
@@ -173,6 +177,7 @@ mod tests {
 
     #[test]
     fn nested_spans_attribute_self_time() {
+        let _flag = FLAG.lock().unwrap_or_else(|e| e.into_inner());
         enable();
         drain();
         {

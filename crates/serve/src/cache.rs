@@ -1,21 +1,49 @@
-//! Schedule memoization: a sharded LRU keyed by (structural graph hash,
-//! platform spec, canonical algorithm name).
+//! Schedule memoization in two tiers, both sharded LRUs over the same
+//! rendered response bytes (`Arc<Vec<u8>>`, shared between the tiers):
 //!
-//! The cache stores *rendered response bytes* (`Arc<Vec<u8>>`), not
-//! schedules — a hit returns byte-identical output to the original
-//! computation by construction, which is the property the e2e suite
-//! pins. Keys use [`dagsched_graph::binio::structural_hash`], which
-//! covers weights and edges but not labels, matching the determinism
-//! contract: two graphs that schedule identically share an entry.
+//! * the **wire tier**, keyed by [`WireKey`]: a hash of the request
+//!   payload's raw bytes, header and graph body alike. The connection
+//!   thread probes it before parsing anything, so a repeat of an
+//!   already-answered payload is written straight back without a decode,
+//!   a platform parse, a registry lookup, a structural hash or a trip
+//!   through the worker queue;
+//! * the **structural tier**, keyed by [`CacheKey`]: (structural graph
+//!   hash, platform spec, canonical algorithm name). Workers probe it
+//!   after decoding, so payloads that differ only in algorithm spelling
+//!   (`mcp`/`MCP`), wire tag (TGF/bin) or labels share one schedule.
+//!   [`dagsched_graph::binio::structural_hash`] covers weights and edges
+//!   but not labels, matching the determinism contract: two graphs that
+//!   schedule identically share an entry.
+//!
+//! Both tiers store *rendered response bytes*, not schedules, so a hit
+//! returns byte-identical output to the original computation by
+//! construction, which is the property the e2e suite pins. The wire key
+//! covers everything the structural key is derived from, so it is
+//! strictly finer: a wire hit can only return what the structural tier
+//! would have returned for the same payload. Only successful schedules
+//! are stored, in either tier; an error is recomputed every time.
+//!
+//! **Hash assumption.** Both keys are 128-bit hashes, and equal hashes
+//! are taken to mean equal inputs. That holds for non-adversarial
+//! clients: with n entries alive, the chance that two distinct inputs
+//! share a hash is about n²/2¹²⁹, negligible at any cache size. Neither
+//! hash is keyed, so a client that crafts a collision on purpose could
+//! be served another input's schedule.
 //!
 //! Sharding is by the second hash word, so concurrent requests for
 //! different graphs rarely contend on a lock. Each shard runs its own
 //! LRU via a global monotonic stamp; eviction is an O(shard) min-stamp
 //! scan, fine at the per-shard capacities a daemon uses (≤ a few
 //! hundred). Hit/miss/eviction counters land in
-//! [`dagsched_obs::registry::global`].
+//! [`dagsched_obs::registry::global`]: each schedule request that ends
+//! in a schedule counts one hit (`serve.cache_hits`, plus
+//! `serve.cache_wire_hits` when the wire tier answered) or one miss
+//! (`serve.cache_misses`, counted by the structural tier); a wire miss
+//! counts nothing, since the structural lookup that follows counts it.
+//! `serve.cache_evictions` counts structural-tier evictions only.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -23,7 +51,20 @@ use dagsched_obs::registry::{global, Metric};
 
 const SHARDS: usize = 8;
 
-/// What a cached schedule is looked up by.
+/// A key a [`ShardedLru`] can be keyed by: it picks its shard and names
+/// the counters a lookup or an eviction bumps.
+pub trait TierKey: Clone + Eq + Hash {
+    /// Counters a hit increments.
+    const HIT: &'static [Metric];
+    /// Counters a miss increments.
+    const MISS: &'static [Metric];
+    /// Counters an eviction increments.
+    const EVICT: &'static [Metric];
+    /// The word that selects the key's shard.
+    fn shard_word(&self) -> u64;
+}
+
+/// What a cached schedule is looked up by in the structural tier.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`dagsched_graph::binio::structural_hash`] of the graph.
@@ -35,19 +76,96 @@ pub struct CacheKey {
     pub algo: String,
 }
 
+impl TierKey for CacheKey {
+    const HIT: &'static [Metric] = &[Metric::ServeCacheHits];
+    const MISS: &'static [Metric] = &[Metric::ServeCacheMisses];
+    const EVICT: &'static [Metric] = &[Metric::ServeCacheEvictions];
+    fn shard_word(&self) -> u64 {
+        self.graph[1]
+    }
+}
+
+/// What a cached schedule is looked up by in the wire tier: a 128-bit
+/// hash of the whole request payload, header and graph body. Only the
+/// hash is kept, never the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WireKey(pub [u64; 2]);
+
+impl WireKey {
+    /// Hash `payload` one 8-byte word at a time in two streams with
+    /// distinct multipliers and rotations. Each stream runs as two lanes
+    /// (even and odd words) so the four multiply chains overlap; the
+    /// length seeds every lane and the zero-padded tail is one last pair
+    /// of words. A final avalanche folds each stream's lanes into one
+    /// output word.
+    pub fn of(payload: &[u8]) -> WireKey {
+        const K: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
+        let len = payload.len() as u64;
+        let mut a = [0xcbf2_9ce4_8422_2325 ^ len, 0x8422_2325_cbf2_9ce4 ^ len];
+        let mut b = [0x6c62_272e_07bb_0142 ^ len, 0x07bb_0142_6c62_272e ^ len];
+        let mut eat = |pair: &[u8; 16]| {
+            for i in 0..2 {
+                let w = u64::from_le_bytes(pair[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+                a[i] = (a[i] ^ w).wrapping_mul(K[0]).rotate_left(29);
+                b[i] = (b[i] ^ w.rotate_left(32))
+                    .wrapping_mul(K[1])
+                    .rotate_left(23);
+            }
+        };
+        let mut pairs = payload.chunks_exact(16);
+        for pair in &mut pairs {
+            eat(pair.try_into().expect("16 bytes"));
+        }
+        let mut tail = [0u8; 16];
+        tail[..pairs.remainder().len()].copy_from_slice(pairs.remainder());
+        eat(&tail);
+        WireKey([
+            avalanche(a[0] ^ a[1].rotate_left(32)),
+            avalanche(b[0] ^ b[1].rotate_left(32)),
+        ])
+    }
+}
+
+/// The splitmix64 finalizer.
+fn avalanche(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+impl TierKey for WireKey {
+    /// A wire hit answers the request, so it counts as a cache hit; a
+    /// wire miss counts nothing, because the structural lookup that
+    /// follows counts the request's hit or miss.
+    const HIT: &'static [Metric] = &[Metric::ServeCacheHits, Metric::ServeCacheWireHits];
+    const MISS: &'static [Metric] = &[];
+    /// A wire eviction loses no schedule (the structural tier may still
+    /// hold it), so `serve.cache_evictions` counts structural ones only.
+    const EVICT: &'static [Metric] = &[];
+    fn shard_word(&self) -> u64 {
+        self.0[1]
+    }
+}
+
+fn count(metrics: &[Metric]) {
+    for &m in metrics {
+        global().incr(m);
+    }
+}
+
 struct Entry {
     val: Arc<Vec<u8>>,
     stamp: u64,
 }
 
-/// Sharded LRU over rendered response bytes.
-pub struct ShardedLru {
-    shards: [Mutex<HashMap<CacheKey, Entry>>; SHARDS],
+/// Sharded LRU over rendered response bytes, keyed by either tier's key.
+pub struct ShardedLru<K = CacheKey> {
+    shards: [Mutex<HashMap<K, Entry>>; SHARDS],
     clock: AtomicU64,
     shard_cap: usize,
 }
 
-impl ShardedLru {
+impl<K: TierKey> ShardedLru<K> {
     /// `capacity` is the total entry budget across shards; `0` disables
     /// the cache entirely (every `get` is a miss, `insert` is a no-op).
     pub fn new(capacity: usize) -> Self {
@@ -58,37 +176,32 @@ impl ShardedLru {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Entry>> {
-        &self.shards[key.graph[1] as usize % SHARDS]
+    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Entry>> {
+        &self.shards[key.shard_word() as usize % SHARDS]
     }
 
-    /// Look up a key, bumping its recency on a hit. Counts a cache hit or
-    /// miss in the global metric registry either way.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
-        if self.shard_cap == 0 {
-            global().incr(Metric::ServeCacheMisses);
-            return None;
-        }
-        let mut g = self.shard(key).lock().unwrap();
-        match g.get_mut(key) {
-            Some(e) => {
+    /// Look up a key, bumping its recency on a hit. Counts the key type's
+    /// hit or miss counters in the global metric registry either way.
+    pub fn get(&self, key: &K) -> Option<Arc<Vec<u8>>> {
+        let hit = if self.shard_cap == 0 {
+            None
+        } else {
+            let mut g = self.shard(key).lock().unwrap();
+            g.get_mut(key).map(|e| {
                 // relaxed-ok: LRU stamps only order evictions; the entry
                 // itself is protected by the shard mutex, and an
                 // occasionally stale victim choice is harmless.
                 e.stamp = self.clock.fetch_add(1, Relaxed);
-                global().incr(Metric::ServeCacheHits);
-                Some(Arc::clone(&e.val))
-            }
-            None => {
-                global().incr(Metric::ServeCacheMisses);
-                None
-            }
-        }
+                Arc::clone(&e.val)
+            })
+        };
+        count(if hit.is_some() { K::HIT } else { K::MISS });
+        hit
     }
 
     /// Insert (or refresh) an entry, evicting the least-recently-used
     /// entry of the shard when it is full.
-    pub fn insert(&self, key: CacheKey, val: Arc<Vec<u8>>) {
+    pub fn insert(&self, key: K, val: Arc<Vec<u8>>) {
         if self.shard_cap == 0 {
             return;
         }
@@ -102,7 +215,7 @@ impl ShardedLru {
                 .map(|(k, _)| k.clone())
             {
                 g.remove(&victim);
-                global().incr(Metric::ServeCacheEvictions);
+                count(K::EVICT);
             }
         }
         g.insert(key, Entry { val, stamp });
@@ -173,6 +286,50 @@ mod tests {
         c.insert(a.clone(), Arc::new(vec![1]));
         c.insert(a.clone(), Arc::new(vec![2]));
         assert_eq!(*c.get(&a).unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn wire_keys_see_every_byte_and_the_length() {
+        let base: Vec<u8> = b"schedule tgf bnp:8 MCP\ntask 0 3\ntask 1 4\nedge 0 1 2\n".to_vec();
+        let k = WireKey::of(&base);
+        assert_eq!(
+            WireKey::of(&base.clone()),
+            k,
+            "a pure function of the bytes"
+        );
+        for i in 0..base.len() {
+            for bit in [0x01, 0x80] {
+                let mut flipped = base.clone();
+                flipped[i] ^= bit;
+                let f = WireKey::of(&flipped);
+                assert!(
+                    f.0[0] != k.0[0] && f.0[1] != k.0[1],
+                    "byte {i} bit {bit:#x}"
+                );
+            }
+        }
+        let mut padded = base.clone();
+        padded.push(0);
+        assert_ne!(
+            WireKey::of(&padded),
+            k,
+            "a trailing zero byte is not padding"
+        );
+        assert_ne!(WireKey::of(b""), WireKey::of(&[0]));
+    }
+
+    #[test]
+    fn wire_tier_shares_the_lru() {
+        let c: ShardedLru<WireKey> = ShardedLru::new(8);
+        let k = WireKey::of(b"schedule bin bnp:2 MCP\n");
+        assert!(c.get(&k).is_none());
+        let bytes = Arc::new(b"ok MCP\n".to_vec());
+        c.insert(k, Arc::clone(&bytes));
+        assert!(
+            Arc::ptr_eq(&c.get(&k).unwrap(), &bytes),
+            "entries share bytes"
+        );
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

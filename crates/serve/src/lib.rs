@@ -21,11 +21,16 @@
 //! * **Backpressure** ([`queue`]) — a bounded worker queue; when it is
 //!   full the request is rejected immediately with `E_QUEUE_FULL` and a
 //!   `retry_after_ms` hint instead of stacking latency.
-//! * **Memoization** ([`cache`]) — a sharded LRU keyed by (structural
-//!   graph hash, platform, canonical algorithm name) storing rendered
-//!   response bytes, so a cache hit returns *byte-identical* output to
-//!   the original computation. Hit/miss/eviction counters live in
+//! * **Memoization** ([`cache`]) — two sharded LRUs over the same
+//!   rendered response bytes, so a cache hit returns *byte-identical*
+//!   output to the original computation: a wire tier keyed by a hash of
+//!   the raw request bytes, answered on the connection thread without
+//!   decoding or queueing, and a structural tier keyed by (structural
+//!   graph hash, platform, canonical algorithm name), probed by the
+//!   workers. Hit/miss/eviction counters live in
 //!   [`dagsched_obs::registry`].
+//! * **Containment** ([`server`]) — a scheduler panic fails its request
+//!   with `E_INTERNAL`, never the worker.
 //! * **Worker pool** ([`server`]) — `TASKBENCH_THREADS`-aware (via
 //!   [`dagsched_ws::worker_count`]); graceful shutdown stops accepting,
 //!   drains in-flight requests, then joins every thread.
@@ -51,7 +56,7 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use cache::{CacheKey, ShardedLru};
+pub use cache::{CacheKey, ShardedLru, WireKey};
 pub use frame::{FrameError, FrameReader, MAX_FRAME};
 pub use loadgen::{LoadgenParams, LoadgenReport};
 pub use proto::{Request, Response, ServeError};

@@ -52,7 +52,8 @@ pub mod code {
     pub const QUEUE_FULL: &str = "E_QUEUE_FULL";
     /// The daemon is shutting down and no longer admits requests.
     pub const SHUTTING_DOWN: &str = "E_SHUTTING_DOWN";
-    /// The daemon dropped a request internally (worker died).
+    /// The daemon failed a request internally (a scheduler panicked, or
+    /// a worker dropped the request).
     pub const INTERNAL: &str = "E_INTERNAL";
 }
 
@@ -200,12 +201,16 @@ pub fn render_schedule(algo: &str, sched: &Schedule, num_tasks: usize) -> String
 }
 
 /// Wrap rendered schedule bytes with the per-request counter trailer.
-pub fn encode_ok(schedule: &str, cache_hit: bool, depth: usize) -> Vec<u8> {
-    format!(
-        "{schedule}end cache={} depth={depth}\n",
+pub fn encode_ok(schedule: impl AsRef<[u8]>, cache_hit: bool, depth: usize) -> Vec<u8> {
+    let schedule = schedule.as_ref();
+    let trailer = format!(
+        "end cache={} depth={depth}\n",
         if cache_hit { "hit" } else { "miss" }
-    )
-    .into_bytes()
+    );
+    let mut out = Vec::with_capacity(schedule.len() + trailer.len());
+    out.extend_from_slice(schedule);
+    out.extend_from_slice(trailer.as_bytes());
+    out
 }
 
 /// Encode a structured error payload.

@@ -6,13 +6,23 @@
 //!
 //! ```text
 //! listener ──accept──▶ conn thread (one per connection)
-//!                        │  frame → parse → try_push ──▶ bounded queue
+//!                        │  frame → wire tier ──hit──▶ write reply
+//!                        │    miss → parse → try_push ──▶ bounded queue
 //!                        ◀──────── reply mpsc ◀───────── worker pool
 //! ```
 //!
-//! A connection thread serializes its own requests: it blocks on the
-//! per-request reply channel before reading the next frame, which is
-//! what gives clients exactly-once, in-order responses per connection.
+//! A connection thread first hashes the raw request payload and probes
+//! the wire cache tier ([`crate::cache`]); a hit is written straight
+//! back, with no decode, platform parse, registry lookup, structural
+//! hash or queue push. Everything else is parsed and queued to a worker,
+//! which decodes, probes the structural tier, schedules on a miss, and
+//! stores the rendered bytes in both tiers. A connection thread
+//! serializes its own requests: it blocks on the per-request reply
+//! channel before reading the next frame, which is what gives clients
+//! exactly-once, in-order responses per connection.
+//!
+//! A scheduler that panics costs its request an `E_INTERNAL` reply, not
+//! its worker: each job runs under `catch_unwind`.
 //!
 //! ## Graceful shutdown
 //!
@@ -25,6 +35,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -34,7 +45,7 @@ use dagsched_core::{registry, Env};
 use dagsched_graph::{binio, io::from_tgf, GraphError};
 use dagsched_obs::registry::{global, HistId, Metric};
 
-use crate::cache::{CacheKey, ShardedLru};
+use crate::cache::{CacheKey, ShardedLru, WireKey};
 use crate::frame::{write_frame, FrameError, FrameReader};
 use crate::proto::{
     self, code, encode_err, encode_ok, parse_request, render_schedule, GraphWire, Request,
@@ -62,7 +73,7 @@ pub struct Config {
     pub workers: usize,
     /// Bounded queue capacity — the backpressure knob.
     pub queue_cap: usize,
-    /// Total schedule-cache entries (`0` disables memoization).
+    /// Schedule-cache entries per tier (`0` disables memoization).
     pub cache_cap: usize,
 }
 
@@ -78,6 +89,7 @@ impl Default for Config {
 }
 
 struct Job {
+    key: WireKey,
     wire: GraphWire,
     platform: String,
     algo: String,
@@ -91,6 +103,7 @@ struct Shared {
     done_cv: Condvar,
     queue: Bounded<Job>,
     cache: ShardedLru,
+    wire_cache: ShardedLru<WireKey>,
     conns: Mutex<Vec<JoinHandle<()>>>,
     addr: SocketAddr,
 }
@@ -168,6 +181,7 @@ pub fn start(cfg: Config) -> io::Result<Handle> {
         done_cv: Condvar::new(),
         queue: Bounded::new(cfg.queue_cap.max(1)),
         cache: ShardedLru::new(cfg.cache_cap),
+        wire_cache: ShardedLru::new(cfg.cache_cap),
         conns: Mutex::new(Vec::new()),
         addr,
     });
@@ -226,7 +240,8 @@ fn tune(stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
 }
 
-/// One connection: read frames, admit requests, relay responses.
+/// One connection: read frames, answer wire-tier hits, admit the other
+/// requests, relay responses.
 fn conn_loop(mut stream: TcpStream, sh: &Shared) {
     tune(&stream);
     let mut reader = FrameReader::new();
@@ -235,6 +250,15 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
         match reader.poll(&mut stream) {
             Ok(Some(payload)) => {
                 grace = MID_FRAME_GRACE;
+                let key = WireKey::of(&payload);
+                if let Some(cached) = sh.wire_cache.get(&key) {
+                    global().incr(Metric::ServeRequests);
+                    let resp = encode_ok(&*cached, true, sh.queue.len());
+                    if write_frame(&mut stream, &resp).is_err() {
+                        return;
+                    }
+                    continue;
+                }
                 match parse_request(&payload) {
                     Ok(Request::Shutdown) => {
                         let _ = write_frame(&mut stream, proto::BYE);
@@ -248,7 +272,7 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
                         algo,
                         graph,
                     }) => {
-                        let resp = admit(sh, wire, platform, algo, graph);
+                        let resp = admit(sh, key, wire, platform, algo, graph);
                         if write_frame(&mut stream, &resp).is_err() {
                             return;
                         }
@@ -292,9 +316,17 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
 
 /// Try to enqueue a request and wait for its response bytes. A full
 /// queue is an immediate structured reject — backpressure, not latency.
-fn admit(sh: &Shared, wire: GraphWire, platform: String, algo: String, graph: Vec<u8>) -> Vec<u8> {
+fn admit(
+    sh: &Shared,
+    key: WireKey,
+    wire: GraphWire,
+    platform: String,
+    algo: String,
+    graph: Vec<u8>,
+) -> Vec<u8> {
     let (tx, rx) = mpsc::channel();
     let job = Job {
+        key,
         wire,
         platform,
         algo,
@@ -336,7 +368,18 @@ fn admit(sh: &Shared, wire: GraphWire, platform: String, algo: String, graph: Ve
 
 fn worker_loop(sh: &Shared) {
     while let Some(job) = sh.queue.pop() {
-        let resp = match process_job(sh, &job) {
+        // A panicking scheduler fails its request, not the worker. The
+        // panic unwinds out of decoding or scheduling, before either
+        // cache insert and with no cache lock held, so it leaves no entry
+        // behind and no lock poisoned.
+        let result =
+            catch_unwind(AssertUnwindSafe(|| process_job(sh, &job))).unwrap_or_else(|_| {
+                Err(ServeError::new(
+                    code::INTERNAL,
+                    "the scheduler panicked on this request",
+                ))
+            });
+        let resp = match result {
             Ok(bytes) => bytes,
             Err(e) => {
                 global().incr(Metric::ServeErrors);
@@ -349,8 +392,10 @@ fn worker_loop(sh: &Shared) {
     }
 }
 
-/// Decode → resolve → (cache | schedule) → render. Every failure maps to
-/// a stable machine-readable code shared with the CLI.
+/// Decode → resolve → (structural cache | schedule) → render, then store
+/// the rendered bytes under the request's wire key as well. Every
+/// failure maps to a stable machine-readable code shared with the CLI;
+/// failures are never cached.
 fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
     let g = match job.wire {
         GraphWire::Tgf => {
@@ -381,21 +426,18 @@ fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
         algo: algo.name().to_string(),
     };
     if let Some(cached) = sh.cache.get(&key) {
-        return Ok(encode_ok(
-            std::str::from_utf8(&cached).expect("cache holds rendered text"),
-            true,
-            sh.queue.len(),
-        ));
+        sh.wire_cache.insert(job.key, Arc::clone(&cached));
+        return Ok(encode_ok(&*cached, true, sh.queue.len()));
     }
 
     let outcome = algo
         .schedule(&g, &env)
         .map_err(|e| ServeError::new(e.code(), e.to_string()))?;
     let compact = outcome.schedule.compact_procs();
-    let rendered = render_schedule(algo.name(), &compact, g.num_tasks());
-    sh.cache
-        .insert(key, Arc::new(rendered.clone().into_bytes()));
-    Ok(encode_ok(&rendered, false, sh.queue.len()))
+    let rendered = Arc::new(render_schedule(algo.name(), &compact, g.num_tasks()).into_bytes());
+    sh.cache.insert(key, Arc::clone(&rendered));
+    sh.wire_cache.insert(job.key, Arc::clone(&rendered));
+    Ok(encode_ok(&*rendered, false, sh.queue.len()))
 }
 
 #[cfg(test)]

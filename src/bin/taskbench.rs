@@ -782,11 +782,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     handle.wait();
     let snap = global().snapshot();
     note(&format!(
-        "served {} requests ({} errors, {} queue rejects); cache {} hits / {} misses / {} evictions",
+        "served {} requests ({} errors, {} queue rejects); cache {} hits ({} from raw bytes) / {} misses / {} evictions",
         snap.get(Metric::ServeRequests),
         snap.get(Metric::ServeErrors),
         snap.get(Metric::ServeQueueRejects),
         snap.get(Metric::ServeCacheHits),
+        snap.get(Metric::ServeCacheWireHits),
         snap.get(Metric::ServeCacheMisses),
         snap.get(Metric::ServeCacheEvictions),
     ));

@@ -3,15 +3,19 @@
 //! validated each hot-path overhaul, pinned as one [`Outcome::digest`]
 //! fold per (algorithm, size) cell.
 //!
-//! The table was generated from the pre-overhaul reference
-//! implementations (the scan-selection and clone-per-step DSC, the
-//! full-rescan MD/DCP, the replay-per-trial BSA and the six monolithic
-//! BNP list schedulers) and checked equal to the live schedulers'
-//! digests before those implementations were retired. Any intentional
-//! algorithm change must update this table *and* say why in the commit;
-//! a failing cell prints the recomputed table for its family.
+//! The DSC, MD, DCP, BSA and BNP tables were generated from the
+//! pre-overhaul reference implementations (the scan-selection and
+//! clone-per-step DSC, the full-rescan MD/DCP, the replay-per-trial BSA
+//! and the six monolithic BNP list schedulers) and checked equal to the
+//! live schedulers' digests before those implementations were retired.
+//! The EZ, LC, MH, DLS-APN and BU tables were generated from the live
+//! schedulers before any engine work on them, so that work starts pinned.
+//! Any intentional algorithm change must update its table *and* say why
+//! in the commit; a failing cell prints the recomputed table for its
+//! family.
 
 use taskbench::core::{bnp, digest_words};
+use taskbench::obs::{ArgVal, Event, MemSink};
 use taskbench::prelude::*;
 use taskbench::suites::rgnos::{self, RgnosParams};
 
@@ -164,6 +168,55 @@ const BSA: &[(&str, [u64; 2])] = &[
     ("v=80 mesh:2x3", [0xb0521ef6e1aa3025, 0x827cd9fa29aca2bf]),
 ];
 
+const EZ: &[(&str, [u64; 2])] = &[
+    ("v=12", [0xf4af859c54d0360a, 0x540d2d95e72c2b56]),
+    ("v=25", [0xad6bf70bb11162b7, 0xca01e237b321ec5c]),
+    ("v=40", [0x6691de7d729be919, 0xa122b0cd47df0296]),
+    ("v=60", [0xc47e85ebf331bd56, 0xf87d589a25d0ceb1]),
+    ("v=90", [0x1c77889cde8978b2, 0xa0eb970a77727b2d]),
+];
+
+const LC: &[(&str, [u64; 2])] = &[
+    ("v=12", [0xbfead65e258af777, 0xa0be2a44ebece445]),
+    ("v=25", [0x55debe370ca70304, 0xb277331863520391]),
+    ("v=40", [0xc57fc37ca2e0d8e1, 0x2669557a4e237ead]),
+    ("v=60", [0xa100430b4a3bfad6, 0xa96c05ac665ba644]),
+    ("v=90", [0x70960e49d5efe17e, 0x5864da42e859a895]),
+];
+
+const MH: &[(&str, [u64; 2])] = &[
+    ("hypercube:3 v=12", [0x3824036d368c3538, 0xc972d1bf20a19401]),
+    ("hypercube:3 v=25", [0x338202051fc88085, 0x09ae579e0e97b1cf]),
+    ("hypercube:3 v=40", [0xf7a43f6dcb6d086c, 0x39d858fc008ee9f2]),
+    ("hypercube:3 v=60", [0x3324d99047cf7f2d, 0xd439377d38a0ca76]),
+    ("hypercube:3 v=90", [0x8055abfefb9be4c0, 0x47165029b12ab897]),
+    ("chain:4 v=50", [0x500c5612968e08e4, 0xff4409592fd4f718]),
+    ("mesh:2x3 v=50", [0xcd621aad3629766e, 0xd71f062554290e3f]),
+];
+
+const DLS_APN: &[(&str, [u64; 2])] = &[
+    ("hypercube:3 v=12", [0xb610ee869dd098f8, 0x9bc60fd789cae640]),
+    ("hypercube:3 v=25", [0xe2c6b1ffe6b8b384, 0x5c939bd6cb5602a9]),
+    ("hypercube:3 v=40", [0xb1f21149629ed59a, 0x3094ab8bd3c75763]),
+    ("hypercube:3 v=60", [0x21968679f1213b45, 0x4342ef9eba956658]),
+    ("hypercube:3 v=90", [0xb792b62643397023, 0x7c3bd24371f5a3da]),
+    ("chain:4 v=50", [0x7bf5218dc278414f, 0x1602173b87b3f1d9]),
+    ("mesh:2x3 v=50", [0x72ac354bb59fe54f, 0x4ef0d92b2b8e55b9]),
+];
+
+const BU: &[(&str, [u64; 2])] = &[
+    ("hypercube:3 v=12", [0xefa916491b3960ac, 0x89a368c059d731ff]),
+    ("hypercube:3 v=25", [0x1aa5e0ab68f88236, 0x5c4aecccda6aa2f6]),
+    ("hypercube:3 v=40", [0x6afe6ef82d82a50b, 0xdec22849e5fc93c6]),
+    ("hypercube:3 v=60", [0xeae87de00d5b0823, 0xab8096512bdfd161]),
+    ("hypercube:3 v=90", [0x16c2965c96dec09c, 0x25bda13e570c5d5b]),
+    ("chain:4 v=50", [0x2561181542a6526f, 0x77bb1321ff84298c]),
+    ("mesh:2x3 v=50", [0x155c23a8a951bb3a, 0xab549da9eaaf0e59]),
+];
+
+/// The hand-built DSC instance of `dsc_equal_start_tie_matches_table`.
+const DSC_TIE: [u64; 2] = [0xf83f44fca6982d56, 0xff7c47d6a91e01e7];
+
 /// A named set of instances whose digests fold into one table entry.
 type Cell = (String, Vec<(RgnosParams, Env)>);
 
@@ -270,6 +323,30 @@ fn bsa_cells() -> Vec<Cell> {
     cells
 }
 
+/// EZ and LC: the sweep with `seeds` seeds per (size, CCR, parallelism).
+fn unc_cells(seeds: u64) -> Vec<Cell> {
+    sweep(&[12, 25, 40, 60, 90], seeds, &Env::bnp(1))
+}
+
+/// MH, DLS-APN and BU: the sweep on an 8-processor hypercube (the
+/// platform serve_cold serves MH on), plus three v=50 instances on each
+/// of a 4-processor chain and a 2x3 mesh.
+fn apn_cells(seeds: u64) -> Vec<Cell> {
+    let cube = Env::apn(Topology::hypercube(3).unwrap());
+    let mut cells: Vec<Cell> = sweep(&[12, 25, 40, 60, 90], seeds, &cube)
+        .into_iter()
+        .map(|(label, inst)| (format!("hypercube:3 {label}"), inst))
+        .collect();
+    for (name, topo) in [
+        ("chain:4", Topology::chain(4).unwrap()),
+        ("mesh:2x3", Topology::mesh(2, 3).unwrap()),
+    ] {
+        let inst = [(50, 0.1, 1), (50, 1.0, 2), (50, 10.0, 3)];
+        cells.push(spot(&format!("{name} v=50"), &inst, &Env::apn(topo)));
+    }
+    cells
+}
+
 /// Each cell's label, folded digest and instance count under `algo`.
 fn digests(algo: &dyn Scheduler, cells: &[Cell]) -> Vec<(String, [u64; 2], usize)> {
     cells
@@ -308,7 +385,11 @@ fn check(family: &str, cells: Vec<Cell>, instances: usize, table: &[(&str, [u64;
     assert_eq!(total, instances, "{family}: instance count");
     let labels: Vec<&str> = got.iter().map(|c| c.0.as_str()).collect();
     let expected: Vec<&str> = table.iter().map(|c| c.0).collect();
-    assert_eq!(labels, expected, "{family}: cell labels");
+    assert!(
+        labels == expected,
+        "{family}: cell labels {labels:?} != table {expected:?}; recomputed table:\n{}",
+        render(&got)
+    );
     for ((label, d, _), (_, want)) in got.iter().zip(table) {
         assert!(
             d == want,
@@ -378,4 +459,82 @@ fn mcp_append_placements_match_table() {
 #[test]
 fn bsa_placements_and_messages_match_table() {
     check("BSA", bsa_cells(), 9, BSA);
+}
+
+#[test]
+fn ez_placements_match_table() {
+    check("EZ", unc_cells(6), 270, EZ);
+}
+
+#[test]
+fn lc_placements_match_table() {
+    check("LC", unc_cells(45), 2025, LC);
+}
+
+#[test]
+fn mh_placements_and_messages_match_table() {
+    check("MH", apn_cells(20), 906, MH);
+}
+
+#[test]
+fn dls_apn_placements_and_messages_match_table() {
+    check("DLS-APN", apn_cells(8), 366, DLS_APN);
+}
+
+#[test]
+fn bu_placements_and_messages_match_table() {
+    check("BU", apn_cells(20), 906, BU);
+}
+
+/// Every event's name and arguments as words, in emission order.
+fn trace_words(events: &[Event]) -> Vec<u64> {
+    let text = |s: &str| digest_words(s.bytes().map(u64::from))[0];
+    let mut words = Vec::new();
+    for e in events {
+        words.push(text(e.name()));
+        for (key, val) in e.args() {
+            words.push(text(key));
+            words.push(match val {
+                ArgVal::U(x) => x,
+                ArgVal::B(b) => u64::from(b),
+                ArgVal::S(s) => text(s),
+            });
+        }
+    }
+    words
+}
+
+/// DSC on a join whose two parents sit on clusters that give the join
+/// the same start: the equal-start tie between parent clusters picks the
+/// lower cluster id. Such a tie can never move a placement: whichever
+/// cluster is tried, the other parent's message still arrives no earlier
+/// than the join's t-level, so the merge is refused either way. The tie
+/// shows only in the cluster the `MergeRejected` event names, so this
+/// digest folds the traced event stream in after the placements.
+#[test]
+fn dsc_equal_start_tie_matches_table() {
+    let mut b = GraphBuilder::named("equal-start join");
+    let (x, y, j) = (b.add_task(5), b.add_task(5), b.add_task(3));
+    b.add_edge(x, j, 10).unwrap();
+    b.add_edge(y, j, 10).unwrap();
+    let g = b.build().unwrap();
+    let mut sink = MemSink::new();
+    let out = registry::by_name("DSC")
+        .unwrap()
+        .schedule_traced(&g, &Env::bnp(1), &mut sink)
+        .expect("schedules");
+    let got = digest_words(out.digest().into_iter().chain(trace_words(&sink.events)));
+    assert!(
+        got == DSC_TIE,
+        "DSC equal-start tie: digest {} != table {}; events: {:?}",
+        hex(&got),
+        hex(&DSC_TIE),
+        sink.events
+    );
+    let lower = Event::MergeRejected {
+        task: j.0,
+        cluster: 0,
+        dsrw: false,
+    };
+    assert!(sink.events.contains(&lower), "the tie picks cluster 0");
 }
