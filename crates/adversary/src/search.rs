@@ -78,14 +78,10 @@ impl Reference<'_> {
                 if g.num_tasks() > 64 {
                     return None;
                 }
-                // Serial: adversarial cells already run in parallel at the
-                // matrix level, and deterministic node counts keep the
-                // search budget reproducible.
                 let params = OptimalParams {
                     procs: None,
                     node_limit: *node_limit,
-                    heuristic_incumbent: true,
-                    threads: Some(1),
+                    ..OptimalParams::default()
                 };
                 Some(solve(g, &params).length)
             }

@@ -2,7 +2,7 @@
 #![allow(clippy::print_stdout)]
 //! Records the workspace perf baseline into `BENCH_RESULTS.json`.
 //!
-//! Four sections, all deterministic given the seed:
+//! Three sections, all deterministic given the seed:
 //!
 //! 1. **work** — the headline instances of the DSC, MD, DCP and BSA
 //!    hot-path overhauls (paper-scale RGNOS, parallelism 3), each run once
@@ -14,20 +14,17 @@
 //!    one engine repair per placement within [`CONE_NODES_MAX`] cone nodes
 //!    per repair (a rescan touches 2v); BSA commits at most [`MSGS_MAX`]
 //!    messages per trial (a full replay recommits every cross-processor
-//!    message). Single-threaded counters are identical on every host, so
-//!    these gates need no core-count exemption and no retries.
+//!    message). A branch-and-bound row solves the [`BNB`] instances: each
+//!    must prove, within [`BNB_NODES_MAX`] expanded nodes in total.
+//!    Single-threaded counters are identical on every host, so these gates
+//!    need no core-count exemption and no retries.
 //! 2. **runner_scaling** — wall-clock of the same (algorithm × graph)
 //!    sweep through the work-stealing runner with 1 worker vs all cores
 //!    (warmup pass, then median of 3 timed passes per leg); asserts a
 //!    ≥1.5× speedup when the host has ≥4 cores (PR 6's acceptance bar —
 //!    smaller hosts run the determinism check but are exempt and
 //!    flagged).
-//! 3. **bnb_parallel_speedup** — the parallel branch-and-bound against
-//!    its own serial path on proving RGNOS instances (same warmup +
-//!    median-of-3 protocol); asserts makespan equality and both sides
-//!    proven, records the serial node/prune counters, and gates ≥1.5×
-//!    on ≥4 workers (serial fallback exempt; PR 6's second bar).
-//! 4. **paper_sweep_budget** — wall-clock of the full Table-6 replication
+//! 3. **paper_sweep_budget** — wall-clock of the full Table-6 replication
 //!    (all fifteen algorithms, serial, honest per-run timings) under an
 //!    asserted ceiling: the quick CI-sized sweep must stay under
 //!    [`QUICK_SWEEP_BUDGET_S`], and with `TASKBENCH_FULL=1` the
@@ -64,6 +61,17 @@ const CONE_NODES_MAX: f64 = 100.0;
 /// Ceiling on BSA's `apn.msgs_committed / bsa.trials` (427 at v=500, CCR
 /// 0.1; a full replay recommits up to e = 2632 messages per trial).
 const MSGS_MAX: f64 = 1000.0;
+
+/// The `work` branch-and-bound instances, RGNOS `(v, ccr, parallelism,
+/// seed, procs)`; each must prove.
+const BNB: &[(usize, f64, u32, u64, usize)] = &[
+    (22, 0.1, 3, 7, 4),
+    (24, 1.0, 3, 42, 4),
+    (14, 1.0, 4, 7, 4),
+    (16, 1.0, 2, 7, 2),
+];
+/// Ceiling on Σ `nodes_expanded` over [`BNB`] (exactly 515,623 today).
+const BNB_NODES_MAX: u64 = 515_623;
 
 /// One `work` instance: RGNOS `(v, ccr, seed)` at parallelism 3 and the
 /// committed digest of its schedule.
@@ -175,6 +183,49 @@ fn work_section() -> Json {
             rows.push(Json::obj(row));
         }
     }
+    let (mut nodes, mut pruned) = (0u64, 0u64);
+    for &(v, ccr, par, seed, procs) in BNB {
+        let tag = format!("B&B v={v} ccr={ccr} par={par} seed={seed} procs={procs}");
+        let g = rgnos::generate(RgnosParams::new(v, ccr, par, seed));
+        let params = OptimalParams {
+            procs: Some(procs),
+            ..OptimalParams::default()
+        };
+        let before = reg.snapshot();
+        let r = solve(&g, &params);
+        let d = reg.snapshot().since(&before);
+        assert!(r.proven, "{tag}: must prove");
+        println!(
+            "work {tag}: nodes_expanded {} pruned {}",
+            r.nodes_expanded, r.pruned
+        );
+        nodes += r.nodes_expanded;
+        pruned += r.pruned;
+        let mut row = vec![
+            ("algorithm", Json::str("B&B")),
+            ("nodes", Json::Int(v as i64)),
+            ("ccr", Json::Num(ccr)),
+            ("parallelism", Json::Int(par as i64)),
+            ("seed", Json::Int(seed as i64)),
+            ("procs", Json::Int(procs as i64)),
+            ("makespan", Json::Int(r.length as i64)),
+            ("nodes_expanded", Json::Int(r.nodes_expanded as i64)),
+            ("pruned", Json::Int(r.pruned as i64)),
+        ];
+        row.extend(
+            d.nonzero()
+                .into_iter()
+                .map(|(k, n)| (k, Json::Int(n as i64))),
+        );
+        rows.push(Json::obj(row));
+    }
+    println!("work B&B: {nodes} nodes expanded, {pruned} pruned");
+    assert!(
+        nodes <= BNB_NODES_MAX,
+        "B&B: {nodes} nodes expanded > ceiling {BNB_NODES_MAX}"
+    );
+    summary.push(("bnb_nodes_expanded".to_string(), Json::Int(nodes as i64)));
+    summary.push(("bnb_pruned".to_string(), Json::Int(pruned as i64)));
     summary.push(("instances".to_string(), Json::Arr(rows)));
     Json::Obj(summary)
 }
@@ -255,96 +306,6 @@ fn runner_scaling_section() -> Json {
     ])
 }
 
-fn bnb_parallel_speedup_section() -> Json {
-    // Instances curated to *prove* within the node budget on both paths —
-    // a capped search's wall time measures the cap, not the search. Serial
-    // counters are recorded (they are deterministic; parallel counts vary
-    // with steal timing and per-worker duplicate detection).
-    let sweep: &[(usize, f64, u32, u64, usize)] = &[
-        (22, 0.1, 3, 7, 4),
-        (24, 1.0, 3, 42, 4),
-        (14, 1.0, 4, 7, 4),
-        (16, 1.0, 2, 7, 2),
-    ];
-    let cores = dagsched_ws::worker_count();
-    let workers = cores.max(2);
-    let meaningful = cores >= 4;
-    let mut rows = Vec::new();
-    let mut total_serial = 0.0f64;
-    let mut total_parallel = 0.0f64;
-    let mut total_nodes = 0u64;
-    let mut total_pruned = 0u64;
-    for &(v, ccr, gpar, seed, procs) in sweep {
-        let g = rgnos::generate(RgnosParams::new(v, ccr, gpar, seed));
-        let params = |threads: usize| OptimalParams {
-            procs: Some(procs),
-            node_limit: 4_000_000,
-            heuristic_incumbent: true,
-            threads: Some(threads),
-        };
-        let (serial_s, serial) = median_of_3(|| solve(&g, &params(1)));
-        let (parallel_s, parallel) = median_of_3(|| solve(&g, &params(workers)));
-        assert!(
-            serial.proven && parallel.proven,
-            "sweep instance must prove"
-        );
-        assert_eq!(
-            serial.length, parallel.length,
-            "parallel B&B optimum diverged on v={v} ccr={ccr} seed={seed}"
-        );
-        let speedup = serial_s / parallel_s;
-        total_serial += serial_s;
-        total_parallel += parallel_s;
-        total_nodes += serial.nodes_expanded;
-        total_pruned += serial.pruned;
-        println!(
-            "bnb v={v} ccr={ccr} seed={seed} procs={procs}: serial {serial_s:.4}s \
-             ({} nodes) vs {workers} workers {parallel_s:.4}s → {speedup:.1}x",
-            serial.nodes_expanded
-        );
-        rows.push(Json::obj([
-            ("nodes", Json::Int(v as i64)),
-            ("ccr", Json::Num(ccr)),
-            ("seed", Json::Int(seed as i64)),
-            ("procs", Json::Int(procs as i64)),
-            ("serial_s", Json::Num(serial_s)),
-            ("parallel_s", Json::Num(parallel_s)),
-            ("speedup", Json::Num(speedup)),
-            ("length", Json::Int(serial.length as i64)),
-            ("nodes_expanded", Json::Int(serial.nodes_expanded as i64)),
-            ("pruned", Json::Int(serial.pruned as i64)),
-        ]));
-    }
-    let speedup = total_serial / total_parallel;
-    println!(
-        "bnb sweep total: serial {total_serial:.3}s vs {workers} workers \
-         {total_parallel:.3}s → {speedup:.1}x{}",
-        if meaningful {
-            ""
-        } else {
-            " — <4 cores: equivalence check only, speedup bar exempt"
-        }
-    );
-    if meaningful {
-        assert!(
-            speedup >= 1.5,
-            "acceptance bar: parallel branch-and-bound must be ≥1.5x faster than \
-             its serial path on a ≥4-core host, got {speedup:.1}x on {workers} workers"
-        );
-    }
-    Json::obj([
-        ("host_cores", Json::Int(cores as i64)),
-        ("workers", Json::Int(workers as i64)),
-        ("serial_s", Json::Num(total_serial)),
-        ("parallel_s", Json::Num(total_parallel)),
-        ("speedup", Json::Num(speedup)),
-        ("speedup_meaningful", Json::Bool(meaningful)),
-        ("nodes_expanded", Json::Int(total_nodes as i64)),
-        ("pruned", Json::Int(total_pruned as i64)),
-        ("instances", Json::Arr(rows)),
-    ])
-}
-
 fn paper_sweep_budget_section() -> Json {
     let cfg = dagsched_bench::Config::from_env();
     let budget = if cfg.full {
@@ -422,13 +383,11 @@ fn field(j: &Json, key: &str) -> Json {
 fn main() {
     let work = work_section();
     let runner = runner_scaling_section();
-    let bnb = bnb_parallel_speedup_section();
     let sweep = paper_sweep_budget_section();
     let report = Json::obj([
         ("suite", Json::str("rgnos ccr=1.0 par=3")),
         ("work", work.clone()),
         ("runner_scaling", runner.clone()),
-        ("bnb_parallel_speedup", bnb.clone()),
         ("paper_sweep_budget", sweep.clone()),
     ]);
     let path = dagsched_bench::config::bench_out().unwrap_or_else(|| {
@@ -462,9 +421,8 @@ fn main() {
         ("runner_speedup", field(&runner, "speedup")),
         ("runner_workers", field(&runner, "workers")),
         ("runner_cells", field(&runner, "cells")),
-        ("bnb_parallel_speedup", field(&bnb, "speedup")),
-        ("bnb_nodes_expanded", field(&bnb, "nodes_expanded")),
-        ("bnb_pruned", field(&bnb, "pruned")),
+        ("bnb_nodes_expanded", field(&work, "bnb_nodes_expanded")),
+        ("bnb_pruned", field(&work, "bnb_pruned")),
         ("paper_sweep_full", field(&sweep, "full")),
         ("paper_sweep_s", field(&sweep, "elapsed_s")),
     ]);

@@ -76,9 +76,9 @@ impl Config {
 
     /// Branch-and-bound node cap for the RGBOS optimality reference.
     ///
-    /// Raised (quick 400k→1M, full 8M→32M) once the parallel search paid
-    /// for the extra budget: more instances *prove* instead of reporting a
-    /// best-known bound, which tightens the degradation tables.
+    /// Raised (quick 400k→1M, full 8M→32M) so that more instances *prove*
+    /// instead of reporting a best-known bound, which tightens the
+    /// degradation tables; the grid solves its cells concurrently.
     pub fn bnb_node_limit(&self) -> u64 {
         if self.full {
             32_000_000

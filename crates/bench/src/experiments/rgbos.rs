@@ -53,10 +53,7 @@ pub fn run(cfg: &Config, class: AlgoClass) -> Vec<Table> {
             &OptimalParams {
                 procs: None,
                 node_limit: cfg.bnb_node_limit(),
-                heuristic_incumbent: true,
-                // The grid is already parallel across cells; within-cell
-                // serial search keeps the machine exactly subscribed.
-                threads: Some(1),
+                ..OptimalParams::default()
             },
         );
         let env = Env::bnp(cfg.bnp_unlimited_procs(v));
@@ -128,8 +125,7 @@ mod tests {
             &OptimalParams {
                 procs: None,
                 node_limit: 2_000_000,
-                heuristic_incumbent: true,
-                threads: Some(1),
+                ..OptimalParams::default()
             },
         );
         let env = Env::bnp(cfg.bnp_unlimited_procs(12));

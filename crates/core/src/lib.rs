@@ -45,7 +45,7 @@
 //! | MH / DLS-APN | O(r·p·route) with a route `Vec` + an adjacency lookup per hop per probe | — shape, but probes walk precomputed route slices and batch over processors | `Topology` CSR route tables; [`apn`]'s `probe_est_all` kernel |
 //! | BU | O(v·p) assignment + list pass | — | rides the same allocation-free probes |
 //! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; `perf_baseline` `work` gates ≤ 1000 messages committed per trial on the paper-scale APN instance (measured 427, against up to e = 2632 for a full replay) |
-//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | same tree split across workers: depth-≤8 DFS prefixes become stealable jobs on the `dagsched-ws` work-stealing runtime, incumbent shared via one atomic CAS-min, O(v·p + e) replay per stolen prefix | per-worker deques + duplicate sets; `TASKBENCH_THREADS=1` is byte-identical to the old serial search; gated ≥1.5× on ≥4 workers (`perf_baseline` `bnb_parallel_speedup`) |
+//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | — (a work-stealing parallel split of the same tree never beat serial and was removed; parallelism comes from solving independent cells concurrently) | byte-deterministic counters; `tests/placement_digests.rs` pins length, counters and placements on 25 instances; `perf_baseline` `work` requires its 4 instances to prove within 515,623 expanded nodes |
 //!
 //! Substrate changes underneath all of them: adjacency is CSR (flat
 //! offsets + packed `(TaskId, cost)` entries — cache-line sweeps instead of

@@ -27,7 +27,9 @@ pub enum Metric {
     WsStealAttempts,
     /// `ws`: steal sweeps that yielded a job.
     WsStealHits,
-    /// `ws`: idle backoff sleeps (parks).
+    /// `ws`: idle backoff sleeps (parks). The pool no longer parks (a
+    /// worker exits once it finds no work), so this always reads 0; the
+    /// name stays for readers that still print it.
     WsParks,
     /// `ws`: jobs executed across all workers.
     WsJobs,

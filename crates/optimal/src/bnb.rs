@@ -1,49 +1,19 @@
-//! Depth-first branch-and-bound over earliest-start list schedules —
-//! serial, or parallel over the work-stealing substrate (`dagsched-ws`).
+//! Depth-first branch-and-bound over earliest-start list schedules.
 //!
-//! ## Parallel search
-//!
-//! With more than one worker ([`OptimalParams::threads`]), the DFS is run
-//! as a pool of **prefix jobs** on per-worker work-stealing deques: a job
-//! is a sequence of (task, processor) decisions from the root. Executing a
-//! job replays its prefix onto a scratch search state (earliest-start timing
-//! makes the replay deterministic), performs the standard node work
-//! (expansion counting, bound test, duplicate detection), and then either
-//! **splits** — spawning one child job per branch, newest-first so the
-//! owner continues in serial branch order while idle workers steal the
-//! oldest, coarsest branches — or, once the pool is saturated or the
-//! prefix is deep, runs the whole subtree inline with the serial DFS.
-//!
-//! Cross-worker coordination is deliberately thin:
-//!
-//! * the **incumbent length** is an `AtomicU64`, tightened by CAS on every
-//!   improving completion and read (possibly stale) at every prune point —
-//!   sound, because a stale incumbent only *weakens* the bound;
-//! * the **incumbent schedule** lives behind a mutex touched only on
-//!   completions (rare), with ties broken by a canonical placement key
-//!   (processors relabelled in first-task order, placements compared
-//!   lexicographically), not by arrival order;
-//! * **node/prune counters** are relaxed atomics.
-//!
-//! The optimal *length* is exactly the serial search's whenever the search
-//! completes (`proven`). The returned *placements* may be any equal-length
-//! optimum: which equal-length completions are discovered (rather than
-//! pruned by `≥`-incumbent tests) depends on timing, and the canonical key
-//! picks deterministically among the discovered ones. Duplicate-state
-//! detection is per-worker in the parallel search (sound — a duplicate's
-//! subtree is covered by the first visit's spawned jobs), so
-//! `nodes_expanded` may exceed the serial count. `threads = 0 | 1` (or
-//! `TASKBENCH_THREADS=1`) bypasses all of this and runs exactly the serial
-//! search.
+//! The search is serial and byte-deterministic: the same graph and
+//! parameters give the same length, placements and counters on every run
+//! and host, and [`solve_traced`] emits the same event stream. Callers
+//! that want throughput run independent solves in parallel (the RGBOS
+//! table grids and the adversary matrix fan cells out over `dagsched-ws`).
+//! Among equal-length optima the search keeps the one with the smallest
+//! canonical placement key (processors relabelled in first-task order,
+//! placements compared lexicographically).
 
 use dagsched_core::{registry, Env};
 use dagsched_graph::{levels, TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, PruneBound, Sink};
 use dagsched_platform::{ProcId, Schedule};
-use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Search configuration.
 #[derive(Debug, Clone)]
@@ -56,11 +26,8 @@ pub struct OptimalParams {
     pub node_limit: u64,
     /// Seed the incumbent with the best heuristic schedule first.
     pub heuristic_incumbent: bool,
-    /// Search worker threads: `Some(0)` / `Some(1)` = the serial search,
-    /// `Some(n)` = n work-stealing workers, `None` = the workspace policy
-    /// ([`dagsched_ws::worker_count`]: `TASKBENCH_THREADS`, else all
-    /// cores). Callers that already parallelize *across* solves (the RGBOS
-    /// table grids, the adversary matrix) pin this to `Some(1)`.
+    /// Ignored: the search is serial. Kept so that existing struct
+    /// literals still compile; nothing in this workspace sets it.
     pub threads: Option<usize>,
 }
 
@@ -84,9 +51,7 @@ pub struct OptimalResult {
     pub schedule: Schedule,
     /// Whether the search space was exhausted (the length is optimal).
     pub proven: bool,
-    /// Search nodes expanded. Deterministic for the serial search; the
-    /// parallel search may expand more (per-worker duplicate detection)
-    /// and varies with steal timing.
+    /// Search nodes expanded (deterministic).
     pub nodes_expanded: u64,
     /// States cut by a lower-bound test or duplicate-state detection
     /// (always `pruned_bound + pruned_duplicate`).
@@ -97,21 +62,8 @@ pub struct OptimalResult {
     pub pruned_duplicate: u64,
 }
 
-/// How deep a prefix may still split into child jobs (beyond this, the
-/// subtree runs inline — replay cost and job bookkeeping would outweigh
-/// the balancing benefit on ≤64-task instances).
-const MAX_SPLIT_DEPTH: usize = 8;
-/// Stop splitting while this many jobs per worker are already pending;
-/// splitting resumes automatically as the pool drains.
-const SPLIT_SATURATION: usize = 16;
-
-// ---------------------------------------------------------------------------
-// Search state (shared by the serial and parallel drivers)
-// ---------------------------------------------------------------------------
-
 /// The undo-based DFS state: one partial schedule plus the derived arrays
 /// needed for earliest-start timing, bounding and duplicate detection.
-#[derive(Clone)]
 struct State<'g> {
     g: &'g TaskGraph,
     procs: usize,
@@ -308,19 +260,20 @@ impl<'g> State<'g> {
         for (rank, &p) in order.iter().enumerate() {
             canon[p] = rank as u8;
         }
-        // FNV-1a over (task, canon proc, start) triples + the mask.
+        // FNV-1a over one (task, canon proc) word and one start word per
+        // scheduled task. Starts get a word of their own: packed next to
+        // the processor, a start ≥ 2³² would alias it.
         let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
         let mut h2: u64 = 0x9e37_79b9_7f4a_7c15;
-        let fold = |h: &mut u64, x: u64, prime: u64| {
-            *h ^= x;
-            *h = h.wrapping_mul(prime);
+        let mut fold = |x: u64| {
+            h1 = (h1 ^ x).wrapping_mul(0x0000_0100_0000_01B3);
+            h2 = (h2 ^ x).wrapping_mul(0xff51_afd7_ed55_8ccd);
         };
         for t in self.g.tasks() {
             if self.scheduled[t.index()] {
                 let p = canon[self.proc_of[t.index()] as usize] as u64;
-                let key = (t.0 as u64) << 40 | p << 32 | self.current[t.index()].1;
-                fold(&mut h1, key, 0x0000_0100_0000_01B3);
-                fold(&mut h2, key, 0xff51_afd7_ed55_8ccd);
+                fold((t.0 as u64) << 8 | p);
+                fold(self.current[t.index()].1);
             }
         }
         (h1 as u128) << 64 | h2 as u128
@@ -346,181 +299,69 @@ fn canon_key(placements: &[(ProcId, u64)], procs: usize) -> Vec<(u8, u64)> {
     key
 }
 
-// ---------------------------------------------------------------------------
-// Search control: incumbent + counters, one thread vs shared
-// ---------------------------------------------------------------------------
+/// The incumbent and the search counters: the best complete schedule
+/// found so far, its canonical key, and how the node budget was spent.
+struct Search {
+    best_len: u64,
+    best: Vec<(ProcId, u64)>,
+    /// `None` = the incumbent's key is unknown/absent (treated as +∞).
+    best_key: Option<Vec<(u8, u64)>>,
+    nodes: u64,
+    pruned_bound: u64,
+    pruned_duplicate: u64,
+    node_limit: u64,
+    capped: bool,
+}
 
-/// What the DFS needs from its surroundings: the incumbent bound, a sink
-/// for completions, and expansion/prune accounting. One implementation is
-/// thread-local (serial search), one is shared atomics (parallel search).
-trait Ctl {
-    /// Current incumbent length (parallel: possibly stale — only ever
-    /// *larger* than the true incumbent, which weakens pruning soundly).
-    fn bound(&self) -> u64;
+impl Search {
     /// Report a complete schedule; keeps it if it improves the incumbent
     /// (shorter, or equal with a smaller canonical placement key).
-    fn offer(&self, len: u64, placements: &[(ProcId, u64)], procs: usize);
-    /// Count one expansion. `false` = node budget exhausted; the search is
-    /// capped and must stop.
-    fn note_expanded(&self) -> bool;
-    /// Count one pruned state, by which bound cut it.
-    fn note_pruned(&self, bound: PruneBound);
-    /// Whether the search has been capped (checked between branches).
-    fn stopped(&self) -> bool;
-}
-
-struct SerialCtl {
-    best_len: Cell<u64>,
-    best: RefCell<Vec<(ProcId, u64)>>,
-    /// `None` = the incumbent's key is unknown/absent (treated as +∞).
-    best_key: RefCell<Option<Vec<(u8, u64)>>>,
-    nodes: Cell<u64>,
-    pruned_bound: Cell<u64>,
-    pruned_duplicate: Cell<u64>,
-    node_limit: u64,
-    capped: Cell<bool>,
-}
-
-impl Ctl for SerialCtl {
-    fn bound(&self) -> u64 {
-        self.best_len.get()
-    }
-
-    fn offer(&self, len: u64, placements: &[(ProcId, u64)], procs: usize) {
-        let cur = self.best_len.get();
-        if len > cur {
+    fn offer(&mut self, len: u64, placements: &[(ProcId, u64)], procs: usize) {
+        if len > self.best_len {
             return;
         }
         let key = canon_key(placements, procs);
-        let better = len < cur
-            || match &*self.best_key.borrow() {
+        let better = len < self.best_len
+            || match &self.best_key {
                 None => true,
                 Some(k) => key < *k,
             };
         if better {
-            self.best_len.set(len);
-            self.best.borrow_mut().copy_from_slice(placements);
-            *self.best_key.borrow_mut() = Some(key);
+            self.best_len = len;
+            self.best.copy_from_slice(placements);
+            self.best_key = Some(key);
         }
     }
 
-    fn note_expanded(&self) -> bool {
-        if self.nodes.get() >= self.node_limit {
-            self.capped.set(true);
+    /// Count one expansion. `false` = node budget exhausted; the search is
+    /// capped and must stop.
+    fn note_expanded(&mut self) -> bool {
+        if self.nodes >= self.node_limit {
+            self.capped = true;
             return false;
         }
-        self.nodes.set(self.nodes.get() + 1);
+        self.nodes += 1;
         true
     }
 
-    fn note_pruned(&self, bound: PruneBound) {
-        let cell = match bound {
-            PruneBound::LowerBound => &self.pruned_bound,
-            PruneBound::Duplicate => &self.pruned_duplicate,
-        };
-        cell.set(cell.get() + 1);
-    }
-
-    fn stopped(&self) -> bool {
-        self.capped.get()
+    /// Count one pruned state, by which bound cut it.
+    fn note_pruned(&mut self, bound: PruneBound) {
+        match bound {
+            PruneBound::LowerBound => self.pruned_bound += 1,
+            PruneBound::Duplicate => self.pruned_duplicate += 1,
+        }
     }
 }
 
-struct BestSlot {
-    len: u64,
-    key: Option<Vec<(u8, u64)>>,
-    placements: Vec<(ProcId, u64)>,
-}
-
-struct SharedCtl {
-    /// The prune bound. The mutexed [`BestSlot`] is the authority for the
-    /// returned schedule; this atomic is its monotone length mirror.
-    best_len: AtomicU64,
-    best: Mutex<BestSlot>,
-    nodes: AtomicU64,
-    pruned_bound: AtomicU64,
-    pruned_duplicate: AtomicU64,
-    node_limit: u64,
-    capped: AtomicBool,
-}
-
-impl Ctl for SharedCtl {
-    fn bound(&self) -> u64 {
-        self.best_len.load(Ordering::Acquire)
-    }
-
-    fn offer(&self, len: u64, placements: &[(ProcId, u64)], procs: usize) {
-        // CAS-tighten the bound first so other workers prune ASAP.
-        let mut cur = self.best_len.load(Ordering::Acquire);
-        while len < cur {
-            match self
-                .best_len
-                .compare_exchange_weak(cur, len, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        if len > self.best_len.load(Ordering::Acquire) {
-            return;
-        }
-        let key = canon_key(placements, procs);
-        let mut slot = self.best.lock().unwrap();
-        let better = len < slot.len
-            || (len == slot.len
-                && match &slot.key {
-                    None => true,
-                    Some(k) => key < *k,
-                });
-        if better {
-            slot.len = len;
-            slot.placements.copy_from_slice(placements);
-            slot.key = Some(key);
-        }
-    }
-
-    fn note_expanded(&self) -> bool {
-        // relaxed-ok: capped is a stop hint — a late observer only expands
-        // a few extra nodes; correctness of the incumbent never depends on
-        // seeing it promptly, and the final flag is read after join.
-        if self.capped.load(Ordering::Relaxed) {
-            return false;
-        }
-        // relaxed-ok: node budget tally; fetch_add uniqueness is all the
-        // cap check needs, and exact totals are read after join.
-        let prev = self.nodes.fetch_add(1, Ordering::Relaxed);
-        if prev >= self.node_limit {
-            // relaxed-ok: same budget-tally contract as the fetch_add.
-            self.nodes.fetch_sub(1, Ordering::Relaxed);
-            // relaxed-ok: same stop-hint contract as the load above.
-            self.capped.store(true, Ordering::Relaxed);
-            return false;
-        }
-        true
-    }
-
-    fn note_pruned(&self, bound: PruneBound) {
-        let ctr = match bound {
-            PruneBound::LowerBound => &self.pruned_bound,
-            PruneBound::Duplicate => &self.pruned_duplicate,
-        };
-        // relaxed-ok: prune statistics only; read after workers join.
-        ctr.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn stopped(&self) -> bool {
-        // relaxed-ok: same stop-hint contract as note_expanded().
-        self.capped.load(Ordering::Relaxed)
-    }
-}
-
-/// The depth-first search, generic over serial/shared control and over the
-/// trace sink (`NullSink` monomorphizes the event emissions away — the
-/// parallel search always passes it). Expansion order, bound tests and
-/// duplicate detection are byte-for-byte the pre-parallel algorithm; only
-/// the incumbent plumbing is abstracted.
-fn dfs<C: Ctl, S: Sink>(state: &mut State<'_>, seen: &mut HashSet<u128>, ctl: &C, sink: &mut S) {
-    if !ctl.note_expanded() {
+/// The depth-first search, generic over the trace sink (`NullSink`
+/// monomorphizes the event emissions away).
+fn dfs<S: Sink>(
+    state: &mut State<'_>,
+    seen: &mut HashSet<u128>,
+    search: &mut Search,
+    sink: &mut S,
+) {
+    if !search.note_expanded() {
         return;
     }
     emit!(
@@ -530,11 +371,11 @@ fn dfs<C: Ctl, S: Sink>(state: &mut State<'_>, seen: &mut HashSet<u128>, ctl: &C
         }
     );
     if state.complete() {
-        ctl.offer(state.makespan, &state.current, state.procs);
+        search.offer(state.makespan, &state.current, state.procs);
         return;
     }
-    if state.lower_bound() >= ctl.bound() {
-        ctl.note_pruned(PruneBound::LowerBound);
+    if state.lower_bound() >= search.best_len {
+        search.note_pruned(PruneBound::LowerBound);
         emit!(
             sink,
             Event::BnbPruned {
@@ -545,7 +386,7 @@ fn dfs<C: Ctl, S: Sink>(state: &mut State<'_>, seen: &mut HashSet<u128>, ctl: &C
         return;
     }
     if !seen.insert(state.signature()) {
-        ctl.note_pruned(PruneBound::Duplicate);
+        search.note_pruned(PruneBound::Duplicate);
         emit!(
             sink,
             Event::BnbPruned {
@@ -557,176 +398,31 @@ fn dfs<C: Ctl, S: Sink>(state: &mut State<'_>, seen: &mut HashSet<u128>, ctl: &C
     }
     for (n, start, pi) in state.ordered_moves() {
         state.apply(n, ProcId(pi), start);
-        dfs(state, seen, ctl, sink);
+        dfs(state, seen, search, sink);
         state.undo(n, ProcId(pi), start);
-        if ctl.stopped() {
+        if search.capped {
             return;
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Drivers
-// ---------------------------------------------------------------------------
-
-/// A stealable subproblem: the decision prefix from the root. Replaying it
-/// with earliest-start timing reconstructs the node deterministically.
-struct Job {
-    prefix: Vec<(TaskId, u32)>,
-}
-
-fn parallel_search(
-    g: &TaskGraph,
-    procs: usize,
-    node_limit: u64,
-    workers: usize,
-    incumbent_len: u64,
-    incumbent: Vec<(ProcId, u64)>,
-) -> (u64, Vec<(ProcId, u64)>, bool, u64, u64, u64) {
-    let base = State::new(g, procs);
-    let shared = SharedCtl {
-        best_len: AtomicU64::new(incumbent_len),
-        best: Mutex::new(BestSlot {
-            len: incumbent_len,
-            key: (incumbent_len != u64::MAX).then(|| canon_key(&incumbent, procs)),
-            placements: incumbent,
-        }),
-        nodes: AtomicU64::new(0),
-        pruned_bound: AtomicU64::new(0),
-        pruned_duplicate: AtomicU64::new(0),
-        node_limit,
-        capped: AtomicBool::new(false),
-    };
-
-    struct WorkerAcc<'g> {
-        state: State<'g>,
-        seen: HashSet<u128>,
-    }
-
-    let shared_ref = &shared;
-    let base_ref = &base;
-    dagsched_ws::run_jobs(
-        workers,
-        vec![Job { prefix: Vec::new() }],
-        |_| WorkerAcc {
-            state: base_ref.clone(),
-            seen: HashSet::new(),
-        },
-        |acc: &mut WorkerAcc<'_>, job: Job, ctx| {
-            if shared_ref.stopped() {
-                return; // capped: drain remaining jobs without searching
-            }
-            // Replay the prefix onto the scratch state.
-            acc.state.clone_from(base_ref);
-            for &(n, pi) in &job.prefix {
-                let start = acc.state.est(n, ProcId(pi));
-                acc.state.apply(n, ProcId(pi), start);
-            }
-            // Standard node work, in the serial order of checks.
-            if !shared_ref.note_expanded() {
-                return;
-            }
-            if acc.state.complete() {
-                shared_ref.offer(acc.state.makespan, &acc.state.current, procs);
-                return;
-            }
-            if acc.state.lower_bound() >= shared_ref.bound() {
-                shared_ref.note_pruned(PruneBound::LowerBound);
-                return;
-            }
-            if !acc.seen.insert(acc.state.signature()) {
-                shared_ref.note_pruned(PruneBound::Duplicate);
-                return;
-            }
-            let split =
-                job.prefix.len() < MAX_SPLIT_DEPTH && ctx.pending() < SPLIT_SATURATION * workers;
-            if split {
-                // Spawn newest-first: the owner's LIFO pop walks branches in
-                // serial order while thieves steal the oldest (first) branch.
-                for (n, _start, pi) in acc.state.ordered_moves().into_iter().rev() {
-                    let mut prefix = Vec::with_capacity(job.prefix.len() + 1);
-                    prefix.extend_from_slice(&job.prefix);
-                    prefix.push((n, pi));
-                    ctx.spawn(Job { prefix });
-                }
-            } else {
-                // Saturated: run the whole subtree inline.
-                for (n, start, pi) in acc.state.ordered_moves() {
-                    acc.state.apply(n, ProcId(pi), start);
-                    dfs(&mut acc.state, &mut acc.seen, shared_ref, &mut NullSink);
-                    acc.state.undo(n, ProcId(pi), start);
-                    if shared_ref.stopped() {
-                        return;
-                    }
-                }
-            }
-        },
-    );
-
-    let slot = shared.best.into_inner().unwrap();
-    (
-        slot.len,
-        slot.placements,
-        !shared.capped.into_inner(),
-        shared.nodes.into_inner(),
-        shared.pruned_bound.into_inner(),
-        shared.pruned_duplicate.into_inner(),
-    )
-}
-
-fn serial_search<S: Sink>(
-    g: &TaskGraph,
-    procs: usize,
-    node_limit: u64,
-    incumbent_len: u64,
-    incumbent: Vec<(ProcId, u64)>,
-    sink: &mut S,
-) -> (u64, Vec<(ProcId, u64)>, bool, u64, u64, u64) {
-    let ctl = SerialCtl {
-        best_len: Cell::new(incumbent_len),
-        best_key: RefCell::new((incumbent_len != u64::MAX).then(|| canon_key(&incumbent, procs))),
-        best: RefCell::new(incumbent),
-        nodes: Cell::new(0),
-        pruned_bound: Cell::new(0),
-        pruned_duplicate: Cell::new(0),
-        node_limit,
-        capped: Cell::new(false),
-    };
-    let mut state = State::new(g, procs);
-    let mut seen = HashSet::new();
-    dfs(&mut state, &mut seen, &ctl, sink);
-    (
-        ctl.best_len.get(),
-        ctl.best.into_inner(),
-        !ctl.capped.get(),
-        ctl.nodes.get(),
-        ctl.pruned_bound.get(),
-        ctl.pruned_duplicate.get(),
-    )
-}
-
 /// Find an optimal (or best-within-limits) schedule of `g`.
 ///
-/// Panics if the graph has more than 64 tasks — the RGBOS family tops out
-/// at 32 and the state signature uses a 64-bit task mask.
+/// Panics if the graph has more than 64 tasks: the RGBOS family tops out
+/// at 32, and the search is exponential well before that size.
 pub fn solve(g: &TaskGraph, params: &OptimalParams) -> OptimalResult {
     solve_with(g, params, &mut NullSink)
 }
 
-/// [`solve`] with a trace sink: every serial expansion and prune is emitted
-/// as [`Event::BnbExpanded`] / [`Event::BnbPruned`]. Forces the serial
-/// search (`threads = 1`) — the event stream is a deterministic depth-first
-/// narrative, which the parallel search cannot provide.
+/// [`solve`] with a trace sink: every expansion and prune is emitted as
+/// [`Event::BnbExpanded`] / [`Event::BnbPruned`], a deterministic
+/// depth-first narrative of the search.
 pub fn solve_traced(
     g: &TaskGraph,
     params: &OptimalParams,
     mut sink: &mut dyn Sink,
 ) -> OptimalResult {
-    let serial = OptimalParams {
-        threads: Some(1),
-        ..params.clone()
-    };
-    solve_with(g, &serial, &mut sink)
+    solve_with(g, params, &mut sink)
 }
 
 fn solve_with<S: Sink>(g: &TaskGraph, params: &OptimalParams, sink: &mut S) -> OptimalResult {
@@ -762,42 +458,48 @@ fn solve_with<S: Sink>(g: &TaskGraph, params: &OptimalParams, sink: &mut S) -> O
         }
     }
 
-    let workers = match params.threads {
-        Some(n) => n.max(1),
-        None => dagsched_ws::worker_count(),
+    let mut search = Search {
+        best_len,
+        best_key: (best_len != u64::MAX).then(|| canon_key(&best, procs)),
+        best,
+        nodes: 0,
+        pruned_bound: 0,
+        pruned_duplicate: 0,
+        node_limit: params.node_limit,
+        capped: false,
     };
-    let (length, placements, proven, nodes_expanded, pruned_bound, pruned_duplicate) =
-        if workers <= 1 {
-            serial_search(g, procs, params.node_limit, best_len, best, sink)
-        } else {
-            parallel_search(g, procs, params.node_limit, workers, best_len, best)
-        };
+    dfs(
+        &mut State::new(g, procs),
+        &mut HashSet::new(),
+        &mut search,
+        sink,
+    );
 
     // Flush the search totals to the global observability registry.
     {
         use dagsched_obs::Metric;
         let reg = dagsched_obs::global();
-        reg.add(Metric::BnbExpanded, nodes_expanded);
-        reg.add(Metric::BnbPrunedBound, pruned_bound);
-        reg.add(Metric::BnbPrunedDuplicate, pruned_duplicate);
+        reg.add(Metric::BnbExpanded, search.nodes);
+        reg.add(Metric::BnbPrunedBound, search.pruned_bound);
+        reg.add(Metric::BnbPrunedDuplicate, search.pruned_duplicate);
     }
 
     let mut schedule = Schedule::new(v, procs);
     for n in g.tasks() {
-        let (p, st) = placements[n.index()];
+        let (p, st) = search.best[n.index()];
         schedule
             .place(n, p, st, g.weight(n))
             .expect("incumbent is feasible");
     }
     debug_assert!(schedule.validate(g).is_ok());
     OptimalResult {
-        length,
+        length: search.best_len,
         schedule,
-        proven,
-        nodes_expanded,
-        pruned: pruned_bound + pruned_duplicate,
-        pruned_bound,
-        pruned_duplicate,
+        proven: !search.capped,
+        nodes_expanded: search.nodes,
+        pruned: search.pruned_bound + search.pruned_duplicate,
+        pruned_bound: search.pruned_bound,
+        pruned_duplicate: search.pruned_duplicate,
     }
 }
 
@@ -809,7 +511,6 @@ mod tests {
     fn params(procs: usize) -> OptimalParams {
         OptimalParams {
             procs: Some(procs),
-            threads: Some(1),
             ..OptimalParams::default()
         }
     }
@@ -896,8 +597,7 @@ mod tests {
         let p = OptimalParams {
             procs: Some(4),
             node_limit: 10,
-            heuristic_incumbent: true,
-            threads: Some(1),
+            ..OptimalParams::default()
         };
         let r = solve(&g, &p);
         assert!(!r.proven);
@@ -912,13 +612,7 @@ mod tests {
             b.add_task(3);
         }
         let g = b.build().unwrap();
-        let r = solve(
-            &g,
-            &OptimalParams {
-                threads: Some(1),
-                ..OptimalParams::default()
-            },
-        );
+        let r = solve(&g, &OptimalParams::default());
         assert!(r.proven);
         assert_eq!(r.length, 3);
     }
@@ -937,24 +631,15 @@ mod tests {
 
     #[test]
     fn prune_breakdown_sums_to_total() {
-        // The per-bound split must partition the old aggregate exactly —
-        // serial and parallel alike — and the trace-sink events must agree
-        // with the serial counters one for one.
+        // The per-bound split must partition the old aggregate exactly,
+        // and the trace-sink events must agree with the counters one for
+        // one.
         for seed in [5u64, 9, 42] {
             let g = crate::exhaustive::tests::random_small(11, seed);
             let r = solve(&g, &params(3));
             assert!(r.proven);
             assert_eq!(r.pruned, r.pruned_bound + r.pruned_duplicate, "{seed}");
             assert!(r.pruned_bound > 0, "seed {seed} never hit the bound?");
-            let par = solve(
-                &g,
-                &OptimalParams {
-                    procs: Some(3),
-                    threads: Some(4),
-                    ..OptimalParams::default()
-                },
-            );
-            assert_eq!(par.pruned, par.pruned_bound + par.pruned_duplicate);
 
             let mut sink = dagsched_obs::MemSink::default();
             let traced = solve_traced(&g, &params(3), &mut sink);
@@ -977,44 +662,5 @@ mod tests {
             assert_eq!(by_bound, r.pruned_bound, "seed {seed}");
             assert_eq!(by_dup, r.pruned_duplicate, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn parallel_matches_serial_optimum() {
-        for seed in [3u64, 9, 42] {
-            let g = crate::exhaustive::tests::random_small(12, seed);
-            let serial = solve(&g, &params(3));
-            let par = solve(
-                &g,
-                &OptimalParams {
-                    procs: Some(3),
-                    threads: Some(4),
-                    ..OptimalParams::default()
-                },
-            );
-            assert!(serial.proven && par.proven);
-            assert_eq!(serial.length, par.length, "seed {seed}");
-            assert!(par.schedule.validate(&g).is_ok());
-            assert!(par.nodes_expanded > 0);
-        }
-    }
-
-    #[test]
-    fn threads_zero_is_explicit_serial() {
-        // Some(0) and Some(1) both take the serial path — byte-identical
-        // counters prove it.
-        let g = crate::exhaustive::tests::random_small(10, 5);
-        let one = solve(&g, &params(3));
-        let zero = solve(
-            &g,
-            &OptimalParams {
-                procs: Some(3),
-                threads: Some(0),
-                ..OptimalParams::default()
-            },
-        );
-        assert_eq!(one.length, zero.length);
-        assert_eq!(one.nodes_expanded, zero.nodes_expanded);
-        assert_eq!(one.pruned, zero.pruned);
     }
 }

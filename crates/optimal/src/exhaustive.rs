@@ -119,10 +119,36 @@ pub mod tests {
         b.build().unwrap()
     }
 
+    /// Starts of 2³² and more. A duplicate-state signature that packs
+    /// (task, processor, start) into one word lets a start's high bits
+    /// alias the processor field: two different partial schedules then
+    /// look alike, and one is wrongly pruned as a duplicate.
+    fn starts_beyond_32_bits() -> TaskGraph {
+        let big = 1u64 << 32;
+        let mut b = GraphBuilder::new();
+        let n: Vec<_> = [big, 3, 2, 3, 1, big + 2]
+            .into_iter()
+            .map(|w| b.add_task(w))
+            .collect();
+        for (s, d, c) in [
+            (0, 2, 0),
+            (1, 3, 0),
+            (1, 5, big + 2),
+            (2, 3, 6),
+            (2, 5, 6),
+            (4, 5, 5),
+        ] {
+            b.add_edge(n[s], n[d], c).unwrap();
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn oracle_matches_bnb_on_small_random_graphs() {
-        for seed in 0..8u64 {
-            let g = random_small(7, seed);
+        let graphs = (0..8u64)
+            .map(|seed| (format!("seed {seed}"), random_small(7, seed)))
+            .chain([("starts ≥ 2³²".to_string(), starts_beyond_32_bits())]);
+        for (name, g) in graphs {
             for procs in [1usize, 2, 3] {
                 let oracle = min_makespan(&g, procs);
                 let r = solve(
@@ -130,12 +156,11 @@ pub mod tests {
                     &OptimalParams {
                         procs: Some(procs),
                         node_limit: 50_000_000,
-                        heuristic_incumbent: true,
-                        threads: Some(1),
+                        ..OptimalParams::default()
                     },
                 );
-                assert!(r.proven, "seed {seed} procs {procs} not proven");
-                assert_eq!(r.length, oracle, "seed {seed} procs {procs}");
+                assert!(r.proven, "{name} procs {procs} not proven");
+                assert_eq!(r.length, oracle, "{name} procs {procs}");
             }
         }
     }

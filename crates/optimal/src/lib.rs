@@ -5,9 +5,9 @@
 //! *percentage degradation from the optimal solution*; the authors obtained
 //! the optima with a (parallel) A* search \[23\]. This crate provides the
 //! equivalent: a depth-first branch-and-bound over the space of list
-//! schedules, run serially or — like the paper's reference solver — in
-//! parallel across work-stealing workers (see [`bnb`]'s module docs for
-//! the split/steal design and its determinism contract).
+//! schedules. The search itself is serial and byte-deterministic; the
+//! experiment grids get their parallelism by solving independent cells
+//! concurrently (see [`bnb`]'s module docs).
 //!
 //! ## Search space and completeness
 //!
@@ -31,25 +31,19 @@
 //!   lowest-indexed empty processor may be opened.
 //! * **Duplicate detection** — states reached by permuted decision orders
 //!   collapse via a 128-bit signature over the canonical (processor-
-//!   relabelled) partial schedule. Hash collisions (< 2⁻¹⁰⁰ for any
+//!   relabelled) partial schedule: one `(task, processor)` word and one
+//!   full 64-bit start word per scheduled task, so no start time, however
+//!   large, can alias a processor. Hash collisions (< 2⁻¹⁰⁰ for any
 //!   realistic search) are the only source of unsoundness and are treated
 //!   as impossible.
 //!
-//! ## Cost model and parallel split
+//! ## Cost model
 //!
 //! The search tree is exponential in the worst case; per node the work is
 //! O(p) for the earliest-start probe plus O(v + e) amortized for bound
-//! maintenance. The parallel path ([`OptimalParams::threads`] ≠ 1) splits
-//! shallow DFS prefixes (depth ≤ 8) into stealable jobs on the
-//! work-stealing runtime (`dagsched-ws`, the same one the experiment
-//! sweeps use); replaying a stolen prefix costs O(v·p + e), negligible
-//! against its subtree. The incumbent *length* crosses workers through a single
-//! CAS-min `AtomicU64` — a stale read only weakens a prune bound, never
-//! soundness — so the proven optimum is thread-count independent, and the
-//! returned placements are tie-broken by a canonical placement key rather
-//! than discovery order. `TASKBENCH_THREADS=1` (or `threads: Some(1)`) is
-//! byte-identical to the pre-parallel serial search, node counters
-//! included.
+//! maintenance. Equal-length optima are tie-broken by a canonical
+//! placement key rather than discovery order, and the node counters are
+//! identical on every run and host.
 //!
 //! Searches are capped by node count; [`OptimalResult::proven`] reports
 //! whether the space was exhausted, [`OptimalResult::nodes_expanded`] and

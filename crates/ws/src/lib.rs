@@ -1,17 +1,18 @@
 #![forbid(unsafe_code)]
 //! # dagsched-ws — the work-stealing execution substrate
 //!
-//! One runtime, two consumers: the experiment harness's order-preserving
-//! [`parallel_map_with`] (every sweep in `dagsched-bench` funnels through
-//! it) and the parallel branch-and-bound in `dagsched-optimal` (workers own
-//! subproblem deques and split DFS-frontier prefixes into stealable jobs).
+//! One client: the order-preserving [`parallel_map_with`] (and
+//! [`parallel_map`] on [`worker_count`] workers). Every parallel sweep in
+//! the workspace funnels through it — the experiment runner, the RGBOS /
+//! RGPOS / figure grids and the adversary matrix. The serve daemon reads
+//! its default worker count from [`worker_count`] too.
 //!
 //! ## Design
 //!
 //! The runtime is the classic work-stealing shape — per-worker deques with
-//! LIFO owner pop and FIFO steal (Chase–Lev discipline: the owner works
-//! depth-first on its freshest jobs while thieves take the oldest, coarsest
-//! ones) — built on `std` only:
+//! LIFO owner pop and FIFO steal (Chase–Lev discipline: the owner works on
+//! its freshest jobs while thieves take the oldest ones) — built on `std`
+//! only:
 //!
 //! * [`WsDeque`] — one double-ended job queue per worker. The owner pushes
 //!   and pops at the bottom; thieves steal from the top. Rather than the
@@ -19,33 +20,30 @@
 //!   structure, the buffer is lock-guarded with an **atomic length hint**:
 //!   thieves scan victims and skip empty deques without touching any lock,
 //!   so the only contended path is a genuine steal — rare by construction,
-//!   and the jobs both consumers enqueue are orders of magnitude coarser
-//!   than a lock handoff. The safe fallback is deliberate: this workspace
-//!   carries no `unsafe`, and nothing here is hot enough to warrant it.
-//! * [`run_jobs`] — spawns a scoped worker pool over a set of seed jobs.
-//!   Jobs may spawn further jobs onto the executing worker's own deque
-//!   ([`Ctx::spawn`]); an atomic count of unfinished jobs provides
-//!   termination detection. Idle workers steal from **randomized victims**
-//!   (per-worker xorshift, no global coordination) and back off
-//!   exponentially — spin, then yield, then parking naps capped at ~1 ms —
-//!   when the whole system looks empty. A panic in any job aborts the pool
-//!   promptly (poison flag checked between jobs) and propagates after the
-//!   scope joins, exactly like `std::thread::scope`.
+//!   and a map item (a whole scheduling cell) is orders of magnitude
+//!   coarser than a lock handoff. The safe fallback is deliberate: this
+//!   workspace carries no `unsafe`, and nothing here is hot enough to
+//!   warrant it.
+//! * [`parallel_map_with`] deals every item to the worker deques before
+//!   the workers start, and no item creates another. A worker drains its
+//!   own deque, then steals from **randomized victims** (per-worker
+//!   xorshift, no global coordination); once its deque and one full victim
+//!   sweep are empty, nothing can appear later, so it exits.
+//!   A panic in any item stops the pool promptly (poison flag checked
+//!   between items) and propagates after the scope joins, exactly like
+//!   `std::thread::scope`.
 //!
 //! ## Determinism contract
 //!
-//! Work stealing makes *who computes what* nondeterministic; both consumers
-//! recover determinism at the edges. [`parallel_map_with`] tags every item
-//! with its input index and scatters worker-local results back into input
-//! order, so the fold order observed by callers is byte-identical across
-//! runs and thread counts. The branch-and-bound reduces through
-//! order-insensitive monotone operations (CAS-min incumbent, canonical-key
-//! tie-break). Nothing in this crate ever reorders caller-visible results.
+//! Work stealing makes *who computes what* nondeterministic.
+//! [`parallel_map_with`] recovers determinism at the edge: it tags every
+//! item with its input index and scatters worker-local results back into
+//! input order, so the fold order observed by callers is byte-identical
+//! across runs and thread counts.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Worker-count policy
@@ -158,45 +156,8 @@ impl<T> WsDeque<T> {
 // The pool
 // ---------------------------------------------------------------------------
 
-struct Shared<J> {
-    deques: Vec<WsDeque<J>>,
-    /// Jobs enqueued or currently executing. A job counts until its handler
-    /// returns, so children it spawns are visible before it stops counting —
-    /// `pending == 0` therefore really means "nothing left anywhere".
-    pending: AtomicUsize,
-    /// Poison flag: set when a job panics so idle workers stop waiting for
-    /// a `pending` that will never drain.
-    poisoned: AtomicBool,
-}
-
-/// Handle through which an executing job interacts with the pool.
-pub struct Ctx<'a, J> {
-    shared: &'a Shared<J>,
-    worker: usize,
-}
-
-impl<J> Ctx<'_, J> {
-    /// Index of the worker executing the current job (`0..workers`).
-    pub fn worker(&self) -> usize {
-        self.worker
-    }
-
-    /// Enqueue a child job on the executing worker's own deque. The owner
-    /// will pop spawned jobs LIFO; idle workers may steal them FIFO.
-    pub fn spawn(&self, job: J) {
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        self.shared.deques[self.worker].push(job);
-    }
-
-    /// Racy count of jobs enqueued or executing pool-wide. Lets splitting
-    /// consumers stop subdividing once the system is saturated.
-    pub fn pending(&self) -> usize {
-        self.shared.pending.load(Ordering::Acquire)
-    }
-}
-
-/// Disarmable guard: if a handler panics (unwinds past the guard), poison
-/// the pool so every worker bails out instead of spinning forever.
+/// Disarmable guard: if an item panics (unwinds past the guard), poison
+/// the pool so every other worker stops taking items.
 struct PanicGuard<'a> {
     poisoned: &'a AtomicBool,
     armed: bool,
@@ -218,7 +179,6 @@ struct WorkerTallies {
     jobs: u64,
     steal_attempts: u64,
     steal_hits: u64,
-    parks: u64,
 }
 
 impl WorkerTallies {
@@ -228,7 +188,6 @@ impl WorkerTallies {
         reg.add(Metric::WsJobs, self.jobs);
         reg.add(Metric::WsStealAttempts, self.steal_attempts);
         reg.add(Metric::WsStealHits, self.steal_hits);
-        reg.add(Metric::WsParks, self.parks);
     }
 }
 
@@ -244,145 +203,6 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// Execute `seed_jobs` (and everything they [`spawn`](Ctx::spawn)) on
-/// `workers` scoped threads, each folding into its own accumulator.
-///
-/// * `init(w)` builds worker `w`'s accumulator (scratch state, local
-///   results, dedup caches — whatever the consumer folds into);
-/// * `handler(acc, job, ctx)` executes one job;
-/// * the return value is every worker's accumulator, indexed by worker.
-///
-/// Seed jobs are dealt round-robin across the worker deques. Each worker
-/// drains its own deque LIFO and turns thief when empty, stealing FIFO from
-/// randomized victims with exponential backoff parking between failed
-/// sweeps. The pool returns when every job (including spawned descendants)
-/// has executed. A panic in any handler propagates to the caller after all
-/// workers have stopped; every job is executed at most once, and exactly
-/// once when no panic occurs.
-///
-/// `workers == 1` degenerates to an inline serial drain on the calling
-/// thread — no threads are spawned, so single-threaded callers pay nothing.
-pub fn run_jobs<J, A, I, F>(workers: usize, seed_jobs: Vec<J>, init: I, handler: F) -> Vec<A>
-where
-    J: Send,
-    A: Send,
-    I: Fn(usize) -> A + Sync,
-    F: Fn(&mut A, J, &Ctx<J>) + Sync,
-{
-    let workers = workers.max(1);
-    let shared = Shared {
-        deques: (0..workers).map(|_| WsDeque::new()).collect(),
-        pending: AtomicUsize::new(seed_jobs.len()),
-        poisoned: AtomicBool::new(false),
-    };
-    for (i, job) in seed_jobs.into_iter().enumerate() {
-        shared.deques[i % workers].push(job);
-    }
-
-    if workers == 1 {
-        // Serial drain, no threads: identical job order to a lone worker.
-        let mut acc = init(0);
-        let ctx = Ctx {
-            shared: &shared,
-            worker: 0,
-        };
-        let mut tallies = WorkerTallies::default();
-        while let Some(job) = shared.deques[0].pop() {
-            handler(&mut acc, job, &ctx);
-            tallies.jobs += 1;
-            shared.pending.fetch_sub(1, Ordering::AcqRel);
-        }
-        tallies.flush();
-        return vec![acc];
-    }
-
-    let shared = &shared;
-    let init = &init;
-    let handler = &handler;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut acc = init(w);
-                    let ctx = Ctx { shared, worker: w };
-                    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((w as u64 + 1) << 17);
-                    let mut idle_sweeps = 0u32;
-                    let mut tallies = WorkerTallies::default();
-                    loop {
-                        if shared.poisoned.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let mut stole = false;
-                        let job = shared.deques[w].pop().or_else(|| {
-                            // One randomized sweep over the other deques.
-                            tallies.steal_attempts += 1;
-                            let start = (xorshift(&mut rng) as usize) % workers;
-                            let found = (0..workers)
-                                .map(|i| (start + i) % workers)
-                                .filter(|&v| v != w)
-                                .find_map(|v| shared.deques[v].steal());
-                            stole = found.is_some();
-                            found
-                        });
-                        match job {
-                            Some(job) => {
-                                idle_sweeps = 0;
-                                tallies.jobs += 1;
-                                if stole {
-                                    tallies.steal_hits += 1;
-                                }
-                                let mut guard = PanicGuard {
-                                    poisoned: &shared.poisoned,
-                                    armed: true,
-                                };
-                                handler(&mut acc, job, &ctx);
-                                guard.armed = false;
-                                drop(guard);
-                                shared.pending.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            None => {
-                                if shared.pending.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                // Exponential backoff: spin briefly (work may
-                                // appear any instant), then yield, then park in
-                                // growing naps capped at ~1 ms so a straggler
-                                // holding the last job doesn't burn the CPU.
-                                idle_sweeps += 1;
-                                if idle_sweeps <= 4 {
-                                    std::hint::spin_loop();
-                                } else if idle_sweeps <= 8 {
-                                    std::thread::yield_now();
-                                } else {
-                                    let exp = (idle_sweeps - 8).min(10);
-                                    tallies.parks += 1;
-                                    std::thread::sleep(Duration::from_micros(1 << exp));
-                                }
-                            }
-                        }
-                    }
-                    tallies.flush();
-                    acc
-                })
-            })
-            .collect();
-        // Join everyone before propagating, so a panic can't leave workers
-        // racing the unwinding stack frame.
-        let mut accs = Vec::with_capacity(workers);
-        let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            match h.join() {
-                Ok(acc) => accs.push(acc),
-                Err(p) => panic_payload = Some(p),
-            }
-        }
-        if let Some(p) = panic_payload {
-            std::panic::resume_unwind(p);
-        }
-        accs
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Order-preserving map
 // ---------------------------------------------------------------------------
@@ -393,7 +213,9 @@ where
 /// accumulates `(index, result)` pairs locally, and the pairs are scattered
 /// back into input positions after the pool joins — so the fold order any
 /// caller observes is byte-identical across runs and thread counts. A panic
-/// in `f` propagates after the pool stops.
+/// in `f` stops the other workers at their next item and propagates after
+/// all of them have joined. One worker (or at most one item) maps inline
+/// on the calling thread.
 pub fn parallel_map_with<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -405,13 +227,67 @@ where
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let jobs: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let per_worker = run_jobs(
-        workers,
-        jobs,
-        |_| Vec::new(),
-        |acc: &mut Vec<(usize, R)>, (i, item), _ctx| acc.push((i, f(item))),
-    );
+    // Every item is dealt before the workers start and none creates
+    // another, so a worker whose own deque and one full victim sweep both
+    // come up empty is done: no work can appear later.
+    let deques: Vec<WsDeque<(usize, T)>> = (0..workers).map(|_| WsDeque::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        deques[i % workers].push((i, item));
+    }
+    let poisoned = AtomicBool::new(false);
+    let (deques, poisoned, f) = (&deques, &poisoned, &f);
+    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((w as u64 + 1) << 17);
+                    let mut tallies = WorkerTallies::default();
+                    while !poisoned.load(Ordering::Acquire) {
+                        let mut stole = false;
+                        let job = deques[w].pop().or_else(|| {
+                            // One randomized sweep over the other deques.
+                            tallies.steal_attempts += 1;
+                            let start = (xorshift(&mut rng) as usize) % workers;
+                            let found = (0..workers)
+                                .map(|i| (start + i) % workers)
+                                .filter(|&v| v != w)
+                                .find_map(|v| deques[v].steal());
+                            stole = found.is_some();
+                            found
+                        });
+                        let Some((i, item)) = job else { break };
+                        tallies.jobs += 1;
+                        if stole {
+                            tallies.steal_hits += 1;
+                        }
+                        let mut guard = PanicGuard {
+                            poisoned,
+                            armed: true,
+                        };
+                        out.push((i, f(item)));
+                        guard.armed = false;
+                    }
+                    tallies.flush();
+                    out
+                })
+            })
+            .collect();
+        // Join everyone before propagating, so a panic can't leave workers
+        // racing the unwinding stack frame.
+        let mut outs = Vec::with_capacity(workers);
+        let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
+        for h in handles {
+            match h.join() {
+                Ok(out) => outs.push(out),
+                Err(p) => panic_payload = Some(p),
+            }
+        }
+        if let Some(p) = panic_payload {
+            std::panic::resume_unwind(p);
+        }
+        outs
+    });
     let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
     for (i, r) in per_worker.into_iter().flatten() {
         debug_assert!(out[i].is_none(), "index {i} computed twice");
@@ -435,7 +311,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn parse_workers_policy() {
@@ -492,63 +367,13 @@ mod tests {
     }
 
     #[test]
-    fn spawned_jobs_all_execute() {
-        // Each seed job k spawns children k-1, k-2, ..., 0; total executed
-        // jobs must be the full recursion count, on 1 and 4 workers alike.
-        let count = |workers: usize| {
-            let executed = AtomicU64::new(0);
-            run_jobs(
-                workers,
-                vec![6u32, 5, 4],
-                |_| (),
-                |_, job, ctx| {
-                    // relaxed-ok: test tally; run_jobs joins its workers
-                    // before returning, so the load below is exact.
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    for child in 0..job {
-                        ctx.spawn(child);
-                    }
-                },
-            );
-            // relaxed-ok: read after run_jobs joined all workers.
-            executed.load(Ordering::Relaxed)
-        };
-        let serial = count(1);
-        // TASKBENCH_STRESS amplifies worker count for sanitizer runs.
-        assert_eq!(serial, count(4 * dagsched_obs::env::stress_factor()));
-        // 6,5,4 with f(k) = 1 + sum f(0..k): f(0)=1 f(1)=2 f(2)=4 f(3)=8 → 2^k
-        assert_eq!(serial, (1u64 << 6) + (1 << 5) + (1 << 4));
-    }
-
-    #[test]
-    fn accumulators_come_back_per_worker() {
-        let accs = run_jobs(
-            3,
-            (0..30u32).collect(),
-            |w| (w, 0u32),
-            |acc: &mut (usize, u32), job, _| acc.1 += job,
-        );
-        assert_eq!(accs.len(), 3);
-        let total: u32 = accs.iter().map(|(_, s)| s).sum();
-        assert_eq!(total, (0..30).sum::<u32>());
-        for (i, (w, _)) in accs.iter().enumerate() {
-            assert_eq!(i, *w, "accumulators indexed by worker");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "job 13 exploded")]
     fn panics_propagate_without_hanging() {
-        run_jobs(
-            4,
-            (0..64u32).collect(),
-            |_| (),
-            |_, job, _| {
-                if job == 13 {
-                    panic!("job 13 exploded");
-                }
-            },
-        );
+        parallel_map_with(4, (0..64u32).collect(), |job| {
+            if job == 13 {
+                panic!("job 13 exploded");
+            }
+        });
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //!    interleaving while spawned stealer threads hammer `steal`
 //!    concurrently; afterwards, the union of everything popped, stolen and
 //!    left in the deque must be exactly the pushed multiset (nothing lost,
-//!    nothing duplicated). The same property is checked end-to-end for
-//!    [`run_jobs`]: every seed job and every spawned descendant executes
-//!    exactly once, on any worker count.
+//!    nothing duplicated). End to end, `parallel_map_with` must equal
+//!    serial iteration for any worker and item count.
 
-use dagsched_ws::{parallel_map_with, run_jobs, WsDeque};
+use dagsched_ws::{parallel_map_with, WsDeque};
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// One scripted op: `kind % 3` → 0 = push (next fresh value), 1 = pop,
@@ -100,41 +99,6 @@ proptest! {
         all.sort_unstable();
         let expect: Vec<u64> = (0..pushed).collect();
         prop_assert_eq!(all, expect, "every pushed item taken exactly once");
-    }
-
-    // Layer 2b: run_jobs executes every job exactly once, spawned
-    // descendants included, regardless of worker count.
-    #[test]
-    fn run_jobs_executes_every_job_exactly_once(
-        seeds in proptest::collection::vec(0u32..5, 1..=12),
-        workers in 1usize..=4,
-    ) {
-        // Job = depth budget. Each job spawns `depth` children with budget
-        // depth-1, so the tree size is deterministic: f(0)=1, f(d)=1+d·f(d-1).
-        let executed = AtomicU64::new(0);
-        run_jobs(
-            workers,
-            seeds.clone(),
-            |_| (),
-            |_, depth, ctx| {
-                // relaxed-ok: test tally; run_jobs joins its workers before
-                // returning, so the assertion load below is exact.
-                executed.fetch_add(1, Ordering::Relaxed);
-                for _ in 0..depth {
-                    ctx.spawn(depth - 1);
-                }
-            },
-        );
-        let expect: u64 = seeds.iter().map(|&d| {
-            // f(0)=1, f(d) = 1 + d·f(d-1)
-            let mut f = 1u64;
-            for k in 1..=d as u64 {
-                f = 1 + k * f;
-            }
-            f
-        }).sum();
-        // relaxed-ok: read after run_jobs joined all workers.
-        prop_assert_eq!(executed.load(Ordering::Relaxed), expect);
     }
 
     // The order-preserving map is equivalent to serial iteration for any

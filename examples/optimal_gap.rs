@@ -38,8 +38,7 @@ fn main() {
         &OptimalParams {
             procs: None,
             node_limit: 10_000_000,
-            heuristic_incumbent: true,
-            threads: Some(1),
+            ..OptimalParams::default()
         },
     );
     println!(

@@ -526,18 +526,18 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
         return Err(format!("{path}: no records"));
     }
 
-    // Short header per column; `-` marks metrics the record lacks (older
-    // records predate the work columns). Values render with two decimals.
-    let cols: [(&str, &str); 6] = [
-        ("heap/task", "dsc_heap_ops_per_task_v5000"),
-        ("md-cone/rep", "md_cone_nodes_per_repair_v2000"),
-        ("dcp-cone/rep", "dcp_cone_nodes_per_repair_v2000"),
-        ("msgs/trial", "bsa_msgs_per_trial_v500_ccr01"),
-        ("runner", "runner_speedup"),
-        ("bnb-par", "bnb_parallel_speedup"),
+    // Short header, key and decimals per column; `-` marks metrics the
+    // record lacks (older records predate the work columns).
+    let cols: [(&str, &str, usize); 6] = [
+        ("heap/task", "dsc_heap_ops_per_task_v5000", 2),
+        ("md-cone/rep", "md_cone_nodes_per_repair_v2000", 2),
+        ("dcp-cone/rep", "dcp_cone_nodes_per_repair_v2000", 2),
+        ("msgs/trial", "bsa_msgs_per_trial_v500_ccr01", 2),
+        ("runner", "runner_speedup", 2),
+        ("bnb-nodes", "bnb_nodes_expanded", 0),
     ];
     let mut out = format!("{:<13} {:<11}", "sha", "date");
-    for (hdr, _) in &cols {
+    for (hdr, _, _) in &cols {
         out.push_str(&format!(" {hdr:>8}"));
     }
     out.push('\n');
@@ -547,10 +547,10 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
             _ => "?".into(),
         };
         out.push_str(&format!("{:<13} {:<11}", s("sha"), s("date")));
-        for (hdr, key) in &cols {
+        for (hdr, key, prec) in &cols {
             let w = hdr.len().max(8);
             match rec.get(key).and_then(Json::as_f64) {
-                Some(x) => out.push_str(&format!(" {x:>w$.2}")),
+                Some(x) => out.push_str(&format!(" {x:>w$.prec$}")),
                 None => out.push_str(&format!(" {:>w$}", "-")),
             }
         }
@@ -559,8 +559,9 @@ fn cmd_bench_history(args: &[String]) -> Result<(), String> {
     emit(&out);
     note(&format!(
         "{} records from {path}; work columns are DSC heap ops per task, MD/DCP \
-         cone nodes per repair and BSA messages per trial; runner and bnb-par \
-         are speedup ratios",
+         cone nodes per repair and BSA messages per trial; runner is a speedup \
+         ratio; bnb-nodes is the branch-and-bound nodes expanded on the work \
+         instances",
         records.len()
     ));
     Ok(())

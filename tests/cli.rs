@@ -252,19 +252,19 @@ fn bench_history_renders_and_rejects_malformed_records() {
     assert_eq!(table.lines().count(), records + 1, "{table}");
     // Rows are whitespace-separated; `words` normalizes the alignment.
     let words = |line: &str| line.split_whitespace().collect::<Vec<_>>().join(" ");
-    let header = "sha date heap/task md-cone/rep dcp-cone/rep msgs/trial runner bnb-par";
+    let header = "sha date heap/task md-cone/rep dcp-cone/rep msgs/trial runner bnb-nodes";
     assert_eq!(words(table.lines().next().unwrap()), header, "{table}");
 
     // A record is flat: a metric no earlier record carried needs no
     // schema bump, so the good first line below renders on its own.
     let dir = std::env::temp_dir().join(format!("taskbench-history-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let good = r#"{"sha":"abc123","date":"2026-01-01","dsc_heap_ops_per_task_v5000":5.99,"new_metric":3,"flag":true}"#;
+    let good = r#"{"sha":"abc123","date":"2026-01-01","dsc_heap_ops_per_task_v5000":5.99,"bnb_nodes_expanded":515623,"new_metric":3,"flag":true}"#;
     let path = dir.join("good.jsonl");
     std::fs::write(&path, format!("{good}\n")).unwrap();
     let (ok, table, stderr) = taskbench(&["bench-history", path.to_str().unwrap()]);
     assert!(ok, "{stderr}");
-    let row = "abc123 2026-01-01 5.99 - - - - -";
+    let row = "abc123 2026-01-01 5.99 - - - - 515623";
     assert_eq!(words(table.lines().nth(1).unwrap()), row, "{table}");
 
     // Malformed records fail with a `path:line:` error naming the fault.

@@ -17,8 +17,7 @@ fn bnb_lower_bounds_every_heuristic_on_rgbos() {
             &OptimalParams {
                 procs: None,
                 node_limit: 50_000_000,
-                heuristic_incumbent: true,
-                threads: Some(1),
+                ..OptimalParams::default()
             },
         );
         assert!(
@@ -52,8 +51,7 @@ fn bnb_respects_ccr_difficulty() {
         &OptimalParams {
             procs: None,
             node_limit: 3_000_000,
-            heuristic_incumbent: true,
-            threads: Some(1),
+            ..OptimalParams::default()
         },
     );
     assert!(opt_light.proven);
@@ -112,8 +110,7 @@ fn bnb_on_rgpos_small_instance_confirms_construction() {
         &OptimalParams {
             procs: Some(inst.procs),
             node_limit: 5_000_000,
-            heuristic_incumbent: true,
-            threads: Some(1),
+            ..OptimalParams::default()
         },
     );
     assert!(opt.proven);

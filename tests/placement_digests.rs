@@ -10,6 +10,10 @@
 //! live schedulers' digests before those implementations were retired.
 //! The EZ, LC, MH, DLS-APN and BU tables were generated from the live
 //! schedulers before any engine work on them, so that work starts pinned.
+//! The branch-and-bound table pins the serial search's length, proof,
+//! node and prune counters and placements; it was generated while a
+//! parallel search still existed beside it, and held unchanged through
+//! that search's removal.
 //! Any intentional algorithm change must update its table *and* say why
 //! in the commit; a failing cell prints the recomputed table for its
 //! family.
@@ -214,6 +218,44 @@ const BU: &[(&str, [u64; 2])] = &[
     ("mesh:2x3 v=50", [0x155c23a8a951bb3a, 0xab549da9eaaf0e59]),
 ];
 
+/// One branch-and-bound instance, RGNOS `(v, ccr, parallelism, seed,
+/// procs)`, and its digest.
+type BnbRow = (usize, f64, u32, u64, usize, [u64; 2]);
+
+/// Serial branch-and-bound on instances that all prove within a million
+/// expanded nodes (from ~200 to ~165k each), across sizes 10–24, CCR
+/// 0.1–10 and 2 or 4 processors; they include the four instances of
+/// `perf_baseline`'s `work` B&B row. Each digest folds the length, proof
+/// flag, `nodes_expanded`, `pruned_bound`, `pruned_duplicate` and every
+/// task's `(proc, start)`.
+const BNB: &[BnbRow] = &[
+    (10, 1.0, 3, 7, 4, [0xef470bd11a66e31d, 0x832664a4128d3746]),
+    (10, 1.0, 3, 42, 2, [0xe30e074ed634a72a, 0xd008cf5f62eceed4]),
+    (10, 1.0, 4, 7, 4, [0x812ffa501fa6834c, 0xfa02f26e5fddc3ce]),
+    (12, 0.1, 3, 42, 2, [0x87017a84e7732a7c, 0x4c7fb40153b0fe1b]),
+    (12, 1.0, 4, 7, 2, [0x43e36023924af70c, 0x6ee7b967a77b1a76]),
+    (12, 10.0, 3, 7, 2, [0x43e36023924af70c, 0x6ee7b967a77b1a76]),
+    (14, 0.1, 2, 42, 2, [0x2a4d09eac79fcf41, 0x04e837a14fe2a4c3]),
+    (14, 1.0, 3, 42, 2, [0x76eee6490b2dd6cf, 0xa7e11c3a3a0da892]),
+    (14, 0.1, 2, 7, 2, [0x20cc54e839f6ebf9, 0x1f637e041defd6ea]),
+    (14, 1.0, 2, 7, 2, [0x159ab4b731399838, 0x09f33f343d2e3fdc]),
+    (14, 1.0, 4, 7, 4, [0xa75a9382f0eb150f, 0xbc9da1f0dfa80df9]),
+    (16, 0.1, 2, 7, 2, [0xe2b33ab15728257f, 0xb30aaf8d82cacfbd]),
+    (16, 0.1, 3, 7, 2, [0x234db81e190ea815, 0xd15a67ab0f0d73b0]),
+    (16, 1.0, 2, 7, 2, [0x91c3f90a010b6863, 0x5095801c61ec223f]),
+    (16, 1.0, 4, 42, 2, [0x8e6fa24bc9691b20, 0xb91cbe72792eb4f3]),
+    (18, 0.1, 4, 7, 2, [0x477654b5e141222c, 0x4e7dda6ac762995e]),
+    (18, 1.0, 3, 7, 2, [0x9baddb38ccc8bf29, 0x81d3b9771706ba61]),
+    (20, 1.0, 4, 42, 2, [0xe2f161e4208df4e9, 0xfa69d1477b4d5ea4]),
+    (20, 0.1, 2, 7, 2, [0xe902987b5e4074e0, 0x02f3117c621db010]),
+    (22, 0.1, 3, 7, 4, [0xd1348bac7e2249b8, 0xb18294191db9114a]),
+    (22, 10.0, 4, 7, 4, [0xd1348bac7e2249b8, 0xb18294191db9114a]),
+    (24, 0.1, 2, 42, 2, [0x0e12d39b8636c0c5, 0xaac7ec50ae690ec0]),
+    (24, 1.0, 3, 7, 4, [0x35c350ca4486c7d1, 0x97284caff5639884]),
+    (24, 1.0, 3, 42, 4, [0xb1bcaad5f09a54a5, 0x3db756027424a4a0]),
+    (24, 10.0, 4, 42, 4, [0xb1bcaad5f09a54a5, 0x3db756027424a4a0]),
+];
+
 /// The hand-built DSC instance of `dsc_equal_start_tie_matches_table`.
 const DSC_TIE: [u64; 2] = [0xf83f44fca6982d56, 0xff7c47d6a91e01e7];
 
@@ -345,6 +387,29 @@ fn apn_cells(seeds: u64) -> Vec<Cell> {
         cells.push(spot(&format!("{name} v=50"), &inst, &Env::apn(topo)));
     }
     cells
+}
+
+/// The digest of one `BNB` row's solve.
+fn bnb_digest(v: usize, ccr: f64, par: u32, seed: u64, procs: usize) -> [u64; 2] {
+    let g = rgnos::generate(RgnosParams::new(v, ccr, par, seed));
+    let params = OptimalParams {
+        procs: Some(procs),
+        node_limit: 1_000_000,
+        ..OptimalParams::default()
+    };
+    let r = solve(&g, &params);
+    let mut words = vec![
+        r.length,
+        u64::from(r.proven),
+        r.nodes_expanded,
+        r.pruned_bound,
+        r.pruned_duplicate,
+    ];
+    for n in g.tasks() {
+        let pl = r.schedule.placement(n).expect("complete");
+        words.extend([u64::from(pl.proc.0), pl.start]);
+    }
+    digest_words(words)
 }
 
 /// Each cell's label, folded digest and instance count under `algo`.
@@ -484,6 +549,25 @@ fn dls_apn_placements_and_messages_match_table() {
 #[test]
 fn bu_placements_and_messages_match_table() {
     check("BU", apn_cells(20), 906, BU);
+}
+
+#[test]
+fn bnb_search_matches_table() {
+    let (mut wrong, mut recomputed) = (Vec::new(), String::new());
+    for &(v, ccr, par, seed, procs, want) in BNB {
+        let d = bnb_digest(v, ccr, par, seed, procs);
+        recomputed.push_str(&format!(
+            "    ({v}, {ccr:?}, {par}, {seed}, {procs}, {}),\n",
+            hex(&d)
+        ));
+        if d != want {
+            wrong.push(format!("v={v} ccr={ccr} par={par} seed={seed} p={procs}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "B&B: search digest differs on {wrong:?}; recomputed table:\n{recomputed}"
+    );
 }
 
 /// Every event's name and arguments as words, in emission order.

@@ -32,8 +32,7 @@ proptest! {
         let r = solve(&g, &OptimalParams {
             procs: Some(3),
             node_limit: 200_000,
-            heuristic_incumbent: true,
-            threads: Some(1),
+            ..OptimalParams::default()
         });
         prop_assert!(r.schedule.validate(&g).is_ok());
         if r.proven {
@@ -67,8 +66,7 @@ proptest! {
             solve(&g, &OptimalParams {
                 procs: Some(p),
                 node_limit: 150_000,
-                heuristic_incumbent: true,
-                threads: Some(1),
+                ..OptimalParams::default()
             })
         };
         let r2 = solve_p(2);
