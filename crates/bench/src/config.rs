@@ -5,18 +5,6 @@
 //! `env-discipline` keeps every other file from reading the environment
 //! directly, so each knob has exactly one parse and one default.
 
-/// Output path for the perf-baseline JSON artifact
-/// (`TASKBENCH_BENCH_OUT`), if set.
-pub fn bench_out() -> Option<std::path::PathBuf> {
-    std::env::var_os("TASKBENCH_BENCH_OUT").map(std::path::PathBuf::from)
-}
-
-/// Append-target for the perf trend history JSONL
-/// (`TASKBENCH_BENCH_HISTORY`), if set.
-pub fn bench_history() -> Option<std::path::PathBuf> {
-    std::env::var_os("TASKBENCH_BENCH_HISTORY").map(std::path::PathBuf::from)
-}
-
 /// Output directory override for adversary-matrix archives
 /// (`TASKBENCH_ADV_DIR`), if set.
 pub fn adversary_dir() -> Option<std::path::PathBuf> {

@@ -1,32 +1,24 @@
-//! Machine-readable benchmark reports (`BENCH_RESULTS.json`).
+//! The strict JSON parser behind perfbench's contract check.
 //!
 //! Serde is unavailable offline, so this is a tiny hand-rolled JSON value
-//! tree with a serializer and a strict parser — enough for flat metric
-//! records. The `perf_baseline` binary writes the workspace's
-//! `BENCH_RESULTS.json` with it, and `taskbench bench-history` reads the
-//! `BENCH_HISTORY.jsonl` trend file back through [`Json::parse`], so the
-//! perf trajectory is tracked from the first baseline onward.
-
-use std::fmt::Write as _;
+//! tree and a strict parser for it. The `perfbench` self-test reads
+//! `BENCHMARK.json` through [`Json::parse`] and [`Json::get`], so a
+//! malformed contract fails loudly instead of being half-read.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Bool(bool),
-    /// Finite floats only; NaN/inf would produce invalid JSON and panic.
+    /// A number written with `.`, `e` or `E`.
     Num(f64),
     Int(i64),
     Str(String),
     Arr(Vec<Json>),
-    /// Insertion-ordered (deterministic output).
+    /// Fields in document order.
     Obj(Vec<(String, Json)>),
 }
 
 impl Json {
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
     /// Look up a field of a [`Json::Obj`] by key.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -35,19 +27,10 @@ impl Json {
         }
     }
 
-    /// The numeric value of an [`Json::Int`] or [`Json::Num`].
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            Json::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// Parse one complete JSON document. Strict: trailing input (other
-    /// than whitespace), trailing commas, and bare tokens are errors. A
-    /// number without `.`/`e` parses as [`Json::Int`], otherwise
-    /// [`Json::Num`] — the inverse of the serializer.
+    /// than whitespace), trailing commas, `null` and bare tokens are
+    /// errors. A number without `.`/`e` parses as [`Json::Int`], otherwise
+    /// [`Json::Num`].
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
@@ -57,122 +40,6 @@ impl Json {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
-    }
-
-    pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    /// Serialize with 2-space indentation (diff-friendly when committed).
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    /// Serialize onto a single line (for JSONL trend files).
-    pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Bool(_) | Json::Num(_) | Json::Int(_) | Json::Str(_) => self.write(out, 0),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out, 0);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(x) => {
-                assert!(x.is_finite(), "non-finite number in JSON report");
-                let _ = write!(out, "{x}");
-            }
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\n{}", "  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                }
-                let _ = write!(out, "\n{}]", "  ".repeat(indent));
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\n{}", "  ".repeat(indent + 1));
-                    Json::Str(k.clone()).write(out, indent + 1);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                let _ = write!(out, "\n{}}}", "  ".repeat(indent));
-            }
-        }
     }
 }
 
@@ -350,26 +217,18 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_round_trips_the_serializer() {
-        let j = Json::obj([
-            ("sha", Json::str("abc\"12\\3")),
-            ("speedup", Json::Num(6.5)),
-            ("neg", Json::Int(-3)),
-            ("sizes", Json::Arr(vec![Json::Int(200), Json::Int(1000)])),
-            ("ok", Json::Bool(true)),
-            ("empty", Json::Arr(vec![])),
-            ("nested", Json::obj([("tab", Json::str("a\tb\n"))])),
-        ]);
-        assert_eq!(Json::parse(&j.compact()).unwrap(), j);
-        assert_eq!(Json::parse(&j.pretty()).unwrap(), j);
+    fn s(text: &str) -> Json {
+        Json::Str(text.to_string())
     }
 
     #[test]
     fn parse_distinguishes_int_from_float() {
         assert_eq!(Json::parse("42").unwrap(), Json::Int(42));
+        assert_eq!(Json::parse("-3").unwrap(), Json::Int(-3));
         assert_eq!(Json::parse("42.0").unwrap(), Json::Num(42.0));
+        assert_eq!(Json::parse("6.5").unwrap(), Json::Num(6.5));
         assert_eq!(Json::parse("-1e2").unwrap(), Json::Num(-100.0));
+        assert_eq!(Json::parse("2E1").unwrap(), Json::Num(20.0));
     }
 
     #[test]
@@ -383,61 +242,77 @@ mod tests {
             "tru",
             "null",
             "\"unterminated",
+            "\"bad \\q escape\"",
+            "\"raw \n newline\"",
             "{\"a\":1} trailing",
             "{1:2}",
             "1 2",
+            "99999999999999999999",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn get_and_as_f64_accessors() {
-        let j = Json::parse(r#"{"a":1,"b":2.5,"c":"x"}"#).unwrap();
-        assert_eq!(j.get("a").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(j.get("b").and_then(Json::as_f64), Some(2.5));
-        assert_eq!(j.get("c").and_then(Json::as_f64), None);
-        assert_eq!(j.get("c"), Some(&Json::str("x")));
-        assert_eq!(j.get("missing"), None);
-    }
-
-    #[test]
-    fn serializes_nested_structures() {
-        let j = Json::obj([
-            ("name", Json::str("dsc")),
-            ("speedup", Json::Num(6.5)),
-            ("sizes", Json::Arr(vec![Json::Int(200), Json::Int(1000)])),
-            ("ok", Json::Bool(true)),
-        ]);
-        let s = j.pretty();
-        assert!(s.contains("\"name\": \"dsc\""));
-        assert!(s.contains("\"speedup\": 6.5"));
-        assert!(s.contains("200"));
-        assert!(s.ends_with("}\n"));
+        // Whitespace is the only trailing input allowed.
+        assert_eq!(Json::parse(" 1 \n\t").unwrap(), Json::Int(1));
     }
 
     #[test]
     fn escapes_strings() {
-        assert_eq!(Json::str("a\"b\\c\n").pretty(), "\"a\\\"b\\\\c\\n\"\n");
+        assert_eq!(
+            Json::parse(r#""a\"b\\c\/d\n\t\r\b\f\u0001é""#).unwrap(),
+            s("a\"b\\c/d\n\t\r\u{8}\u{c}\u{1}é")
+        );
     }
 
     #[test]
     fn empty_collections() {
-        assert_eq!(Json::Arr(vec![]).pretty(), "[]\n");
-        assert_eq!(Json::Obj(vec![]).pretty(), "{}\n");
+        assert_eq!(Json::parse("[]").unwrap(), Json::Arr(vec![]));
+        assert_eq!(Json::parse("{ }").unwrap(), Json::Obj(vec![]));
+        assert_eq!(
+            Json::parse("[[], {}]").unwrap(),
+            Json::Arr(vec![Json::Arr(vec![]), Json::Obj(vec![])])
+        );
     }
 
     #[test]
-    fn compact_is_single_line() {
-        let j = Json::obj([
-            ("sha", Json::str("abc123")),
-            ("speedup", Json::Num(6.5)),
-            ("sizes", Json::Arr(vec![Json::Int(200), Json::Int(1000)])),
-        ]);
+    fn parses_nested_structures() {
+        let j = Json::parse(
+            r#" {"sha": "abc", "sizes": [200, 1000], "ok": true,
+                 "nested": {"tab": "a\tb", "list": [{"x": false}, 6.5]}} "#,
+        )
+        .unwrap();
         assert_eq!(
-            j.compact(),
-            r#"{"sha":"abc123","speedup":6.5,"sizes":[200,1000]}"#
+            j,
+            Json::Obj(vec![
+                ("sha".into(), s("abc")),
+                (
+                    "sizes".into(),
+                    Json::Arr(vec![Json::Int(200), Json::Int(1000)])
+                ),
+                ("ok".into(), Json::Bool(true)),
+                (
+                    "nested".into(),
+                    Json::Obj(vec![
+                        ("tab".into(), s("a\tb")),
+                        (
+                            "list".into(),
+                            Json::Arr(vec![
+                                Json::Obj(vec![("x".into(), Json::Bool(false))]),
+                                Json::Num(6.5),
+                            ]),
+                        ),
+                    ]),
+                ),
+            ])
         );
-        assert!(!j.compact().contains('\n'));
+    }
+
+    #[test]
+    fn get_accessor() {
+        let j = Json::parse(r#"{"a":1,"b":2.5,"c":"x"}"#).unwrap();
+        assert_eq!(j.get("a"), Some(&Json::Int(1)));
+        assert_eq!(j.get("b"), Some(&Json::Num(2.5)));
+        assert_eq!(j.get("c"), Some(&s("x")));
+        assert_eq!(j.get("missing"), None);
+        assert_eq!(Json::Int(1).get("a"), None, "only objects have fields");
     }
 }

@@ -48,7 +48,8 @@
 //! clone, a fresh network/schedule and per-hop allocations per candidate.
 //! On the paper-scale instance (500-node CCR 0.1 RGNOS on the 8-processor
 //! hypercube) a trial commits ~427 messages where a full replay recommits
-//! up to e = 2632; `perf_baseline`'s `work` section gates that count.
+//! up to e = 2632; the workspace's `tests/work_ceilings.rs` gates that
+//! count.
 
 use dagsched_graph::{levels, TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, Sink, TrialVerdict};

@@ -44,8 +44,8 @@
 //! MD/DCP placement digests of the workspace's
 //! `tests/placement_digests.rs`). Worst-case repair cost per placement is
 //! still O((v + e) · log v), but the touched cone is typically a small
-//! neighbourhood — `perf_baseline`'s `work` section gates the cone nodes
-//! per repair at paper scale (≤ 100, against 2v for a full rescan).
+//! neighbourhood — the workspace's `tests/work_ceilings.rs` gates the cone
+//! nodes per repair at paper scale (≤ 100, against 2v for a full rescan).
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_platform::{Placement, Schedule};

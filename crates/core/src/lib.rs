@@ -38,14 +38,14 @@
 //! | MCP | O(v log v) static sort, O(p·len) slot search | — , binary-search start in `Track::earliest_fit` | slot search skips slots ending before the DRT |
 //! | ETF / DLS | O(r·p) pair scan | — | the (node, processor) min pair is recomputed by definition |
 //! | LAST | O(r·e_local) | — | dynamic edge-locality priority |
-//! | DSC | O(v·r) partially-free scan + O(v) `Schedule` clone in DSRW; then (PR 1) clone-free but still an O(v + e) rescan per step | O(log v) free-node pop + O(1) partially-free peek; each edge relaxation is one O(log v) rekey — whole pass O((v+e)·log v), the original's bound | two rekeyable [`common::IndexedHeap`]s (free + partially free), incremental t-levels under merges; clone-free DSRW retained; placements pinned by `tests/placement_digests.rs`; `perf_baseline` `work` gates `heap.pops == v` and ≤ 12 heap ops per task at v=5000 (measured 5.99) |
+//! | DSC | O(v·r) partially-free scan + O(v) `Schedule` clone in DSRW; then clone-free but still an O(v + e) rescan per step | O(log v) free-node pop + O(1) partially-free peek; each edge relaxation is one O(log v) rekey — whole pass O((v+e)·log v), the original's bound | two rekeyable [`common::IndexedHeap`]s (free + partially free), incremental t-levels under merges; clone-free DSRW retained; placements pinned by `tests/placement_digests.rs`; `tests/work_ceilings.rs` gates `heap.pops == v` and ≤ 12 heap ops per task at v=5000 (measured 5.99) |
 //! | EZ | O(e) edge rescan | — | |
 //! | LC | O(v + e) level recompute | — (input levels now cached per graph) | static level passes shared via `TaskGraph::levels` |
-//! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); placements pinned by `tests/placement_digests.rs`; `perf_baseline` `work` gates one repair per placement and ≤ 100 cone nodes per repair at v=2000 (measured 44 / 52, against 2v = 4000 for the rescan) |
+//! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); placements pinned by `tests/placement_digests.rs`; `tests/work_ceilings.rs` gates one repair per placement and ≤ 100 cone nodes per repair at v=2000 (measured 44 / 52, against 2v = 4000 for the rescan) |
 //! | MH / DLS-APN | O(r·p·route) with a route `Vec` + an adjacency lookup per hop per probe | — shape, but probes walk precomputed route slices and batch over processors | `Topology` CSR route tables; [`apn`]'s `probe_est_all` kernel |
 //! | BU | O(v·p) assignment + list pass | — | rides the same allocation-free probes |
-//! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; `perf_baseline` `work` gates ≤ 1000 messages committed per trial on the paper-scale APN instance (measured 427, against up to e = 2632 for a full replay) |
-//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | — (a work-stealing parallel split of the same tree never beat serial and was removed; parallelism comes from solving independent cells concurrently) | byte-deterministic counters; `tests/placement_digests.rs` pins length, counters and placements on 25 instances; `perf_baseline` `work` requires its 4 instances to prove within 515,623 expanded nodes |
+//! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; `tests/work_ceilings.rs` gates ≤ 1000 messages committed per trial on the paper-scale APN instance (measured 427, against up to e = 2632 for a full replay) |
+//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | — (a work-stealing parallel split of the same tree never beat serial and was removed; parallelism comes from solving independent cells concurrently) | byte-deterministic counters; `tests/placement_digests.rs` pins length, proof, node and prune counters and placements on 25 instances |
 //!
 //! Substrate changes underneath all of them: adjacency is CSR (flat
 //! offsets + packed `(TaskId, cost)` entries — cache-line sweeps instead of
@@ -86,7 +86,7 @@ pub mod registry;
 pub mod unc;
 
 use dagsched_graph::TaskGraph;
-use dagsched_platform::{Network, Schedule, Topology, ValidationError};
+use dagsched_platform::{Network, Schedule, Topology, ValidationError, MAX_PROCS};
 use std::fmt;
 
 /// The three algorithm classes of the paper's taxonomy (§4).
@@ -132,6 +132,16 @@ impl Env {
         }
     }
 
+    /// [`Env::bnp`] for a processor count that came from outside the
+    /// program: `p` must be in `1..=`[`MAX_PROCS`].
+    pub fn checked_bnp(p: usize) -> Result<Env, String> {
+        match p {
+            0 => Err("bnp needs at least 1 processor".into()),
+            p if p > MAX_PROCS => Err(format!("`bnp:{p}` has more than {MAX_PROCS} processors")),
+            p => Ok(Env::bnp(p)),
+        }
+    }
+
     /// An arbitrary-network environment.
     pub fn apn(topology: Topology) -> Env {
         Env { topology }
@@ -144,17 +154,16 @@ impl Env {
 
     /// Parse a textual platform spec: `bnp:<procs>` for the bounded
     /// fully-connected machine, or any [`Topology::parse_spec`] spec
-    /// (`hypercube:3`, `mesh:2x4`, …) for an arbitrary network. The serve
-    /// protocol's platform field and loadgen both resolve through here.
+    /// (`hypercube:3`, `mesh:2x4`, …) for an arbitrary network; both reject
+    /// more than [`MAX_PROCS`] processors. The serve protocol's platform
+    /// field and loadgen resolve through here; the CLI's `-p` shares
+    /// [`Env::checked_bnp`].
     pub fn parse_spec(spec: &str) -> Result<Env, String> {
         if let Some(rest) = spec.strip_prefix("bnp:") {
             let p: usize = rest
                 .parse()
                 .map_err(|_| format!("bad processor count `{rest}`"))?;
-            if p == 0 {
-                return Err("bnp needs at least 1 processor".into());
-            }
-            Ok(Env::bnp(p))
+            Env::checked_bnp(p)
         } else {
             Topology::parse_spec(spec).map(Env::apn)
         }
@@ -341,6 +350,16 @@ mod tests {
         assert_eq!(Env::parse_spec("mesh:2x4").unwrap().procs(), 8);
         for bad in ["bnp:0", "bnp:x", "nope:3", "bnp"] {
             assert!(Env::parse_spec(bad).is_err(), "{bad}");
+        }
+        assert_eq!(Env::parse_spec("bnp:256").unwrap().procs(), MAX_PROCS);
+        for huge in [
+            "bnp:257",
+            "bnp:4294967297",
+            "bnp:1000000000000",
+            "full:60000",
+        ] {
+            let err = Env::parse_spec(huge).unwrap_err();
+            assert!(err.contains("more than 256 processors"), "{huge}: {err}");
         }
     }
 }

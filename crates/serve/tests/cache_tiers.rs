@@ -230,6 +230,21 @@ fn a_one_digit_weight_change_misses_both_tiers() {
 fn failed_requests_are_never_cached() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let body = tgf(&diamond(3, "t"));
+    // The oversize platforms would each abort the whole process on one
+    // allocation if they were ever built.
+    let oversize = [
+        "bnp:1000000000000",
+        "full:60000",
+        "ring:3000000",
+        "mesh:100000x100000",
+        "hypercube:16",
+    ]
+    .map(|spec| {
+        (
+            code::PLATFORM_BAD,
+            encode_schedule_request(GraphWire::Tgf, spec, "MCP", &body),
+        )
+    });
     let cases = [
         (
             code::PLATFORM_BAD,
@@ -250,7 +265,7 @@ fn failed_requests_are_never_cached() {
         ),
     ];
     let mut p = Probe::new(2);
-    for (want, payload) in &cases {
+    for (want, payload) in cases.iter().chain(&oversize) {
         assert_eq!(p.err(payload), *want, "first send");
         assert_eq!(
             p.err(payload),
@@ -258,15 +273,19 @@ fn failed_requests_are_never_cached() {
             "second send is not served from a cache"
         );
     }
-    let n = 2 * cases.len() as u64;
+    // The same daemon still serves a canary.
+    let canary = encode_schedule_request(GraphWire::Tgf, "bnp:2", "MCP", &body);
+    let (_, hit) = p.ok(&canary);
+    assert!(!hit, "the canary computes");
+    let n = 2 * (cases.len() + oversize.len()) as u64;
     assert_eq!(
         p.finish(),
         Counts {
-            requests: n,
+            requests: n + 1,
             hits: 0,
             wire_hits: 0,
-            misses: 0,
-            queued: n,
+            misses: 1,
+            queued: n + 1,
         },
         "every failure went to a worker; none reached a cache lookup"
     );

@@ -5,7 +5,6 @@
 //! taskbench run  <ALGO> <file.tgf> [-p N] [--topology T] [--gantt]
 //! taskbench trace <ALGO> <file.tgf> [-p N] [--topology T]
 //! taskbench profile <ALGO> <file.tgf> [-p N] [--topology T] [--reps N] [--top N]
-//! taskbench bench-history [file.jsonl]   perf trend table from BENCH_HISTORY
 //! taskbench adversary <TARGET> <BASELINE|optimal> [flags]
 //! taskbench info <file.tgf>              structural statistics
 //! taskbench dot  <file.tgf>              Graphviz export
@@ -85,7 +84,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("run") => cmd_run(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("bench-history") => cmd_bench_history(&args[1..]),
         Some("adversary") => cmd_adversary(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("dot") => cmd_dot(&args[1..]),
@@ -134,7 +132,6 @@ taskbench — benchmarking task graph scheduling algorithms (Kwok & Ahmad, IPPS'
             deterministic decision trace + schedule timeline (Chrome JSON, stdout)
   taskbench profile <ALGO> <file.tgf> [-p N] [--topology T] [--reps N] [--top N]
             wall-clock span profile + counter/histogram registry dump
-  taskbench bench-history [file.jsonl]       perf trend table (default: repo root)
   taskbench adversary <TARGET> <BASELINE|optimal> [--budget N] [--seed S]
             [--max-nodes V] [--out file.tgf]     adversarial instance search
   taskbench info <file.tgf>
@@ -228,11 +225,13 @@ fn lookup_algo(name: &str) -> Result<Box<dyn Scheduler>, String> {
 }
 
 /// Shared `-p` / `--topology` parsing for the run/trace/profile commands.
+/// Both go through the checked platform parsers the serve protocol uses,
+/// so a zero or oversize machine is an error, not a panic or an abort.
 /// Flags this parser doesn't own are handed to `extra`; it returns how
 /// many arguments it consumed (0 = unknown flag, an error).
 fn parse_env_flags(
     args: &[String],
-    procs: &mut Option<usize>,
+    bnp: &mut Option<Env>,
     topo: &mut Option<Topology>,
     mut extra: impl FnMut(&str, Option<&String>) -> Result<usize, String>,
 ) -> Result<(), String> {
@@ -240,7 +239,8 @@ fn parse_env_flags(
     while i < args.len() {
         match args[i].as_str() {
             "-p" => {
-                *procs = Some(parse(args.get(i + 1), "processor count")?);
+                let p = parse(args.get(i + 1), "processor count")?;
+                *bnp = Some(Env::checked_bnp(p)?);
                 i += 2;
             }
             "--topology" => {
@@ -258,17 +258,12 @@ fn parse_env_flags(
 
 /// The environment a CLI invocation schedules in: APN algorithms get the
 /// requested (or default 8-processor hypercube) topology, everything else
-/// a BNP machine of `-p` (default `min(v, 32)`) processors.
-fn env_for(
-    algo: &dyn Scheduler,
-    g: &TaskGraph,
-    procs: Option<usize>,
-    topo: Option<Topology>,
-) -> Env {
+/// the `-p` BNP machine (default `min(v, 32)` processors).
+fn env_for(algo: &dyn Scheduler, g: &TaskGraph, bnp: Option<Env>, topo: Option<Topology>) -> Env {
     match (algo.class(), topo) {
         (AlgoClass::Apn, Some(t)) => Env::apn(t),
         (AlgoClass::Apn, None) => Env::apn(Topology::hypercube(3).expect("valid")),
-        (_, _) => Env::bnp(procs.unwrap_or_else(|| g.num_tasks().min(32))),
+        (_, _) => bnp.unwrap_or_else(|| Env::bnp(g.num_tasks().min(32))),
     }
 }
 
@@ -278,10 +273,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let algo = lookup_algo(algo_name)?;
     let g = load(path)?;
 
-    let mut procs: Option<usize> = None;
+    let mut bnp: Option<Env> = None;
     let mut topo: Option<Topology> = None;
     let mut want_gantt = false;
-    parse_env_flags(&args[2..], &mut procs, &mut topo, |flag, _| {
+    parse_env_flags(&args[2..], &mut bnp, &mut topo, |flag, _| {
         if flag == "--gantt" {
             want_gantt = true;
             Ok(1)
@@ -289,7 +284,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             Ok(0)
         }
     })?;
-    let env = env_for(algo.as_ref(), &g, procs, topo);
+    let env = env_for(algo.as_ref(), &g, bnp, topo);
     verbose(&format!(
         "loaded {}: v={} e={}; scheduling with {} on {} processors",
         g.name(),
@@ -323,10 +318,10 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let path = args.get(1).ok_or("missing graph file")?;
     let algo = lookup_algo(algo_name)?;
     let g = load(path)?;
-    let mut procs: Option<usize> = None;
+    let mut bnp: Option<Env> = None;
     let mut topo: Option<Topology> = None;
-    parse_env_flags(&args[2..], &mut procs, &mut topo, |_, _| Ok(0))?;
-    let env = env_for(algo.as_ref(), &g, procs, topo);
+    parse_env_flags(&args[2..], &mut bnp, &mut topo, |_, _| Ok(0))?;
+    let env = env_for(algo.as_ref(), &g, bnp, topo);
 
     let mut sink = MemSink::new();
     let out = algo
@@ -385,11 +380,11 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let path = args.get(1).ok_or("missing graph file")?;
     let algo = lookup_algo(algo_name)?;
     let g = load(path)?;
-    let mut procs: Option<usize> = None;
+    let mut bnp: Option<Env> = None;
     let mut topo: Option<Topology> = None;
     let mut reps: usize = 5;
     let mut top: usize = 12;
-    parse_env_flags(&args[2..], &mut procs, &mut topo, |flag, val| match flag {
+    parse_env_flags(&args[2..], &mut bnp, &mut topo, |flag, val| match flag {
         "--reps" => {
             reps = parse(val, "reps")?;
             Ok(2)
@@ -403,7 +398,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     if reps == 0 {
         return Err("reps must be at least 1".into());
     }
-    let env = env_for(algo.as_ref(), &g, procs, topo);
+    let env = env_for(algo.as_ref(), &g, bnp, topo);
 
     let before = global().snapshot();
     span::drain(); // discard any stale records from this thread
@@ -467,103 +462,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
     emit(&text);
     note("profile times are wall-clock: indicative, never CI-diffed");
-    Ok(())
-}
-
-/// Validate one `BENCH_HISTORY.jsonl` record: a JSON object whose `sha`
-/// and `date` are strings and whose every other field is a metric — a
-/// number or a bool — with at least one metric present. A new metric is
-/// a new field; no version table needs to know about it.
-fn validate_history_record(rec: &taskbench::bench::report::Json) -> Result<(), String> {
-    use taskbench::bench::report::Json;
-
-    let Json::Obj(fields) = rec else {
-        return Err("record is not a JSON object".into());
-    };
-    for key in ["sha", "date"] {
-        match rec.get(key) {
-            Some(Json::Str(_)) => {}
-            Some(_) => return Err(format!("`{key}` must be a string")),
-            None => return Err(format!("missing `{key}` field")),
-        }
-    }
-    let mut metrics = 0;
-    for (key, v) in fields.iter().filter(|(k, _)| k != "sha" && k != "date") {
-        if v.as_f64().is_none() && !matches!(v, Json::Bool(_)) {
-            return Err(format!("metric `{key}` must be a number or a bool"));
-        }
-        metrics += 1;
-    }
-    if metrics == 0 {
-        return Err("record carries no metrics".into());
-    }
-    Ok(())
-}
-
-fn cmd_bench_history(args: &[String]) -> Result<(), String> {
-    use taskbench::bench::report::Json;
-
-    let path = args
-        .first()
-        .map(String::as_str)
-        .unwrap_or("BENCH_HISTORY.jsonl");
-    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
-        return Err(format!("unknown flag `{flag}`"));
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-
-    let mut records: Vec<Json> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        let rec = Json::parse(line).map_err(|e| format!("{path}:{lineno}: {e}"))?;
-        validate_history_record(&rec).map_err(|e| format!("{path}:{lineno}: {e}"))?;
-        records.push(rec);
-    }
-    if records.is_empty() {
-        return Err(format!("{path}: no records"));
-    }
-
-    // Short header, key and decimals per column; `-` marks metrics the
-    // record lacks (older records predate the work columns).
-    let cols: [(&str, &str, usize); 6] = [
-        ("heap/task", "dsc_heap_ops_per_task_v5000", 2),
-        ("md-cone/rep", "md_cone_nodes_per_repair_v2000", 2),
-        ("dcp-cone/rep", "dcp_cone_nodes_per_repair_v2000", 2),
-        ("msgs/trial", "bsa_msgs_per_trial_v500_ccr01", 2),
-        ("runner", "runner_speedup", 2),
-        ("bnb-nodes", "bnb_nodes_expanded", 0),
-    ];
-    let mut out = format!("{:<13} {:<11}", "sha", "date");
-    for (hdr, _, _) in &cols {
-        out.push_str(&format!(" {hdr:>8}"));
-    }
-    out.push('\n');
-    for rec in &records {
-        let s = |key: &str| match rec.get(key) {
-            Some(Json::Str(v)) => v.clone(),
-            _ => "?".into(),
-        };
-        out.push_str(&format!("{:<13} {:<11}", s("sha"), s("date")));
-        for (hdr, key, prec) in &cols {
-            let w = hdr.len().max(8);
-            match rec.get(key).and_then(Json::as_f64) {
-                Some(x) => out.push_str(&format!(" {x:>w$.prec$}")),
-                None => out.push_str(&format!(" {:>w$}", "-")),
-            }
-        }
-        out.push('\n');
-    }
-    emit(&out);
-    note(&format!(
-        "{} records from {path}; work columns are DSC heap ops per task, MD/DCP \
-         cone nodes per repair and BSA messages per trial; runner is a speedup \
-         ratio; bnb-nodes is the branch-and-bound nodes expanded on the work \
-         instances",
-        records.len()
-    ));
     Ok(())
 }
 

@@ -105,6 +105,35 @@ fn errors_are_reported_not_panicked() {
     let (ok, _, stderr) = taskbench(&["run", "BSA", "/nonexistent.tgf"]);
     assert!(!ok);
     assert!(stderr.contains("nonexistent"));
+
+    // A zero or oversize machine is a usage error (exit 1), not a panic
+    // (exit 101) or an allocation abort (exit 134).
+    let dir = std::env::temp_dir().join(format!("taskbench-procs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.tgf");
+    std::fs::write(&path, taskbench(&["gen", "psg", "0"]).1).unwrap();
+    let g = path.to_str().unwrap();
+    for (flag, value) in [
+        ("-p", "0"),
+        ("-p", "4294967297"),
+        ("--topology", "full:60000"),
+        ("--topology", "ring:3000000"),
+        ("--topology", "mesh:100000x100000"),
+        ("--topology", "hypercube:16"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_taskbench"))
+            .args(["run", "MH", g, flag, value])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.starts_with("taskbench: "),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(stderr.contains("processor"), "{flag} {value}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// TGF load failures lead with the same stable `E_GRAPH_*` codes the
@@ -233,60 +262,6 @@ fn composed_variant_names_run_end_to_end() {
     assert!(stdout.contains("makespan"), "{stdout}");
     // The schedule header carries the canonical (FILL-completed) name.
     assert!(stdout.contains("FILL=none"), "{stdout}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_history_renders_and_rejects_malformed_records() {
-    // The committed trend file renders: a header plus one row per record.
-    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_HISTORY.jsonl");
-    let (ok, table, stderr) = taskbench(&["bench-history", committed]);
-    assert!(ok, "{stderr}");
-    let records = std::fs::read_to_string(committed)
-        .unwrap()
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .count();
-    assert!(records > 0);
-    assert_eq!(table.lines().count(), records + 1, "{table}");
-    // Rows are whitespace-separated; `words` normalizes the alignment.
-    let words = |line: &str| line.split_whitespace().collect::<Vec<_>>().join(" ");
-    let header = "sha date heap/task md-cone/rep dcp-cone/rep msgs/trial runner bnb-nodes";
-    assert_eq!(words(table.lines().next().unwrap()), header, "{table}");
-
-    // A record is flat: a metric no earlier record carried needs no
-    // schema bump, so the good first line below renders on its own.
-    let dir = std::env::temp_dir().join(format!("taskbench-history-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let good = r#"{"sha":"abc123","date":"2026-01-01","dsc_heap_ops_per_task_v5000":5.99,"bnb_nodes_expanded":515623,"new_metric":3,"flag":true}"#;
-    let path = dir.join("good.jsonl");
-    std::fs::write(&path, format!("{good}\n")).unwrap();
-    let (ok, table, stderr) = taskbench(&["bench-history", path.to_str().unwrap()]);
-    assert!(ok, "{stderr}");
-    let row = "abc123 2026-01-01 5.99 - - - - 515623";
-    assert_eq!(words(table.lines().nth(1).unwrap()), row, "{table}");
-
-    // Malformed records fail with a `path:line:` error naming the fault.
-    for (name, bad, why) in [
-        (
-            "string-metric",
-            r#"{"sha":"abc","date":"2026-01-01","dsc_speedup_v1000":"fast"}"#,
-            "metric `dsc_speedup_v1000` must be a number or a bool",
-        ),
-        (
-            "no-sha",
-            r#"{"date":"2026-01-01","dsc_speedup_v1000":9.5}"#,
-            "missing `sha` field",
-        ),
-    ] {
-        let path = dir.join(format!("{name}.jsonl"));
-        std::fs::write(&path, format!("{good}\n{bad}\n")).unwrap();
-        let p = path.to_str().unwrap();
-        let (ok, _, stderr) = taskbench(&["bench-history", p]);
-        assert!(!ok, "{name} must be rejected");
-        assert!(stderr.contains(&format!("{p}:2: {why}")), "{stderr}");
-    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -224,10 +224,12 @@ type BnbRow = (usize, f64, u32, u64, usize, [u64; 2]);
 
 /// Serial branch-and-bound on instances that all prove within a million
 /// expanded nodes (from ~200 to ~165k each), across sizes 10–24, CCR
-/// 0.1–10 and 2 or 4 processors; they include the four instances of
-/// `perf_baseline`'s `work` B&B row. Each digest folds the length, proof
+/// 0.1–10 and 2 or 4 processors. Each digest folds the length, proof
 /// flag, `nodes_expanded`, `pruned_bound`, `pruned_duplicate` and every
-/// task's `(proc, start)`.
+/// task's `(proc, start)`, so the table is also the search's work gate:
+/// (22, 0.1, 3, 7, 4), (24, 1, 3, 42, 4), (14, 1, 4, 7, 4) and
+/// (16, 1, 2, 7, 2) expand 515,623 nodes between them, and each proves
+/// well inside both this limit and the default 4M.
 const BNB: &[BnbRow] = &[
     (10, 1.0, 3, 7, 4, [0xef470bd11a66e31d, 0x832664a4128d3746]),
     (10, 1.0, 3, 42, 2, [0xe30e074ed634a72a, 0xd008cf5f62eceed4]),
