@@ -68,11 +68,12 @@ pub enum Metric {
     /// Runner: experiment cells executed.
     RunnerCells,
     /// serve: schedule requests answered from the wire cache tier or
-    /// admitted to the worker queue.
+    /// admitted to a scheduling slot.
     ServeRequests,
     /// serve: requests answered with a structured error.
     ServeErrors,
-    /// serve: requests rejected by queue backpressure (retry-after sent).
+    /// serve: requests rejected because every scheduling slot was busy
+    /// and the wait for one was full (retry-after sent).
     ServeQueueRejects,
     /// serve: schedule cache hits, in either tier.
     ServeCacheHits,
@@ -166,7 +167,8 @@ pub enum HistId {
     ApnRetireBatch,
     /// Runner: per-cell schedule+validate duration, microseconds.
     RunnerCellUs,
-    /// serve: worker-queue depth sampled at each admit.
+    /// serve: requests waiting for a scheduling slot, the admitted one
+    /// included, sampled at each admit.
     ServeQueueDepth,
 }
 

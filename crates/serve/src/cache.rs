@@ -5,11 +5,11 @@
 //!   payload's raw bytes, header and graph body alike. The connection
 //!   thread probes it before parsing anything, so a repeat of an
 //!   already-answered payload is written straight back without a decode,
-//!   a platform parse, a registry lookup, a structural hash or a trip
-//!   through the worker queue;
+//!   a platform parse, a registry lookup, a structural hash or a wait
+//!   for a scheduling slot;
 //! * the **structural tier**, keyed by [`CacheKey`]: (structural graph
-//!   hash, platform spec, canonical algorithm name). Workers probe it
-//!   after decoding, so payloads that differ only in algorithm spelling
+//!   hash, platform spec, canonical algorithm name). The connection
+//!   thread probes it after decoding, so payloads that differ only in algorithm spelling
 //!   (`mcp`/`MCP`), wire tag (TGF/bin) or labels share one schedule.
 //!   [`dagsched_graph::binio::structural_hash`] covers weights and edges
 //!   but not labels, matching the determinism contract: two graphs that

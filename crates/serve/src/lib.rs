@@ -18,34 +18,34 @@
 //! * **Framing** ([`frame`]) — u32 length-prefixed frames with a hard
 //!   size cap; a malformed or oversize frame fails one connection with a
 //!   structured error, never the daemon.
-//! * **Backpressure** ([`queue`]) — a bounded worker queue; when it is
-//!   full the request is rejected immediately with `E_QUEUE_FULL` and a
-//!   `retry_after_ms` hint instead of stacking latency.
+//! * **Backpressure** ([`server`]) — a counting gate: a bounded number
+//!   of requests schedule at once and a bounded number wait for a slot;
+//!   past that a request is rejected immediately with `E_QUEUE_FULL` and
+//!   a `retry_after_ms` hint instead of stacking latency.
 //! * **Memoization** ([`cache`]) — two sharded LRUs over the same
 //!   rendered response bytes, so a cache hit returns *byte-identical*
 //!   output to the original computation: a wire tier keyed by a hash of
 //!   the raw request bytes, answered on the connection thread without
-//!   decoding or queueing, and a structural tier keyed by (structural
-//!   graph hash, platform, canonical algorithm name), probed by the
-//!   workers. Hit/miss/eviction counters live in
+//!   decoding or waiting for a slot, and a structural tier keyed by
+//!   (structural graph hash, platform, canonical algorithm name), probed
+//!   after decoding. Hit/miss/eviction counters live in
 //!   [`dagsched_obs::registry`].
 //! * **Containment** ([`server`]) — a scheduler panic fails its request
-//!   with `E_INTERNAL`, never the worker.
-//! * **Worker pool** ([`server`]) — `TASKBENCH_THREADS`-aware (via
-//!   [`dagsched_ws::worker_count`]); graceful shutdown stops accepting,
-//!   drains in-flight requests, then joins every thread.
+//!   with `E_INTERNAL`, never its connection or the daemon.
+//! * **Threads** ([`server`]) — one acceptor and one thread per
+//!   connection, which schedules its own requests; the slot count is
+//!   `TASKBENCH_THREADS`-aware (via [`dagsched_ws::worker_count`]).
+//!   Graceful shutdown stops accepting, answers in-flight requests, then
+//!   joins every thread.
 //!
-//! Everything is threads + mpsc over blocking sockets — deliberately
-//! tokio-shaped (one acceptor, per-connection readers, a submission
-//! queue, a worker pool) so an async runtime can replace the thread pool
-//! without touching the protocol or cache layers when registry access
-//! arrives.
+//! Everything is plain threads over blocking sockets, with no hand-off
+//! between threads on the request path.
 //!
 //! ## Determinism contract
 //!
 //! Served schedules are byte-identical to in-process scheduling for the
 //! same (graph, platform, algorithm) — the e2e suite pins this for every
-//! roster algorithm — and independent of worker count and cache state.
+//! roster algorithm — and independent of slot count and cache state.
 //! Wall-clock throughput/latency numbers from [`loadgen`] are indicative
 //! only and are never CI-diffed.
 
@@ -53,7 +53,6 @@ pub mod cache;
 pub mod frame;
 pub mod loadgen;
 pub mod proto;
-pub mod queue;
 pub mod server;
 
 pub use cache::{CacheKey, ShardedLru, WireKey};

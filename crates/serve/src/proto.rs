@@ -48,12 +48,10 @@ pub mod code {
     pub const REQ_MALFORMED: &str = "E_REQ_MALFORMED";
     /// Platform spec failed to parse.
     pub const PLATFORM_BAD: &str = "E_PLATFORM_BAD";
-    /// Worker queue full: retry after the carried `retry_after_ms`.
+    /// Every scheduling slot is busy and the wait for one is full: retry
+    /// after the carried `retry_after_ms`.
     pub const QUEUE_FULL: &str = "E_QUEUE_FULL";
-    /// The daemon is shutting down and no longer admits requests.
-    pub const SHUTTING_DOWN: &str = "E_SHUTTING_DOWN";
-    /// The daemon failed a request internally (a scheduler panicked, or
-    /// a worker dropped the request).
+    /// The daemon failed a request internally (a scheduler panicked).
     pub const INTERNAL: &str = "E_INTERNAL";
 }
 
@@ -416,7 +414,6 @@ mod tests {
         assert_eq!(code::REQ_MALFORMED, "E_REQ_MALFORMED");
         assert_eq!(code::PLATFORM_BAD, "E_PLATFORM_BAD");
         assert_eq!(code::QUEUE_FULL, "E_QUEUE_FULL");
-        assert_eq!(code::SHUTTING_DOWN, "E_SHUTTING_DOWN");
         assert_eq!(code::INTERNAL, "E_INTERNAL");
     }
 }

@@ -1,43 +1,46 @@
-//! The daemon: acceptor, per-connection readers, a bounded submission
-//! queue, and a scheduling worker pool.
-//!
-//! Thread shape (deliberately tokio-shaped — each role maps onto a task
-//! if an async runtime ever replaces the pool):
+//! The daemon: an acceptor, and one thread per connection that reads its
+//! frames, schedules them, and writes the replies itself.
 //!
 //! ```text
 //! listener ──accept──▶ conn thread (one per connection)
-//!                        │  frame → wire tier ──hit──▶ write reply
-//!                        │    miss → parse → try_push ──▶ bounded queue
-//!                        ◀──────── reply mpsc ◀───────── worker pool
+//!                        frame → wire tier ──hit──────────────────▶ write reply
+//!                          miss → parse → gate ──full──▶ E_QUEUE_FULL
+//!                                          │ slot
+//!                                          ▼
+//!                          decode → structural tier → schedule ──▶ write reply
 //! ```
 //!
 //! A connection thread first hashes the raw request payload and probes
 //! the wire cache tier ([`crate::cache`]); a hit is written straight
 //! back, with no decode, platform parse, registry lookup, structural
-//! hash or queue push. Everything else is parsed and queued to a worker,
-//! which decodes, probes the structural tier, schedules on a miss, and
-//! stores the rendered bytes in both tiers. A connection thread
-//! serializes its own requests: it blocks on the per-request reply
-//! channel before reading the next frame, which is what gives clients
-//! exactly-once, in-order responses per connection.
+//! hash or wait for a slot. Everything else is parsed and, once the
+//! thread holds a slot of the admission gate, decoded, looked up in the
+//! structural tier, scheduled on a miss, and stored in both tiers. A
+//! connection thread serializes its own requests: it answers one before
+//! reading the next frame, which is what gives clients exactly-once,
+//! in-order responses per connection.
+//!
+//! The gate is the backpressure: at most [`Config::workers`] requests
+//! schedule at once, at most [`Config::queue_cap`] more wait for a slot,
+//! and the next one is answered `E_QUEUE_FULL` at once.
 //!
 //! A scheduler that panics costs its request an `E_INTERNAL` reply, not
-//! its worker: each job runs under `catch_unwind`.
+//! its connection: each request runs under `catch_unwind`, and its slot
+//! is freed on the way out.
 //!
 //! ## Graceful shutdown
 //!
 //! A `shutdown` request (or [`Handle::shutdown`]) flips the flag; the
-//! listener stops accepting, connection threads finish the frame they
-//! are on (with a bounded grace for a peer mid-frame) and close, the
-//! queue is closed *after* connection threads exit so every admitted
-//! request still reaches a worker, and workers drain the queue before
-//! joining. In-flight requests always get their response.
+//! listener stops accepting, and connection threads finish the frame
+//! they are on (with a bounded grace for a peer mid-frame) and close.
+//! Each one finishes whatever it admitted, so in-flight requests always
+//! get their response.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -51,7 +54,6 @@ use crate::proto::{
     self, code, encode_err, encode_ok, parse_request, render_schedule, GraphWire, Request,
     ServeError,
 };
-use crate::queue::{Bounded, PushError};
 
 /// How long a rejected request should wait before retrying.
 pub const RETRY_AFTER_MS: u64 = 25;
@@ -68,10 +70,12 @@ const MID_FRAME_GRACE: u32 = 40;
 pub struct Config {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Scheduling workers; `0` = [`dagsched_ws::worker_count`] (which
-    /// honors `TASKBENCH_THREADS`).
+    /// Requests that schedule at once, each on its connection thread;
+    /// `0` = [`dagsched_ws::worker_count`] (which honors
+    /// `TASKBENCH_THREADS`).
     pub workers: usize,
-    /// Bounded queue capacity — the backpressure knob.
+    /// Requests that may wait for a scheduling slot; the next one is
+    /// refused with `E_QUEUE_FULL` — the backpressure knob.
     pub queue_cap: usize,
     /// Schedule-cache entries per tier (`0` disables memoization).
     pub cache_cap: usize,
@@ -88,20 +92,80 @@ impl Default for Config {
     }
 }
 
-struct Job {
-    key: WireKey,
-    wire: GraphWire,
-    platform: String,
-    algo: String,
-    graph: Vec<u8>,
-    reply: mpsc::Sender<Vec<u8>>,
+/// Admission for scheduling work: `slots` requests run at once, `cap`
+/// more wait for a slot, and the next is refused.
+struct Gate {
+    state: Mutex<GateState>,
+    freed: Condvar,
+    slots: usize,
+    cap: usize,
+}
+
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
+}
+
+/// A held [`Gate`] slot; dropping it, also while unwinding, frees it.
+struct Slot<'a>(&'a Gate);
+
+impl Gate {
+    fn new(slots: usize, cap: usize) -> Gate {
+        Gate {
+            state: Mutex::new(GateState::default()),
+            freed: Condvar::new(),
+            slots,
+            cap,
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, GateState> {
+        // Nothing panics with the lock held, but a slot is freed while
+        // unwinding, where a second panic would abort.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take a slot, waiting for one behind at most `cap` others. Returns
+    /// the slot and the admission depth (requests waiting for a slot,
+    /// this one included), or `None` at once when `cap` already wait.
+    fn enter(&self) -> Option<(Slot<'_>, usize)> {
+        let mut s = self.state();
+        if s.waiting == 0 && s.running < self.slots {
+            s.running += 1;
+            return Some((Slot(self), 1));
+        }
+        if s.waiting >= self.cap {
+            return None;
+        }
+        s.waiting += 1;
+        let depth = s.waiting;
+        while s.running >= self.slots {
+            s = self.freed.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        s.waiting -= 1;
+        s.running += 1;
+        Some((Slot(self), depth))
+    }
+
+    /// Requests waiting for a slot.
+    fn waiting(&self) -> usize {
+        self.state().waiting
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.state().running -= 1;
+        self.0.freed.notify_one();
+    }
 }
 
 struct Shared {
     shutdown: AtomicBool,
     done: Mutex<bool>,
     done_cv: Condvar,
-    queue: Bounded<Job>,
+    gate: Gate,
     cache: ShardedLru,
     wire_cache: ShardedLru<WireKey>,
     conns: Mutex<Vec<JoinHandle<()>>>,
@@ -122,7 +186,6 @@ impl Shared {
 pub struct Handle {
     shared: Arc<Shared>,
     listener: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Handle {
@@ -138,7 +201,7 @@ impl Handle {
     }
 
     /// Block until a `shutdown` request (or [`Handle::shutdown`]) stops
-    /// the daemon, then drain and join every thread.
+    /// the daemon, then join every thread.
     pub fn wait(mut self) {
         self.join_all();
     }
@@ -156,51 +219,33 @@ impl Handle {
         if let Some(l) = self.listener.take() {
             let _ = l.join();
         }
-        // Connection threads first (they may still be pushing work and
-        // waiting on replies — workers are alive to serve them) …
+        // Each connection thread answers what it admitted before exiting.
         let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
         for c in conns {
             let _ = c.join();
         }
-        // … then close the queue so workers drain what was admitted and
-        // exit.
-        self.shared.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
-/// Bind, spawn the worker pool and acceptor, and return immediately.
+/// Bind, spawn the acceptor, and return immediately.
 pub fn start(cfg: Config) -> io::Result<Handle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
+    let slots = if cfg.workers == 0 {
+        dagsched_ws::worker_count()
+    } else {
+        cfg.workers
+    };
     let shared = Arc::new(Shared {
         shutdown: AtomicBool::new(false),
         done: Mutex::new(false),
         done_cv: Condvar::new(),
-        queue: Bounded::new(cfg.queue_cap.max(1)),
+        gate: Gate::new(slots.max(1), cfg.queue_cap.max(1)),
         cache: ShardedLru::new(cfg.cache_cap),
         wire_cache: ShardedLru::new(cfg.cache_cap),
         conns: Mutex::new(Vec::new()),
         addr,
     });
-
-    let n_workers = if cfg.workers == 0 {
-        dagsched_ws::worker_count()
-    } else {
-        cfg.workers
-    }
-    .max(1);
-    let workers = (0..n_workers)
-        .map(|i| {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&sh))
-                .expect("spawn worker")
-        })
-        .collect();
 
     let sh = Arc::clone(&shared);
     let acceptor = std::thread::Builder::new()
@@ -228,7 +273,6 @@ pub fn start(cfg: Config) -> io::Result<Handle> {
     Ok(Handle {
         shared,
         listener: Some(acceptor),
-        workers,
     })
 }
 
@@ -253,7 +297,7 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
                 let key = WireKey::of(&payload);
                 if let Some(cached) = sh.wire_cache.get(&key) {
                     global().incr(Metric::ServeRequests);
-                    let resp = encode_ok(&*cached, true, sh.queue.len());
+                    let resp = encode_ok(&*cached, true, sh.gate.waiting());
                     if write_frame(&mut stream, &resp).is_err() {
                         return;
                     }
@@ -272,7 +316,7 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
                         algo,
                         graph,
                     }) => {
-                        let resp = admit(sh, key, wire, platform, algo, graph);
+                        let resp = admit(sh, key, wire, &platform, &algo, &graph);
                         if write_frame(&mut stream, &resp).is_err() {
                             return;
                         }
@@ -314,92 +358,59 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
     }
 }
 
-/// Try to enqueue a request and wait for its response bytes. A full
-/// queue is an immediate structured reject — backpressure, not latency.
+/// Schedule a request on this thread once the gate grants a slot. A full
+/// gate is an immediate structured reject — backpressure, not latency.
 fn admit(
     sh: &Shared,
-    key: WireKey,
+    wire_key: WireKey,
     wire: GraphWire,
-    platform: String,
-    algo: String,
-    graph: Vec<u8>,
+    platform: &str,
+    algo: &str,
+    graph: &[u8],
 ) -> Vec<u8> {
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        key,
-        wire,
-        platform,
-        algo,
-        graph,
-        reply: tx,
+    let Some((_slot, depth)) = sh.gate.enter() else {
+        global().incr(Metric::ServeQueueRejects);
+        global().incr(Metric::ServeErrors);
+        return encode_err(
+            &ServeError::new(code::QUEUE_FULL, "request queue is full").retry_after(RETRY_AFTER_MS),
+        );
     };
-    match sh.queue.try_push(job) {
-        Ok(depth) => {
-            global().incr(Metric::ServeRequests);
-            global().hist(HistId::ServeQueueDepth).record(depth as u64);
-            match rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => {
-                    global().incr(Metric::ServeErrors);
-                    encode_err(&ServeError::new(
-                        code::INTERNAL,
-                        "worker dropped the request",
-                    ))
-                }
-            }
-        }
-        Err(PushError::Full) => {
-            global().incr(Metric::ServeQueueRejects);
-            global().incr(Metric::ServeErrors);
-            encode_err(
-                &ServeError::new(code::QUEUE_FULL, "request queue is full")
-                    .retry_after(RETRY_AFTER_MS),
-            )
-        }
-        Err(PushError::Closed) => {
-            global().incr(Metric::ServeErrors);
-            encode_err(&ServeError::new(
-                code::SHUTTING_DOWN,
-                "daemon is shutting down",
-            ))
-        }
-    }
-}
-
-fn worker_loop(sh: &Shared) {
-    while let Some(job) = sh.queue.pop() {
-        // A panicking scheduler fails its request, not the worker. The
-        // panic unwinds out of decoding or scheduling, before either
-        // cache insert and with no cache lock held, so it leaves no entry
-        // behind and no lock poisoned.
-        let result =
-            catch_unwind(AssertUnwindSafe(|| process_job(sh, &job))).unwrap_or_else(|_| {
-                Err(ServeError::new(
-                    code::INTERNAL,
-                    "the scheduler panicked on this request",
-                ))
-            });
-        let resp = match result {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                global().incr(Metric::ServeErrors);
-                encode_err(&e)
-            }
-        };
-        // A send failure means the connection thread gave up; the
-        // schedule (and its cache entry) is still valid work.
-        let _ = job.reply.send(resp);
-    }
+    global().incr(Metric::ServeRequests);
+    global().hist(HistId::ServeQueueDepth).record(depth as u64);
+    // A panicking scheduler fails its request, not the connection. The
+    // panic unwinds out of decoding or scheduling, before either cache
+    // insert and with no cache lock held, so it leaves no entry behind
+    // and no lock poisoned.
+    catch_unwind(AssertUnwindSafe(|| {
+        process_job(sh, wire_key, wire, platform, algo, graph)
+    }))
+    .unwrap_or_else(|_| {
+        Err(ServeError::new(
+            code::INTERNAL,
+            "the scheduler panicked on this request",
+        ))
+    })
+    .unwrap_or_else(|e| {
+        global().incr(Metric::ServeErrors);
+        encode_err(&e)
+    })
 }
 
 /// Decode → resolve → (structural cache | schedule) → render, then store
 /// the rendered bytes under the request's wire key as well. Every
 /// failure maps to a stable machine-readable code shared with the CLI;
 /// failures are never cached.
-fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
-    let g = match job.wire {
+fn process_job(
+    sh: &Shared,
+    wire_key: WireKey,
+    wire: GraphWire,
+    platform: &str,
+    algo: &str,
+    graph: &[u8],
+) -> Result<Vec<u8>, ServeError> {
+    let g = match wire {
         GraphWire::Tgf => {
-            let text = std::str::from_utf8(&job.graph).map_err(|_| {
+            let text = std::str::from_utf8(graph).map_err(|_| {
                 ServeError::new(
                     GraphError::Parse {
                         line: 0,
@@ -412,22 +423,22 @@ fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
             from_tgf(text).map_err(|e| ServeError::new(e.code(), e.to_string()))?
         }
         GraphWire::Bin => {
-            binio::from_bin(&job.graph).map_err(|e| ServeError::new(e.code(), e.to_string()))?
+            binio::from_bin(graph).map_err(|e| ServeError::new(e.code(), e.to_string()))?
         }
     };
-    let env = Env::parse_spec(&job.platform).map_err(|e| ServeError::new(code::PLATFORM_BAD, e))?;
-    let algo = registry::lookup(&job.algo).map_err(|e| ServeError::new(e.code(), e.to_string()))?;
+    let env = Env::parse_spec(platform).map_err(|e| ServeError::new(code::PLATFORM_BAD, e))?;
+    let algo = registry::lookup(algo).map_err(|e| ServeError::new(e.code(), e.to_string()))?;
 
     // Canonical name, not the request spelling: `mcp`, `MCP`, and the
     // compose grammar with defaults spelled out all share a cache entry.
     let key = CacheKey {
         graph: binio::structural_hash(&g),
-        platform: job.platform.clone(),
+        platform: platform.to_string(),
         algo: algo.name().to_string(),
     };
     if let Some(cached) = sh.cache.get(&key) {
-        sh.wire_cache.insert(job.key, Arc::clone(&cached));
-        return Ok(encode_ok(&*cached, true, sh.queue.len()));
+        sh.wire_cache.insert(wire_key, Arc::clone(&cached));
+        return Ok(encode_ok(&*cached, true, sh.gate.waiting()));
     }
 
     let outcome = algo
@@ -436,13 +447,47 @@ fn process_job(sh: &Shared, job: &Job) -> Result<Vec<u8>, ServeError> {
     let compact = outcome.schedule.compact_procs();
     let rendered = Arc::new(render_schedule(algo.name(), &compact, g.num_tasks()).into_bytes());
     sh.cache.insert(key, Arc::clone(&rendered));
-    sh.wire_cache.insert(job.key, Arc::clone(&rendered));
-    Ok(encode_ok(&*rendered, false, sh.queue.len()))
+    sh.wire_cache.insert(wire_key, Arc::clone(&rendered));
+    Ok(encode_ok(&*rendered, false, sh.gate.waiting()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_runs_then_queues_then_refuses_without_blocking() {
+        let gate = Gate::new(1, 1);
+        let (first, depth) = gate.enter().expect("a free slot runs at once");
+        assert_eq!(depth, 1);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| gate.enter().map(|(_slot, depth)| depth));
+            while gate.waiting() == 0 {
+                std::thread::yield_now();
+            }
+            assert!(gate.enter().is_none(), "a full wait line refuses at once");
+            drop(first);
+            assert_eq!(
+                waiter.join().unwrap(),
+                Some(1),
+                "the freed slot admits the waiter"
+            );
+        });
+        let s = gate.state();
+        assert_eq!((s.running, s.waiting), (0, 0));
+    }
+
+    #[test]
+    fn gate_frees_a_slot_whose_holder_panics() {
+        let gate = Gate::new(1, 1);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = gate.enter().expect("a free slot runs at once");
+            panic!("a scheduler bug");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(gate.state().running, 0, "unwinding freed the slot");
+        assert!(gate.enter().is_some());
+    }
 
     #[test]
     fn accepted_streams_disable_nagle() {

@@ -64,7 +64,7 @@ struct Counts {
     hits: u64,
     wire_hits: u64,
     misses: u64,
-    /// Requests pushed to the worker queue.
+    /// Requests admitted to a scheduling slot.
     queued: u64,
 }
 
@@ -154,7 +154,7 @@ fn replays_of_identical_bytes_are_wire_hits() {
             misses: 1,
             queued: 1,
         },
-        "N replays: one structural miss, N - 1 wire hits that never reach the queue"
+        "N replays: one structural miss, N - 1 wire hits that never take a slot"
     );
 }
 
@@ -287,7 +287,7 @@ fn failed_requests_are_never_cached() {
             misses: 1,
             queued: n + 1,
         },
-        "every failure went to a worker; none reached a cache lookup"
+        "every failure took a slot; none reached a cache lookup"
     );
 }
 
@@ -312,8 +312,8 @@ fn served_outcome(g: &TaskGraph, schedule: &str) -> Outcome {
 
 /// A three-task chain whose weights and edge costs are all `u64::MAX`
 /// overflows MD's level arithmetic, which panics inside the scheduler.
-/// Each such request must end in a valid `ok` or an `err`, and the one
-/// worker must survive all of them to serve a canary.
+/// Each such request must end in a valid `ok` or an `err`, and the
+/// daemon's one slot must come back after all of them to serve a canary.
 #[test]
 fn a_panicking_scheduler_fails_its_request_not_the_worker() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());

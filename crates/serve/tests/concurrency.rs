@@ -1,11 +1,13 @@
-//! Concurrency contracts: the bounded queue delivers exactly one
-//! in-order response per request per connection, and the sharded LRU
-//! never serves bytes for the wrong key — under real thread contention.
+//! Concurrency contracts: the daemon delivers exactly one in-order
+//! response per request per connection, counting every backpressure
+//! reject it sends, and the sharded LRU never serves bytes for the wrong
+//! key — under real thread contention.
 
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use dagsched_graph::{binio, io::to_tgf, GraphBuilder, TaskGraph};
+use dagsched_obs::registry::{global, Metric};
 use dagsched_serve::frame::{write_frame, FrameError, FrameReader};
 use dagsched_serve::proto::{self, encode_schedule_request, parse_response, GraphWire, Response};
 use dagsched_serve::{CacheKey, Config, ShardedLru};
@@ -40,12 +42,15 @@ fn read_response(stream: &mut TcpStream, reader: &mut FrameReader) -> Response {
 /// N client threads × M sequential requests per connection: every request
 /// gets exactly one response, in request order (checked by matching each
 /// response's makespan against that request's expected graph), even with
-/// a deliberately tiny queue forcing `E_QUEUE_FULL` retries.
+/// one slot and a wait of two forcing `E_QUEUE_FULL` retries. The rejects
+/// the clients retried through are exactly the ones the daemon counted.
 #[test]
 fn responses_are_exactly_once_and_in_request_order_per_connection() {
+    let before = global().snapshot();
     let handle = dagsched_serve::server::start(Config {
+        workers: 1,   // fewer slots than clients on any host
         queue_cap: 2, // tiny: force backpressure under 4 client threads
-        cache_cap: 0, // every request recomputes — max worker pressure
+        cache_cap: 0, // every request recomputes — max scheduling pressure
         ..Config::default()
     })
     .expect("bind");
@@ -71,6 +76,7 @@ fn responses_are_exactly_once_and_in_request_order_per_connection() {
         clients.push(std::thread::spawn(move || {
             let mut stream = TcpStream::connect(&addr).expect("connect");
             let mut reader = FrameReader::new();
+            let mut rejects = 0;
             for r in 0..REQUESTS {
                 let tag = c * REQUESTS + r;
                 let g = chain(tag);
@@ -89,6 +95,7 @@ fn responses_are_exactly_once_and_in_request_order_per_connection() {
                             retry_after_ms,
                             ..
                         } if code == proto::code::QUEUE_FULL => {
+                            rejects += 1;
                             std::thread::sleep(std::time::Duration::from_millis(
                                 retry_after_ms.unwrap_or(5),
                             ));
@@ -106,12 +113,22 @@ fn responses_are_exactly_once_and_in_request_order_per_connection() {
                     other => panic!("client {c} request {r}: {other:?}"),
                 }
             }
+            rejects
         }));
     }
-    for h in clients {
-        h.join().expect("client thread");
-    }
+    let rejects: u64 = clients
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .sum();
     handle.shutdown();
+    assert_eq!(
+        rejects,
+        global()
+            .snapshot()
+            .since(&before)
+            .get(Metric::ServeQueueRejects),
+        "the clients retried through exactly the rejects the daemon counted"
+    );
 }
 
 /// Hammer a small sharded LRU from many threads with overlapping keys.
