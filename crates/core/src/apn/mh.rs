@@ -6,11 +6,26 @@
 //! over contended links (the original maintains routing tables updated with
 //! network traffic; our [`dagsched_platform::Network`] plays that role).
 //!
-//! Per step: pop the highest-b-level ready node, probe its earliest start
-//! on every processor, commit the messages toward the winner.
+//! Per step: pop the highest-b-level ready node, place it on the processor
+//! with the smallest `(EST, id)`, commit the messages toward the winner.
 //!
-//! Complexity: O(v · p · (e/v · d)) probes, where `d` is the route length —
-//! the paper's Table 6 places MH mid-field among APN algorithms.
+//! The winner is found without probing every processor. A contention-free
+//! bound `lb(p) ≤ EST(p)` (ready time, and each parent's finish plus
+//! `hops·c`) ranks the processors; the one with the smallest `(lb, id)` is
+//! probed exactly, and another only while its bound can still beat the
+//! best `(EST, id)` so far, abandoning its parent walk as soon as the
+//! partial start loses. The result is the exhaustive scan's minimum. The
+//! parent arrivals actually probed are counted in `apn.probe_arrivals`
+//! (`tests/work_ceilings.rs` gates them against the exhaustive `p·e`).
+//!
+//! Tracing: one `PlacementProbed` per EST computed in full — skipped and
+//! abandoned probes emit nothing, the rule the compose driver documents.
+//!
+//! Complexity: O(p · e) hop-count bound terms plus route-walking probes of
+//! only the processors a bound cannot exclude — 0.21–0.54 of the
+//! exhaustive scan's `p · e` parent arrivals (each a walk of `d` hops, the
+//! route length) on RGNOS v=500 over an 8-processor hypercube. The paper's Table 6 places MH mid-field among APN
+//! algorithms.
 
 use dagsched_graph::TaskGraph;
 use dagsched_obs::{emit, Event, NullSink, Sink};
@@ -53,7 +68,8 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
     let mut st = ApnState::new(g, env)?;
     let bl = g.levels().b_levels();
     let mut ready = ReadySet::new(g);
-    let mut ests = Vec::new();
+    let mut lbs = Vec::new();
+    let mut cands: Vec<(u64, ProcId)> = Vec::new();
     while !ready.is_empty() {
         let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
         emit!(
@@ -64,35 +80,62 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
                 tie: n.0 as u64,
             }
         );
-        // Batched probe of every processor; smallest EST wins, ties to
-        // smaller id (the ascending scan keeps the first minimum).
-        st.probe_est_all(g, n, &mut ests);
-        let mut best = (ProcId(0), u64::MAX);
-        for (pi, &est) in ests.iter().enumerate() {
-            emit!(
-                sink,
-                Event::PlacementProbed {
-                    task: n.0,
-                    proc: pi as u32,
-                    start: est,
+        // Candidates in ascending `(lb, id)`; the first is probed exactly.
+        st.est_lower_bounds(g, n, &mut lbs);
+        cands.clear();
+        cands.extend(
+            lbs.iter()
+                .enumerate()
+                .map(|(pi, &lb)| (lb, ProcId(pi as u32))),
+        );
+        cands.sort_unstable();
+        let first = cands[0].1;
+        let mut best = (st.probe_est(g, n, first), first);
+        let mut arrivals = g.preds(n).len() as u64;
+        emit!(
+            sink,
+            Event::PlacementProbed {
+                task: n.0,
+                proc: first.0,
+                start: best.0,
+            }
+        );
+        for &(lb, p) in &cands[1..] {
+            // Candidates ascend in `(lb, id)`: once one cannot beat the
+            // best, no later one can.
+            if (lb, p) >= best {
+                break;
+            }
+            // `p` wins an EST tie only against a larger id (and `lb < best`
+            // when it cannot, so the cap does not underflow).
+            let cap = if p < best.1 { best.0 } else { best.0 - 1 };
+            if let Some(est) = st.probe_est_within(g, n, p, cap, &mut arrivals) {
+                emit!(
+                    sink,
+                    Event::PlacementProbed {
+                        task: n.0,
+                        proc: p.0,
+                        start: est,
+                    }
+                );
+                if (est, p) < best {
+                    best = (est, p);
                 }
-            );
-            if est < best.1 {
-                best = (ProcId(pi as u32), est);
             }
         }
+        dagsched_obs::global().add(dagsched_obs::Metric::ApnProbeArrivals, arrivals);
+        let p = best.1;
         // Route the parent messages (emits one `MessageRouted` per
         // cross-processor edge), then append-place.
-        let drt = st.commit_parent_messages(g, n, best.0, sink, |_| {});
+        let drt = st.commit_parent_messages(g, n, p, sink, |_| {});
         let w = g.weight(n);
-        let start = st.s.timeline(best.0).earliest_append(drt);
-        st.s.place(n, best.0, start, w)
-            .expect("append start is free");
+        let start = st.s.timeline(p).earliest_append(drt);
+        st.s.place(n, p, start, w).expect("append start is free");
         emit!(
             sink,
             Event::PlacementCommitted {
                 task: n.0,
-                proc: best.0 .0,
+                proc: p.0,
                 start,
                 finish: start + w,
                 hole: false,
@@ -109,6 +152,90 @@ mod tests {
     use crate::apn::testutil;
     use dagsched_graph::GraphBuilder;
     use dagsched_platform::Topology;
+    use dagsched_suites::rgnos::{self, RgnosParams};
+
+    /// The exhaustive scan MH ran before its bound pruning: probe every
+    /// processor, keep the smallest `(EST, id)`. The reference the pruned
+    /// engine must match placement for placement and message for message.
+    fn run_exhaustive(g: &TaskGraph, env: &Env) -> Outcome {
+        let mut st = ApnState::new(g, env).unwrap();
+        let bl = g.levels().b_levels();
+        let mut ready = ReadySet::new(g);
+        let mut ests = Vec::new();
+        while !ready.is_empty() {
+            let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
+            st.probe_est_all(g, n, &mut ests);
+            let mut best = (ProcId(0), u64::MAX);
+            for (pi, &est) in ests.iter().enumerate() {
+                if est < best.1 {
+                    best = (ProcId(pi as u32), est);
+                }
+            }
+            st.commit_and_place(g, n, best.0);
+            ready.take(g, n);
+        }
+        st.into_outcome()
+    }
+
+    /// RGNOS graphs at CCR 0.1/1/10, plus copies with every task weight
+    /// and every edge cost set equal, so that ties in both the bound and
+    /// the EST occur.
+    fn equivalence_graphs() -> Vec<TaskGraph> {
+        let mut graphs = Vec::new();
+        for (v, ccr, seed) in [(60, 0.1, 1), (80, 1.0, 2), (100, 10.0, 3)] {
+            let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
+            let mut b = GraphBuilder::new();
+            for _ in g.tasks() {
+                b.add_task(4);
+            }
+            for e in g.edges() {
+                b.add_edge(e.src, e.dst, 4).unwrap();
+            }
+            graphs.push(g);
+            graphs.push(b.build().unwrap());
+        }
+        graphs
+    }
+
+    #[test]
+    fn pruned_probing_matches_the_exhaustive_scan() {
+        for spec in ["ring:5", "star:6", "mesh:3x3", "full:4", "chain:6"] {
+            let env = Env::apn(Topology::parse_spec(spec).unwrap());
+            for (i, g) in equivalence_graphs().iter().enumerate() {
+                let out = Mh.schedule(g, &env).unwrap();
+                out.validate(g).unwrap();
+                assert_eq!(
+                    out.digest(),
+                    run_exhaustive(g, &env).digest(),
+                    "{spec} graph {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn traced_and_untraced_runs_agree() {
+        let env = Env::apn(Topology::hypercube(3).unwrap());
+        let mut graphs: Vec<TaskGraph> = [(60, 0.1, 1), (80, 1.0, 2), (100, 10.0, 3)]
+            .into_iter()
+            .map(|(v, ccr, seed)| rgnos::generate(RgnosParams::new(v, ccr, 3, seed)))
+            .collect();
+        graphs.push(testutil::classic_nine());
+        for g in &graphs {
+            let mut sink = dagsched_obs::MemSink::new();
+            let traced = Mh.schedule_traced(g, &env, &mut sink).unwrap();
+            assert_eq!(traced.digest(), Mh.schedule(g, &env).unwrap().digest());
+            let probes = sink
+                .events
+                .iter()
+                .filter(|e| matches!(e, Event::PlacementProbed { .. }))
+                .count();
+            assert!(
+                (g.num_tasks()..=g.num_tasks() * env.procs()).contains(&probes),
+                "one to p full probes per task, got {probes}"
+            );
+        }
+    }
 
     #[test]
     fn satisfies_apn_contract() {

@@ -14,12 +14,17 @@
 //! commit time); the committed start time is recomputed from the actual
 //! arrivals, so schedules remain exactly feasible.
 //!
-//! Two hot-path kernels sit on top:
+//! Three hot-path kernels sit on top:
 //!
 //! * `ApnState::probe_est_all` — the batched probe: the data-ready time of
 //!   a node on *all* processors in one pass over its parents (one placement
-//!   lookup per parent instead of one per (parent, processor) pair). MH and
-//!   DLS-APN's exhaustive processor scans run on it.
+//!   lookup per parent instead of one per (parent, processor) pair).
+//!   DLS-APN's exhaustive processor scan runs on it.
+//! * `ApnState::est_lower_bounds` + `ApnState::probe_est_within` — MH's
+//!   pruned scan: contention-free start bounds on every processor (hop
+//!   counts only, no link walks), then exact probes of only the processors
+//!   whose bound can still win, each abandoned once its partial start
+//!   loses.
 //! * `ReplayEngine` — incremental re-execution of `replay` with a
 //!   trial-commit/rollback journal, the APN analogue of DSC's clone-free
 //!   DSRW guard. BSA evaluates every tentative migration through it. The
@@ -65,9 +70,7 @@ impl ApnState {
     }
 
     /// Probe the data-ready time of `n` on `p`: the latest probed arrival
-    /// over all (placed) parents. No link state is mutated. (Kept as the
-    /// single-processor reference the batched kernel is tested against.)
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// over all (placed) parents. No link state is mutated.
     pub fn probe_drt(&self, g: &TaskGraph, n: TaskId, p: ProcId) -> u64 {
         let mut t = 0u64;
         for &(q, c) in g.preds(n) {
@@ -81,9 +84,57 @@ impl ApnState {
     }
 
     /// Probe the earliest (append-policy) start of `n` on `p`.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn probe_est(&self, g: &TaskGraph, n: TaskId, p: ProcId) -> u64 {
         self.s.timeline(p).earliest_append(self.probe_drt(g, n, p))
+    }
+
+    /// [`ApnState::probe_est`] that stops walking parents once the partial
+    /// start exceeds `cap`: `None` when it stopped early (the start is
+    /// `> cap`), else the exact start, which may still exceed `cap` if
+    /// only the last parent pushed it there. Adds the number of parent
+    /// arrivals it probed to `arrivals`.
+    pub fn probe_est_within(
+        &self,
+        g: &TaskGraph,
+        n: TaskId,
+        p: ProcId,
+        cap: u64,
+        arrivals: &mut u64,
+    ) -> Option<u64> {
+        let mut t = self.s.timeline(p).ready_time();
+        for &(q, c) in g.preds(n) {
+            if t > cap {
+                return None;
+            }
+            let pl = self
+                .s
+                .placement(q)
+                .expect("probe_est_within: parent must be placed");
+            *arrivals += 1;
+            t = t.max(self.net.probe_arrival(pl.proc, p, pl.finish, c));
+        }
+        Some(t)
+    }
+
+    /// Contention-free lower bounds on the start of `n` on every
+    /// processor: `lbs[p]` is the larger of `p`'s ready time and, over the
+    /// parents, `finish + dist·c` (`finish` alone for a local or zero-cost
+    /// edge), in saturating arithmetic. Every hop of a probed route costs
+    /// at least `c`, so `lbs[p] ≤ probe_est(g, n, p)`. No link is walked.
+    pub fn est_lower_bounds(&self, g: &TaskGraph, n: TaskId, lbs: &mut Vec<u64>) {
+        let topo = self.net.topology();
+        lbs.clear();
+        lbs.extend(topo.procs().map(|p| self.s.timeline(p).ready_time()));
+        for &(q, c) in g.preds(n) {
+            let pl = self
+                .s
+                .placement(q)
+                .expect("est_lower_bounds: parent must be placed");
+            for (p, lb) in topo.procs().zip(lbs.iter_mut()) {
+                let hops = u64::from(topo.distance(pl.proc, p));
+                *lb = (*lb).max(pl.finish.saturating_add(hops.saturating_mul(c)));
+            }
+        }
     }
 
     /// Batched probe kernel: the data-ready time of `n` on **every**
@@ -91,7 +142,7 @@ impl ApnState {
     /// resized to the processor count. Each `drts[p]` equals
     /// [`ApnState::probe_drt`]`(g, n, ProcId(p))` exactly; the batching
     /// saves the per-(parent, processor) placement lookups of the naive
-    /// per-processor scan that MH and DLS-APN run on every ready node.
+    /// per-processor scan that DLS-APN runs on every ready node.
     pub fn probe_drt_all(&self, g: &TaskGraph, n: TaskId, drts: &mut Vec<u64>) {
         let procs = self.s.num_procs();
         drts.clear();

@@ -192,11 +192,34 @@ impl Prio {
 /// `PRIO=alap`, which uses MCP's lexicographic ALAP *lists* (own ALAP plus
 /// all descendants', ascending), the paper's published refinement that
 /// makes the ALAP order both topological and CP-first.
+///
+/// The ALAP lists are never all built. Every descendant's ALAP is at least
+/// the node's own, so a list starts with the node's ALAP and the order is
+/// `(alap, id)` except inside groups of tied ALAP. There a node with no
+/// successors has the one-element list `[alap]`, a prefix of every other
+/// list in its group, so leaves lead in id order; only the remaining tied
+/// nodes get their lists built (one descendant walk each) and sorted by
+/// `(list, id)`. A graph without ALAP ties costs one sort.
 pub(crate) fn static_order(cx: &Ctx, prio: Prio) -> Vec<TaskId> {
     let mut order: Vec<TaskId> = cx.g.tasks().collect();
     if prio == Prio::Alap {
-        let lists = alap_lists(cx.g, cx.alap);
-        order.sort_by(|&a, &b| lists[a.index()].cmp(&lists[b.index()]).then(a.0.cmp(&b.0)));
+        let (g, alap) = (cx.g, cx.alap);
+        order.sort_unstable_by_key(|&n| (alap[n.index()], n.0));
+        for group in order.chunk_by_mut(|a, b| alap[a.index()] == alap[b.index()]) {
+            // Stable: leaves first, each part still in id order.
+            group.sort_by_key(|&n| !g.succs(n).is_empty());
+            let leaves = group.partition_point(|&n| g.succs(n).is_empty());
+            let inner = &mut group[leaves..];
+            if inner.len() < 2 {
+                continue;
+            }
+            let mut keyed: Vec<(Vec<u64>, TaskId)> =
+                inner.iter().map(|&n| (alap_list(g, alap, n), n)).collect();
+            keyed.sort_unstable();
+            for (slot, (_, n)) in inner.iter_mut().zip(keyed) {
+                *slot = n;
+            }
+        }
     } else {
         order.sort_by(|&a, &b| {
             prio.static_key(cx, b)
@@ -207,18 +230,21 @@ pub(crate) fn static_order(cx: &Ctx, prio: Prio) -> Vec<TaskId> {
     order
 }
 
-/// Build each node's ascending ALAP list (own ALAP + all descendants') —
-/// MCP's ordering attribute.
+/// `n`'s ascending ALAP list (own ALAP + all descendants') — MCP's
+/// ordering attribute.
+fn alap_list(g: &TaskGraph, alap: &[u64], n: TaskId) -> Vec<u64> {
+    let mut list: Vec<u64> = std::iter::once(alap[n.index()])
+        .chain(g.descendants(n).into_iter().map(|d| alap[d.index()]))
+        .collect();
+    list.sort_unstable();
+    list
+}
+
+/// Every node's ALAP list: the reference [`static_order`] is tested
+/// against.
+#[cfg(test)]
 pub(crate) fn alap_lists(g: &TaskGraph, alap: &[u64]) -> Vec<Vec<u64>> {
-    g.tasks()
-        .map(|n| {
-            let mut list: Vec<u64> = std::iter::once(alap[n.index()])
-                .chain(g.descendants(n).into_iter().map(|d| alap[d.index()]))
-                .collect();
-            list.sort_unstable();
-            list
-        })
-        .collect()
+    g.tasks().map(|n| alap_list(g, alap, n)).collect()
 }
 
 #[cfg(test)]
@@ -256,10 +282,7 @@ mod tests {
         // edge, so the lexicographic-lists order is topologically
         // consistent and the ready gate in the driver never bites.
         let g = crate::bnp::testutil::classic_nine();
-        let alap = dagsched_graph::levels::alap_times(&g);
-        let lists = alap_lists(&g, &alap);
-        let mut order: Vec<TaskId> = g.tasks().collect();
-        order.sort_by(|&a, &b| lists[a.index()].cmp(&lists[b.index()]).then(a.0.cmp(&b.0)));
+        let order = reference_alap_order(&g);
         assert!(dagsched_graph::topo::is_topological(&g, &order));
         // CP nodes (ALAP 0) come first; the entry node leads.
         assert_eq!(order[0], TaskId(0));
@@ -277,6 +300,60 @@ mod tests {
         assert_eq!(lists[8].len(), 1);
         // Entry node's list covers the whole graph.
         assert_eq!(lists[0].len(), 9);
+    }
+
+    /// The full-lists sort [`static_order`] must reproduce for `alap`.
+    fn reference_alap_order(g: &TaskGraph) -> Vec<TaskId> {
+        let lists = alap_lists(g, g.levels().alap_times());
+        let mut order: Vec<TaskId> = g.tasks().collect();
+        order.sort_by(|&a, &b| lists[a.index()].cmp(&lists[b.index()]).then(a.0.cmp(&b.0)));
+        order
+    }
+
+    /// A random DAG with unit task weights and edge costs in `0..=max_c`:
+    /// ALAP ties everywhere, leaves and inner nodes mixed in each group.
+    fn unit_weight_dag(v: u32, max_c: u64, mut seed: u64) -> TaskGraph {
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut b = dagsched_graph::GraphBuilder::new();
+        let ids: Vec<TaskId> = (0..v).map(|_| b.add_task(1)).collect();
+        for i in 0..v as usize {
+            for j in i + 1..v as usize {
+                if next() % 5 == 0 {
+                    b.add_edge(ids[i], ids[j], next() % (max_c + 1)).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn alap_static_order_matches_full_lists_sort() {
+        use dagsched_suites::rgnos::{self, RgnosParams};
+        let mut graphs: Vec<TaskGraph> = Vec::new();
+        for (v, ccr, seed) in [(40, 0.1, 1), (90, 1.0, 2), (150, 10.0, 3), (300, 1.0, 4)] {
+            graphs.push(rgnos::generate(RgnosParams::new(v, ccr, 3, seed)));
+        }
+        for seed in 1..=12u64 {
+            let v = 10 + 7 * seed as u32;
+            graphs.push(unit_weight_dag(v, seed % 3, seed * 0x9e37_79b9));
+        }
+        let mut tied = 0;
+        for (i, g) in graphs.iter().enumerate() {
+            let cx = Ctx::new(g, Spec::default());
+            let got = static_order(&cx, Prio::Alap);
+            assert_eq!(got, reference_alap_order(g), "graph {i}");
+            let alap = cx.alap;
+            tied += got
+                .windows(2)
+                .filter(|w| alap[w[0].index()] == alap[w[1].index()])
+                .count();
+        }
+        assert!(tied > 100, "the graphs must exercise ALAP ties ({tied})");
     }
 
     #[test]

@@ -212,20 +212,26 @@ impl TaskGraph {
     /// successor edges), excluding `n` itself, as a sorted id list.
     ///
     /// Used by MCP's ALAP-list priority, which compares a node's ALAP
-    /// together with the ALAPs of everything below it.
+    /// together with the ALAPs of everything below it. Costs what it
+    /// reaches: a leaf allocates nothing, and the reached set is sorted
+    /// instead of scanning every id (the visited set is one bit per task).
     pub fn descendants(&self, n: TaskId) -> Vec<TaskId> {
-        let mut seen = vec![false; self.num_tasks()];
+        let mut out = Vec::new();
+        if self.succs(n).is_empty() {
+            return out;
+        }
+        let mut seen = vec![0u64; self.num_tasks().div_ceil(64)];
         let mut stack: Vec<TaskId> = self.succs(n).iter().map(|&(s, _)| s).collect();
         while let Some(t) = stack.pop() {
-            if !seen[t.index()] {
-                seen[t.index()] = true;
+            let (word, bit) = (t.index() / 64, 1u64 << (t.index() % 64));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
+                out.push(t);
                 stack.extend(self.succs(t).iter().map(|&(s, _)| s));
             }
         }
-        (0..self.num_tasks() as u32)
-            .map(TaskId)
-            .filter(|t| seen[t.index()])
-            .collect()
+        out.sort_unstable();
+        out
     }
 
     /// Rename the graph (builders of derived graphs use this).
@@ -353,6 +359,25 @@ mod tests {
         );
         assert_eq!(g.descendants(TaskId(1)), vec![TaskId(3)]);
         assert!(g.descendants(TaskId(3)).is_empty());
+    }
+
+    #[test]
+    fn descendants_of_a_leaf_are_empty_and_reached_sets_ascend() {
+        // A fan-out whose ids run against the DFS order: the reached set
+        // must still come back ascending, and every leaf reaches nothing.
+        let mut b = GraphBuilder::new();
+        let root = b.add_task(1);
+        let mid: Vec<TaskId> = (0..70).map(|_| b.add_task(1)).collect();
+        let sink = b.add_task(1);
+        for &m in mid.iter().rev() {
+            b.add_edge(root, m, 1).unwrap();
+            b.add_edge(m, sink, 1).unwrap();
+        }
+        let g = b.build().unwrap();
+        let all: Vec<TaskId> = g.tasks().skip(1).collect();
+        assert_eq!(g.descendants(root), all);
+        assert_eq!(g.descendants(mid[3]), vec![sink]);
+        assert!(g.descendants(sink).is_empty());
     }
 
     #[test]

@@ -81,7 +81,10 @@ pub enum Event {
     /// A task won the selection step. `key`/`tie` are the (algorithm-
     /// specific) primary priority and tie-break values it won with.
     TaskSelected { task: u32, key: u64, tie: u64 },
-    /// A candidate processor was probed for a start slot.
+    /// A candidate processor was probed for a start slot: one per start
+    /// time the scheduler computes in full. A candidate a bound rules out,
+    /// or a probe abandoned part-way because it already lost (MH), emits
+    /// none.
     PlacementProbed { task: u32, proc: u32, start: u64 },
     /// A placement was committed. `hole` is true when the slot was an
     /// insertion before the processor's tail (vs a plain append).

@@ -53,6 +53,9 @@ pub enum Metric {
     ApnMsgsRetired,
     /// APN slab: batch-retire calls.
     ApnBatchRetires,
+    /// MH: parent arrivals probed while choosing processors, added once
+    /// per step (an exhaustive scan probes `p` per parent edge).
+    ApnProbeArrivals,
     /// BSA: migration trials replayed.
     BsaTrials,
     /// BSA: trials cut early by a rejection bound.
@@ -87,7 +90,7 @@ pub enum Metric {
 }
 
 /// All metrics, in declaration (= print) order.
-pub const METRICS: [Metric; 28] = [
+pub const METRICS: [Metric; 29] = [
     Metric::WsStealAttempts,
     Metric::WsStealHits,
     Metric::WsParks,
@@ -102,6 +105,7 @@ pub const METRICS: [Metric; 28] = [
     Metric::ApnMsgsCommitted,
     Metric::ApnMsgsRetired,
     Metric::ApnBatchRetires,
+    Metric::ApnProbeArrivals,
     Metric::BsaTrials,
     Metric::BsaTrialsCut,
     Metric::BsaTrialsAccepted,
@@ -135,6 +139,7 @@ impl Metric {
             Metric::ApnMsgsCommitted => "apn.msgs_committed",
             Metric::ApnMsgsRetired => "apn.msgs_retired",
             Metric::ApnBatchRetires => "apn.batch_retires",
+            Metric::ApnProbeArrivals => "apn.probe_arrivals",
             Metric::BsaTrials => "bsa.trials",
             Metric::BsaTrialsCut => "bsa.trials_cut",
             Metric::BsaTrialsAccepted => "bsa.trials_accepted",

@@ -1,6 +1,6 @@
-//! Logical-work ceilings on the headline instances of the DSC, MD, DCP
-//! and BSA hot-path overhauls (paper-scale RGNOS, parallelism 3), each run
-//! once on the test thread.
+//! Logical-work ceilings on the headline instances of the DSC, MD, DCP,
+//! BSA and MH hot-path overhauls (paper-scale RGNOS, parallelism 3), each
+//! run once on the test thread.
 //!
 //! Every run must reproduce its committed
 //! [`Outcome::digest`](taskbench::core::Outcome::digest), and its
@@ -12,7 +12,9 @@
 //!   v`) within [`CONE_NODES_MAX`] cone nodes per repair (a rescan touches
 //!   2v);
 //! * BSA commits at most [`MSGS_MAX`] messages per trial (a full replay
-//!   recommits every cross-processor message).
+//!   recommits every cross-processor message);
+//! * MH probes at most [`PROBE_SHARE_MAX`] of the `p·e` parent arrivals an
+//!   exhaustive processor scan probes (`apn.probe_arrivals`).
 //!
 //! Counters of a single-threaded run are identical on every host, so these
 //! gates need no core-count exemption and no retries. The branch-and-bound
@@ -38,14 +40,18 @@ const CONE_NODES_MAX: f64 = 100.0;
 /// Ceiling on BSA's `apn.msgs_committed / bsa.trials` (427 at v=500, CCR
 /// 0.1; a full replay recommits up to e = 2632 messages per trial).
 const MSGS_MAX: f64 = 1000.0;
+/// Ceiling on MH's `apn.probe_arrivals / (p·e)` (0.21–0.54 at v=500, 0.52
+/// at v=1000; probing every processor in full gives 1.0).
+const PROBE_SHARE_MAX: f64 = 0.75;
 
 /// One instance: RGNOS `(v, ccr, seed)` at parallelism 3 and the
 /// committed digest of its schedule.
 type WorkInstance = (usize, f64, u64, [u64; 2]);
 
-/// The instances per algorithm; BSA runs on the quick APN topology (the
-/// 8-processor hypercube). The digests were generated from the
-/// pre-overhaul reference schedulers, which the live ones matched.
+/// The instances per algorithm; BSA and MH run on the quick APN topology
+/// (the 8-processor hypercube). The digests were generated from the
+/// pre-overhaul reference schedulers, which the live ones matched; MH's
+/// from the exhaustive processor scan.
 const WORK: &[(&str, &[WorkInstance])] = &[
     (
         "DSC",
@@ -82,6 +88,15 @@ const WORK: &[(&str, &[WorkInstance])] = &[
             (500, 10.0, 42, [0xd603be9b99c074ae, 0x30a7dc24dbae8407]),
         ],
     ),
+    (
+        "MH",
+        &[
+            (500, 0.1, 42, [0x6a24e100252a0fbb, 0x9ed9da58ea02013b]),
+            (500, 1.0, 42, [0x5a6314542bd7a75e, 0x93dbe5d18cc1fb36]),
+            (500, 10.0, 42, [0x086809fb793dce2c, 0x40362d1a1c91e9a4]),
+            (1000, 1.0, 42, [0x65e1ef1e547860a0, 0xbe04104b2030e90a]),
+        ],
+    ),
 ];
 
 #[test]
@@ -91,7 +106,11 @@ fn headline_instances_keep_their_placements_within_their_work_ceilings() {
     let unc = Env::bnp(1); // UNC algorithms ignore the environment
     for &(name, instances) in WORK {
         let algo = registry::by_name(name).unwrap();
-        let env = if name == "BSA" { &apn } else { &unc };
+        let env = if matches!(name, "BSA" | "MH") {
+            &apn
+        } else {
+            &unc
+        };
         for &(v, ccr, seed, digest) in instances {
             let tag = format!("{name} v={v} ccr={ccr} seed={seed}");
             let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
@@ -104,11 +123,18 @@ fn headline_instances_keep_their_placements_within_their_work_ceilings() {
             let repairs = d.get(EngineRepairs);
             let cone = d.get(EngineFwdNodes) + d.get(EngineBwdNodes);
             let (msgs, trials) = (d.get(ApnMsgsCommitted), d.get(BsaTrials));
+            let exhaustive = (env.procs() * g.num_edges()) as u64;
             // Work per unit against its ceiling.
             let v64 = v as u64;
             let (key, num, den, max) = match name {
                 "DSC" => ("heap_ops_per_task", heap_ops, v64, HEAP_OPS_MAX),
                 "BSA" => ("msgs_per_trial", msgs, trials, MSGS_MAX),
+                "MH" => (
+                    "probe_arrivals_per_pe",
+                    d.get(ApnProbeArrivals),
+                    exhaustive,
+                    PROBE_SHARE_MAX,
+                ),
                 _ => ("cone_nodes_per_repair", cone, repairs, CONE_NODES_MAX),
             };
             let value = num as f64 / den.max(1) as f64;
