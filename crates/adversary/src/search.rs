@@ -73,7 +73,7 @@ impl Reference<'_> {
 
     fn makespan(&self, g: &TaskGraph, env: &Env) -> Option<u64> {
         match self {
-            Reference::Algo(a) => a.schedule(g, env).ok().map(|o| o.schedule.makespan()),
+            Reference::Algo(a) => scored_makespan(*a, g, env),
             Reference::Optimal { node_limit } => {
                 if g.num_tasks() > 64 {
                     return None;
@@ -87,6 +87,22 @@ impl Reference<'_> {
             }
         }
     }
+}
+
+/// The makespan `algo` scores on `g`, or `None` when it returns an error
+/// (the evaluation is skipped). An invalid schedule is a scheduler bug,
+/// never an adversarial win: it panics naming the algorithm and the
+/// graph, as `bench::run_timed` does.
+fn scored_makespan(algo: &dyn Scheduler, g: &TaskGraph, env: &Env) -> Option<u64> {
+    let out = algo.schedule(g, env).ok()?;
+    out.validate(g).unwrap_or_else(|e| {
+        panic!(
+            "{} produced an invalid schedule on {}: {e}",
+            algo.name(),
+            g.name()
+        )
+    });
+    Some(out.schedule.makespan())
 }
 
 /// The best instance a search found.
@@ -145,7 +161,7 @@ pub fn search(
             let gseed = rng.random_range(0..u64::MAX);
             let g = rgnos::generate(RgnosParams::new(nodes, ccr, par, gseed));
             evals += 1;
-            if let Some(t) = target.schedule(&g, env).ok().map(|o| o.schedule.makespan()) {
+            if let Some(t) = scored_makespan(target, &g, env) {
                 if let Some(b) = baseline.makespan(&g, env) {
                     if b > 0 {
                         cur = Some((g, t, b));
@@ -169,11 +185,7 @@ pub fn search(
                 continue; // inapplicable operator: free, draw again
             };
             evals += 1;
-            let Some(t) = target
-                .schedule(&gm, env)
-                .ok()
-                .map(|o| o.schedule.makespan())
-            else {
+            let Some(t) = scored_makespan(target, &gm, env) else {
                 continue;
             };
             let Some(b) = baseline.makespan(&gm, env) else {
@@ -211,8 +223,9 @@ pub fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagsched_core::registry;
+    use dagsched_core::{registry, AlgoClass, Outcome, SchedError};
     use dagsched_graph::io::to_tgf;
+    use dagsched_platform::{ProcId, Schedule};
 
     fn tiny_budget(seed: u64) -> Budget {
         Budget {
@@ -283,6 +296,55 @@ mod tests {
             "heuristic beat the optimal bound: {} < {}",
             r.target_makespan,
             r.baseline_makespan
+        );
+    }
+
+    /// Starts every task at time 0, each on its own processor: every
+    /// child overlaps its parent, so any graph with an edge is invalid.
+    struct AllAtZero;
+
+    impl Scheduler for AllAtZero {
+        fn name(&self) -> &'static str {
+            "ALL-AT-ZERO"
+        }
+
+        fn class(&self) -> AlgoClass {
+            AlgoClass::Unc
+        }
+
+        fn schedule(&self, g: &TaskGraph, _env: &Env) -> Result<Outcome, SchedError> {
+            let mut schedule = Schedule::new(g.num_tasks(), g.num_tasks());
+            for n in g.tasks() {
+                schedule.place(n, ProcId(n.0), 0, g.weight(n)).unwrap();
+            }
+            Ok(Outcome {
+                schedule,
+                network: None,
+            })
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ALL-AT-ZERO produced an invalid schedule on")]
+    fn an_invalid_target_schedule_panics_instead_of_scoring() {
+        let dsc = registry::by_name("DSC").unwrap();
+        search(
+            &AllAtZero,
+            &Reference::Algo(dsc.as_ref()),
+            &Env::bnp(1),
+            &tiny_budget(3),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ALL-AT-ZERO produced an invalid schedule on")]
+    fn an_invalid_baseline_schedule_panics_instead_of_scoring() {
+        let dsc = registry::by_name("DSC").unwrap();
+        search(
+            dsc.as_ref(),
+            &Reference::Algo(&AllAtZero),
+            &Env::bnp(1),
+            &tiny_budget(3),
         );
     }
 

@@ -90,8 +90,9 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
         );
         cands.sort_unstable();
         let first = cands[0].1;
-        let mut best = (st.probe_est(g, n, first), first);
-        let mut arrivals = g.preds(n).len() as u64;
+        let mut arrivals = 0;
+        let est = st.probe_est(g, n, first, u64::MAX, &mut arrivals);
+        let mut best = (est.expect("an uncapped probe completes"), first);
         emit!(
             sink,
             Event::PlacementProbed {
@@ -109,7 +110,7 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
             // `p` wins an EST tie only against a larger id (and `lb < best`
             // when it cannot, so the cap does not underflow).
             let cap = if p < best.1 { best.0 } else { best.0 - 1 };
-            if let Some(est) = st.probe_est_within(g, n, p, cap, &mut arrivals) {
+            if let Some(est) = st.probe_est(g, n, p, cap, &mut arrivals) {
                 emit!(
                     sink,
                     Event::PlacementProbed {
@@ -161,47 +162,23 @@ mod tests {
         let mut st = ApnState::new(g, env).unwrap();
         let bl = g.levels().b_levels();
         let mut ready = ReadySet::new(g);
-        let mut ests = Vec::new();
         while !ready.is_empty() {
             let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
-            st.probe_est_all(g, n, &mut ests);
-            let mut best = (ProcId(0), u64::MAX);
-            for (pi, &est) in ests.iter().enumerate() {
-                if est < best.1 {
-                    best = (ProcId(pi as u32), est);
-                }
-            }
-            st.commit_and_place(g, n, best.0);
+            let p = (0..env.procs() as u32)
+                .map(ProcId)
+                .min_by_key(|&p| (st.probe_est(g, n, p, u64::MAX, &mut 0).unwrap(), p))
+                .unwrap();
+            st.commit_and_place(g, n, p);
             ready.take(g, n);
         }
         st.into_outcome()
-    }
-
-    /// RGNOS graphs at CCR 0.1/1/10, plus copies with every task weight
-    /// and every edge cost set equal, so that ties in both the bound and
-    /// the EST occur.
-    fn equivalence_graphs() -> Vec<TaskGraph> {
-        let mut graphs = Vec::new();
-        for (v, ccr, seed) in [(60, 0.1, 1), (80, 1.0, 2), (100, 10.0, 3)] {
-            let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
-            let mut b = GraphBuilder::new();
-            for _ in g.tasks() {
-                b.add_task(4);
-            }
-            for e in g.edges() {
-                b.add_edge(e.src, e.dst, 4).unwrap();
-            }
-            graphs.push(g);
-            graphs.push(b.build().unwrap());
-        }
-        graphs
     }
 
     #[test]
     fn pruned_probing_matches_the_exhaustive_scan() {
         for spec in ["ring:5", "star:6", "mesh:3x3", "full:4", "chain:6"] {
             let env = Env::apn(Topology::parse_spec(spec).unwrap());
-            for (i, g) in equivalence_graphs().iter().enumerate() {
+            for (i, g) in testutil::equivalence_graphs().iter().enumerate() {
                 let out = Mh.schedule(g, &env).unwrap();
                 out.validate(g).unwrap();
                 assert_eq!(

@@ -14,17 +14,14 @@
 //! commit time); the committed start time is recomputed from the actual
 //! arrivals, so schedules remain exactly feasible.
 //!
-//! Three hot-path kernels sit on top:
+//! Two hot-path kernels sit on top:
 //!
-//! * `ApnState::probe_est_all` — the batched probe: the data-ready time of
-//!   a node on *all* processors in one pass over its parents (one placement
-//!   lookup per parent instead of one per (parent, processor) pair).
-//!   DLS-APN's exhaustive processor scan runs on it.
-//! * `ApnState::est_lower_bounds` + `ApnState::probe_est_within` — MH's
-//!   pruned scan: contention-free start bounds on every processor (hop
-//!   counts only, no link walks), then exact probes of only the processors
-//!   whose bound can still win, each abandoned once its partial start
-//!   loses.
+//! * `ApnState::est_lower_bounds` + `ApnState::probe_est` — the
+//!   bound-then-probe scan MH and DLS-APN share: contention-free start
+//!   bounds on every processor (hop counts only, no link walks), then exact
+//!   probes of only the (task, processor) pairs whose bound can still win,
+//!   each abandoned once its partial start passes a cap past which the
+//!   pair loses.
 //! * `ReplayEngine` — incremental re-execution of `replay` with a
 //!   trial-commit/rollback journal, the APN analogue of DSC's clone-free
 //!   DSRW guard. BSA evaluates every tentative migration through it. The
@@ -69,31 +66,15 @@ impl ApnState {
         })
     }
 
-    /// Probe the data-ready time of `n` on `p`: the latest probed arrival
-    /// over all (placed) parents. No link state is mutated.
-    pub fn probe_drt(&self, g: &TaskGraph, n: TaskId, p: ProcId) -> u64 {
-        let mut t = 0u64;
-        for &(q, c) in g.preds(n) {
-            let pl = self
-                .s
-                .placement(q)
-                .expect("probe_drt: parent must be placed");
-            t = t.max(self.net.probe_arrival(pl.proc, p, pl.finish, c));
-        }
-        t
-    }
-
-    /// Probe the earliest (append-policy) start of `n` on `p`.
-    pub fn probe_est(&self, g: &TaskGraph, n: TaskId, p: ProcId) -> u64 {
-        self.s.timeline(p).earliest_append(self.probe_drt(g, n, p))
-    }
-
-    /// [`ApnState::probe_est`] that stops walking parents once the partial
-    /// start exceeds `cap`: `None` when it stopped early (the start is
-    /// `> cap`), else the exact start, which may still exceed `cap` if
-    /// only the last parent pushed it there. Adds the number of parent
-    /// arrivals it probed to `arrivals`.
-    pub fn probe_est_within(
+    /// Probe the earliest (append-policy) start of `n` on `p`: `p`'s ready
+    /// time or the latest probed parent arrival, whichever is later. No
+    /// link state is mutated. The parent walk stops once the partial start
+    /// exceeds `cap`: `None` when it stopped early (the start is `> cap`),
+    /// else the exact start, which may still exceed `cap` if only the last
+    /// parent pushed it there. With `cap = u64::MAX` the start is always
+    /// returned. Adds the number of parent arrivals it probed to
+    /// `arrivals`.
+    pub fn probe_est(
         &self,
         g: &TaskGraph,
         n: TaskId,
@@ -109,7 +90,7 @@ impl ApnState {
             let pl = self
                 .s
                 .placement(q)
-                .expect("probe_est_within: parent must be placed");
+                .expect("probe_est: parent must be placed");
             *arrivals += 1;
             t = t.max(self.net.probe_arrival(pl.proc, p, pl.finish, c));
         }
@@ -120,7 +101,8 @@ impl ApnState {
     /// processor: `lbs[p]` is the larger of `p`'s ready time and, over the
     /// parents, `finish + dist·c` (`finish` alone for a local or zero-cost
     /// edge), in saturating arithmetic. Every hop of a probed route costs
-    /// at least `c`, so `lbs[p] ≤ probe_est(g, n, p)`. No link is walked.
+    /// at least `c`, so `lbs[p]` never exceeds the start
+    /// [`ApnState::probe_est`] returns. No link is walked.
     pub fn est_lower_bounds(&self, g: &TaskGraph, n: TaskId, lbs: &mut Vec<u64>) {
         let topo = self.net.topology();
         lbs.clear();
@@ -134,41 +116,6 @@ impl ApnState {
                 let hops = u64::from(topo.distance(pl.proc, p));
                 *lb = (*lb).max(pl.finish.saturating_add(hops.saturating_mul(c)));
             }
-        }
-    }
-
-    /// Batched probe kernel: the data-ready time of `n` on **every**
-    /// processor, in one pass over the parents. `drts` is cleared and
-    /// resized to the processor count. Each `drts[p]` equals
-    /// [`ApnState::probe_drt`]`(g, n, ProcId(p))` exactly; the batching
-    /// saves the per-(parent, processor) placement lookups of the naive
-    /// per-processor scan that DLS-APN runs on every ready node.
-    pub fn probe_drt_all(&self, g: &TaskGraph, n: TaskId, drts: &mut Vec<u64>) {
-        let procs = self.s.num_procs();
-        drts.clear();
-        drts.resize(procs, 0);
-        for &(q, c) in g.preds(n) {
-            let pl = self
-                .s
-                .placement(q)
-                .expect("probe_drt_all: parent must be placed");
-            for (pi, drt) in drts.iter_mut().enumerate() {
-                let t = self
-                    .net
-                    .probe_arrival(pl.proc, ProcId(pi as u32), pl.finish, c);
-                if t > *drt {
-                    *drt = t;
-                }
-            }
-        }
-    }
-
-    /// Batched [`ApnState::probe_est`]: earliest append-policy starts of `n`
-    /// on every processor, via [`ApnState::probe_drt_all`].
-    pub fn probe_est_all(&self, g: &TaskGraph, n: TaskId, ests: &mut Vec<u64>) {
-        self.probe_drt_all(g, n, ests);
-        for (pi, est) in ests.iter_mut().enumerate() {
-            *est = self.s.timeline(ProcId(pi as u32)).earliest_append(*est);
         }
     }
 
@@ -662,10 +609,34 @@ pub(crate) mod testutil {
     //! Shared fixtures for APN algorithm tests.
 
     use crate::{AlgoClass, Env, Outcome, Scheduler};
-    use dagsched_graph::TaskGraph;
+    use dagsched_graph::{GraphBuilder, TaskGraph};
     use dagsched_platform::Topology;
+    use dagsched_suites::rgnos::{self, RgnosParams};
 
     pub use crate::bnp::testutil::{chain4, classic_nine, independent};
+
+    /// RGNOS graphs at CCR 0.1/1/10, each followed by copies with every
+    /// task weight and every edge cost set to 4 and to 1, so that ties in
+    /// both the contention-free bound and the exact start occur. The
+    /// inputs of the pruned-scan equivalence tests of MH and DLS-APN.
+    pub fn equivalence_graphs() -> Vec<TaskGraph> {
+        let mut graphs = Vec::new();
+        for (v, ccr, seed) in [(60, 0.1, 1), (80, 1.0, 2), (100, 10.0, 3)] {
+            let g = rgnos::generate(RgnosParams::new(v, ccr, 3, seed));
+            graphs.push(g.clone());
+            for w in [4, 1] {
+                let mut b = GraphBuilder::new();
+                for _ in g.tasks() {
+                    b.add_task(w);
+                }
+                for e in g.edges() {
+                    b.add_edge(e.src, e.dst, w).unwrap();
+                }
+                graphs.push(b.build().unwrap());
+            }
+        }
+        graphs
+    }
 
     pub fn run(algo: &dyn Scheduler, g: &TaskGraph, topo: Topology) -> Outcome {
         assert_eq!(algo.class(), AlgoClass::Apn);
@@ -837,32 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_probe_matches_single_probes() {
-        let g = testutil::classic_nine();
-        let env = Env::apn(Topology::mesh(2, 2).unwrap());
-        let mut st = ApnState::new(&g, &env).unwrap();
-        // Place a few parents across processors with some link traffic.
-        let order = g.topo_order().to_vec();
-        for (i, &n) in order.iter().take(5).enumerate() {
-            st.commit_and_place(&g, n, ProcId((i % 4) as u32));
-        }
-        let mut drts = Vec::new();
-        let mut ests = Vec::new();
-        for &n in order.iter().skip(5) {
-            if !g.preds(n).iter().all(|&(q, _)| st.s.placement(q).is_some()) {
-                continue;
-            }
-            st.probe_drt_all(&g, n, &mut drts);
-            st.probe_est_all(&g, n, &mut ests);
-            for pi in 0..4u32 {
-                let p = ProcId(pi);
-                assert_eq!(drts[pi as usize], st.probe_drt(&g, n, p));
-                assert_eq!(ests[pi as usize], st.probe_est(&g, n, p));
-            }
-        }
-    }
-
-    #[test]
     fn probe_matches_commit_for_single_parent() {
         let mut gb = GraphBuilder::new();
         let a = gb.add_task(2);
@@ -872,9 +817,9 @@ mod tests {
         let env = Env::apn(Topology::chain(3).unwrap());
         let mut st = ApnState::new(&g, &env).unwrap();
         st.s.place(a, ProcId(0), 0, 2).unwrap();
-        let probed = st.probe_est(&g, b, ProcId(2));
+        let probed = st.probe_est(&g, b, ProcId(2), u64::MAX, &mut 0);
         let drt = st.commit_parent_messages(&g, b, ProcId(2), &mut NullSink, |_| {});
-        assert_eq!(probed, drt); // empty network: two hops of 5 → 12
+        assert_eq!(probed, Some(drt)); // empty network: two hops of 5 → 12
         assert_eq!(drt, 12);
     }
 

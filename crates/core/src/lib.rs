@@ -42,8 +42,8 @@
 //! | EZ | O(e) edge rescan | — | |
 //! | LC | O(v + e) level recompute | — (input levels now cached per graph) | static level passes shared via `TaskGraph::levels` |
 //! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); placements pinned by `tests/placement_digests.rs`; `tests/work_ceilings.rs` gates one repair per placement and ≤ 100 cone nodes per repair at v=2000 (measured 44 / 52, against 2v = 4000 for the rescan) |
-//! | MH | O(p·route) per parent edge with a route `Vec` + an adjacency lookup per hop per probe | O(p) hop-count bound terms per parent edge, route walks only on processors the bound cannot exclude, abandoned once they lose | `Topology` CSR route tables; [`apn`]'s `est_lower_bounds` + `probe_est_within`; `tests/work_ceilings.rs` gates ≤ 0.75 of the exhaustive `p·e` parent arrivals (measured 0.21–0.54 at v=500) |
-//! | DLS-APN | O(r·p·route) with a route `Vec` + an adjacency lookup per hop per probe | — shape, but probes walk precomputed route slices and batch over processors | `Topology` CSR route tables; [`apn`]'s `probe_est_all` kernel |
+//! | MH | O(p·route) per parent edge with a route `Vec` + an adjacency lookup per hop per probe | O(p) hop-count bound terms per parent edge, route walks only on processors the bound cannot exclude, abandoned once they lose | `Topology` CSR route tables; [`apn`]'s `est_lower_bounds` + capped `probe_est`; `tests/work_ceilings.rs` gates ≤ 0.75 of the exhaustive `p·e` parent arrivals (measured 0.21–0.54 at v=500) |
+//! | DLS-APN | O(r·p·route) per step with a route `Vec` + an adjacency lookup per hop per probe | O(r·p) hop-count bound terms per ready parent edge and an O(r·p·log(r·p)) sort per step; route walks only on (task, processor) pairs the bound cannot exclude, abandoned once they lose | MH's bound-then-probe scan over all ready pairs; `tests/work_ceilings.rs` gates ≤ 16 parent arrivals per `p·e` (measured 0.43–10.55, against 22–81 for the exhaustive scan) |
 //! | BU | O(v·p) assignment + list pass | — | rides the same allocation-free probes |
 //! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; `tests/work_ceilings.rs` gates ≤ 1000 messages committed per trial on the paper-scale APN instance (measured 427, against up to e = 2632 for a full replay) |
 //! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | — (a work-stealing parallel split of the same tree never beat serial and was removed; parallelism comes from solving independent cells concurrently) | byte-deterministic counters; `tests/placement_digests.rs` pins length, proof, node and prune counters and placements on 25 instances |

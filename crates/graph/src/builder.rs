@@ -181,16 +181,11 @@ impl GraphBuilder {
             levels: std::sync::OnceLock::new(),
         };
         match topo::topological_order(&g) {
-            Some(order) => {
+            Ok(order) => {
                 g.topo = order.into();
                 Ok(g)
             }
-            None => {
-                // Identify one node on a cycle for the error message: any node
-                // not drained by Kahn's algorithm.
-                let on_cycle = topo::one_node_on_cycle(&g).unwrap_or(TaskId(0));
-                Err(GraphError::Cycle { task: on_cycle.0 })
-            }
+            Err(on_cycle) => Err(GraphError::Cycle { task: on_cycle.0 }),
         }
     }
 }

@@ -3,12 +3,12 @@
 use crate::graph::{TaskGraph, TaskId};
 
 /// Deterministic topological order of `g`: Kahn's algorithm with a FIFO
-/// frontier seeded with entry nodes in ascending id order. Returns `None`
-/// when the edge set is cyclic.
+/// frontier seeded with entry nodes in ascending id order. When the edge
+/// set is cyclic, returns `Err` with one node that lies on a cycle.
 ///
 /// Determinism matters: the benchmark suites and the schedulers must produce
 /// byte-identical results across runs for EXPERIMENTS.md to be reproducible.
-pub fn topological_order(g: &TaskGraph) -> Option<Vec<TaskId>> {
+pub fn topological_order(g: &TaskGraph) -> Result<Vec<TaskId>, TaskId> {
     let v = g.num_tasks();
     let mut indeg: Vec<u32> = (0..v)
         .map(|i| g.in_degree(TaskId(i as u32)) as u32)
@@ -27,43 +27,18 @@ pub fn topological_order(g: &TaskGraph) -> Option<Vec<TaskId>> {
             }
         }
     }
-    (order.len() == v).then_some(order)
-}
-
-/// After a failed Kahn drain, any node with remaining in-degree lies on (or
-/// downstream of) a cycle; walking predecessors from it must eventually
-/// revisit a node, which is on a cycle. Returns `None` for acyclic graphs.
-pub fn one_node_on_cycle(g: &TaskGraph) -> Option<TaskId> {
-    let v = g.num_tasks();
-    let mut indeg: Vec<u32> = (0..v)
-        .map(|i| g.in_degree(TaskId(i as u32)) as u32)
-        .collect();
-    let mut queue: std::collections::VecDeque<TaskId> = (0..v as u32)
+    if order.len() == v {
+        return Ok(order);
+    }
+    // Every undrained node lies on or downstream of a cycle and has an
+    // undrained predecessor. Walking those from any undrained node must
+    // revisit a node, and the repeated node lies on a directed cycle.
+    let mut cur = (0..v as u32)
         .map(TaskId)
-        .filter(|n| indeg[n.index()] == 0)
-        .collect();
-    let mut drained = 0usize;
-    while let Some(n) = queue.pop_front() {
-        drained += 1;
-        for &(s, _) in g.succs(n) {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                queue.push_back(s);
-            }
-        }
-    }
-    if drained == v {
-        return None;
-    }
-    // Start from any undrained node and walk undrained predecessors until a
-    // repeat: the repeated node lies on a directed cycle.
-    let start = (0..v as u32).map(TaskId).find(|n| indeg[n.index()] > 0)?;
+        .find(|n| indeg[n.index()] > 0)
+        .expect("a partial drain leaves a node undrained");
     let mut seen = vec![false; v];
-    let mut cur = start;
-    loop {
-        if seen[cur.index()] {
-            return Some(cur);
-        }
+    while !seen[cur.index()] {
         seen[cur.index()] = true;
         cur = g
             .preds(cur)
@@ -72,6 +47,7 @@ pub fn one_node_on_cycle(g: &TaskGraph) -> Option<TaskId> {
             .find(|p| indeg[p.index()] > 0)
             .expect("undrained node must have an undrained predecessor");
     }
+    Err(cur)
 }
 
 /// Whether `order` is a valid topological order of `g`: a permutation of all
@@ -88,14 +64,6 @@ pub fn is_topological(g: &TaskGraph, order: &[TaskId]) -> bool {
         pos[n.index()] = i;
     }
     g.edges().all(|e| pos[e.src.index()] < pos[e.dst.index()])
-}
-
-/// Reverse topological order (children before parents), derived from the
-/// cached order. Used by bottom-up passes (b-levels, the BU algorithm).
-pub fn reverse_topo(g: &TaskGraph) -> Vec<TaskId> {
-    let mut o = g.topo_order().to_vec();
-    o.reverse();
-    o
 }
 
 #[cfg(test)]
@@ -140,10 +108,19 @@ mod tests {
     }
 
     #[test]
-    fn reverse_topo_puts_children_first() {
-        let g = chain(4);
-        let rev: Vec<u32> = reverse_topo(&g).iter().map(|t| t.0).collect();
-        assert_eq!(rev, vec![3, 2, 1, 0]);
+    fn cycle_with_a_downstream_node_reports_a_node_on_the_cycle() {
+        // 1 → 2 → 3 → 1 plus 3 → 0: node 0 is undrained but not on the
+        // cycle.
+        let mut b = GraphBuilder::new();
+        let n: Vec<_> = (0..4).map(|_| b.add_task(1)).collect();
+        for (s, d) in [(1, 2), (2, 3), (3, 1), (3, 0)] {
+            b.add_edge(n[s], n[d], 1).unwrap();
+        }
+        let task = match b.build() {
+            Err(crate::GraphError::Cycle { task }) => task,
+            other => panic!("expected a cycle error, got {other:?}"),
+        };
+        assert!((1..=3).contains(&task), "task {task} is not on the cycle");
     }
 
     #[test]

@@ -53,8 +53,9 @@ pub enum Metric {
     ApnMsgsRetired,
     /// APN slab: batch-retire calls.
     ApnBatchRetires,
-    /// MH: parent arrivals probed while choosing processors, added once
-    /// per step (an exhaustive scan probes `p` per parent edge).
+    /// MH and DLS-APN: parent arrivals probed while choosing placements,
+    /// added once per MH step and once per DLS-APN run (an exhaustive
+    /// scan probes `p` per parent edge of every candidate task).
     ApnProbeArrivals,
     /// BSA: migration trials replayed.
     BsaTrials,

@@ -1,6 +1,6 @@
 //! Logical-work ceilings on the headline instances of the DSC, MD, DCP,
-//! BSA and MH hot-path overhauls (paper-scale RGNOS, parallelism 3), each
-//! run once on the test thread.
+//! BSA, MH and DLS-APN hot-path overhauls (paper-scale RGNOS, parallelism
+//! 3), each run once on the test thread.
 //!
 //! Every run must reproduce its committed
 //! [`Outcome::digest`](taskbench::core::Outcome::digest), and its
@@ -14,7 +14,10 @@
 //! * BSA commits at most [`MSGS_MAX`] messages per trial (a full replay
 //!   recommits every cross-processor message);
 //! * MH probes at most [`PROBE_SHARE_MAX`] of the `p·e` parent arrivals an
-//!   exhaustive processor scan probes (`apn.probe_arrivals`).
+//!   exhaustive processor scan probes (`apn.probe_arrivals`);
+//! * DLS-APN probes at most [`DLS_PROBE_PER_PE_MAX`] parent arrivals per
+//!   `p·e` (an exhaustive (ready task × processor) scan re-probes every
+//!   ready task on every step and gives 22–81).
 //!
 //! Counters of a single-threaded run are identical on every host, so these
 //! gates need no core-count exemption and no retries. The branch-and-bound
@@ -43,15 +46,19 @@ const MSGS_MAX: f64 = 1000.0;
 /// Ceiling on MH's `apn.probe_arrivals / (p·e)` (0.21–0.54 at v=500, 0.52
 /// at v=1000; probing every processor in full gives 1.0).
 const PROBE_SHARE_MAX: f64 = 0.75;
+/// Ceiling on DLS-APN's `apn.probe_arrivals / (p·e)` (0.43 / 7.06 / 5.79
+/// at v=500, CCR 0.1/1/10, and 10.55 at v=1000; the exhaustive scan gives
+/// 46.3 / 45.3 / 22.0 / 81.4).
+const DLS_PROBE_PER_PE_MAX: f64 = 16.0;
 
 /// One instance: RGNOS `(v, ccr, seed)` at parallelism 3 and the
 /// committed digest of its schedule.
 type WorkInstance = (usize, f64, u64, [u64; 2]);
 
-/// The instances per algorithm; BSA and MH run on the quick APN topology
-/// (the 8-processor hypercube). The digests were generated from the
-/// pre-overhaul reference schedulers, which the live ones matched; MH's
-/// from the exhaustive processor scan.
+/// The instances per algorithm; BSA, MH and DLS-APN run on the quick APN
+/// topology (the 8-processor hypercube). The digests were generated from
+/// the pre-overhaul reference schedulers, which the live ones matched; MH's
+/// and DLS-APN's from their exhaustive scans.
 const WORK: &[(&str, &[WorkInstance])] = &[
     (
         "DSC",
@@ -97,6 +104,15 @@ const WORK: &[(&str, &[WorkInstance])] = &[
             (1000, 1.0, 42, [0x65e1ef1e547860a0, 0xbe04104b2030e90a]),
         ],
     ),
+    (
+        "DLS-APN",
+        &[
+            (500, 0.1, 42, [0x77ed938eafecae4f, 0x2a7fd27ff8fb33c8]),
+            (500, 1.0, 42, [0x592919596c9c3b07, 0x37f467fa4704aff9]),
+            (500, 10.0, 42, [0xf010e80f88513107, 0x86eba48b2e419210]),
+            (1000, 1.0, 42, [0xaf72f18ae759cbd3, 0x9ca5304a20fcf75e]),
+        ],
+    ),
 ];
 
 #[test]
@@ -106,7 +122,7 @@ fn headline_instances_keep_their_placements_within_their_work_ceilings() {
     let unc = Env::bnp(1); // UNC algorithms ignore the environment
     for &(name, instances) in WORK {
         let algo = registry::by_name(name).unwrap();
-        let env = if matches!(name, "BSA" | "MH") {
+        let env = if matches!(name, "BSA" | "MH" | "DLS-APN") {
             &apn
         } else {
             &unc
@@ -134,6 +150,12 @@ fn headline_instances_keep_their_placements_within_their_work_ceilings() {
                     d.get(ApnProbeArrivals),
                     exhaustive,
                     PROBE_SHARE_MAX,
+                ),
+                "DLS-APN" => (
+                    "probe_arrivals_per_pe",
+                    d.get(ApnProbeArrivals),
+                    exhaustive,
+                    DLS_PROBE_PER_PE_MAX,
                 ),
                 _ => ("cone_nodes_per_repair", cone, repairs, CONE_NODES_MAX),
             };
