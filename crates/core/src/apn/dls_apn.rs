@@ -16,8 +16,10 @@
 //! Complexity: per step O(r·p) bound terms per ready parent edge and an
 //! O(r·p·log(r·p)) sort, plus route walks of only the pairs the bound
 //! cannot exclude (`apn.probe_arrivals`: 0.01–0.26 of the exhaustive scan's
-//! on RGNOS v=500, 8-processor hypercube). The paper's Table 6 ranks DLS
-//! the slowest APN algorithm: its definition scans every pair.
+//! on RGNOS v=500, 8-processor hypercube). Each step first reindexes the
+//! link tracks, so a walk's hole searches skip blocks of too-short holes
+//! (`apn.link_slots_scanned`). The paper's Table 6 ranks DLS the slowest
+//! APN algorithm: its definition scans every pair.
 
 use std::cmp::Reverse;
 
@@ -27,7 +29,7 @@ use dagsched_platform::ProcId;
 use crate::common::ReadySet;
 use crate::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 
-use super::ApnState;
+use super::{ApnState, ProbeWork};
 
 /// The selection key of a (task, processor) pair, maximised:
 /// `(SL − EST, smaller EST, smaller task id, smaller processor id)`.
@@ -57,9 +59,11 @@ impl Scheduler for DlsApn {
         let mut ready = ReadySet::new(g);
         let mut lbs = Vec::new();
         let mut cands: Vec<Key> = Vec::new();
-        let mut arrivals = 0;
+        let mut work = ProbeWork::default();
         while !ready.is_empty() {
-            // One upper-bound key per pair, in descending order.
+            // One upper-bound key per pair, in descending order; the
+            // probes run over freshly indexed link tracks.
+            st.net.reindex();
             cands.clear();
             for n in ready.iter() {
                 st.est_lower_bounds(g, n, &mut lbs);
@@ -83,7 +87,7 @@ impl Scheduler for DlsApn {
                     Some(b) => (sl[n.index()] as i64 - b.0) as u64,
                     None => u64::MAX,
                 };
-                if let Some(est) = st.probe_est(g, n, p, cap, &mut arrivals) {
+                if let Some(est) = st.probe_est(g, n, p, cap, &mut work) {
                     best = best.max(Some(key(sl[n.index()], est, n, p)));
                 }
             }
@@ -91,7 +95,7 @@ impl Scheduler for DlsApn {
             st.commit_and_place(g, TaskId(n), ProcId(p));
             ready.take(g, TaskId(n));
         }
-        dagsched_obs::global().add(dagsched_obs::Metric::ApnProbeArrivals, arrivals);
+        work.flush();
         Ok(st.into_outcome())
     }
 }
@@ -111,11 +115,12 @@ mod tests {
         let mut st = ApnState::new(g, env).unwrap();
         let sl = g.levels().static_levels();
         let mut ready = ReadySet::new(g);
+        let mut work = ProbeWork::default();
         while !ready.is_empty() {
             let mut best: Option<Key> = None;
             for n in ready.iter() {
                 for p in (0..env.procs() as u32).map(ProcId) {
-                    let est = st.probe_est(g, n, p, u64::MAX, &mut 0).unwrap();
+                    let est = st.probe_est(g, n, p, u64::MAX, &mut work).unwrap();
                     best = best.max(Some(key(sl[n.index()], est, n, p)));
                 }
             }

@@ -6,8 +6,9 @@
 //! over contended links (the original maintains routing tables updated with
 //! network traffic; our [`dagsched_platform::Network`] plays that role).
 //!
-//! Per step: pop the highest-b-level ready node, place it on the processor
-//! with the smallest `(EST, id)`, commit the messages toward the winner.
+//! Per step: pop the highest-b-level ready node (a [`ReadyQueue`], ties
+//! toward the smaller id), place it on the processor with the smallest
+//! `(EST, id)`, commit the messages toward the winner.
 //!
 //! The winner is found without probing every processor. A contention-free
 //! bound `lb(p) ≤ EST(p)` (ready time, and each parent's finish plus
@@ -21,20 +22,24 @@
 //! Tracing: one `PlacementProbed` per EST computed in full — skipped and
 //! abandoned probes emit nothing, the rule the compose driver documents.
 //!
-//! Complexity: O(p · e) hop-count bound terms plus route-walking probes of
-//! only the processors a bound cannot exclude — 0.21–0.54 of the
-//! exhaustive scan's `p · e` parent arrivals (each a walk of `d` hops, the
-//! route length) on RGNOS v=500 over an 8-processor hypercube. The paper's Table 6 places MH mid-field among APN
-//! algorithms.
+//! Complexity: O(v log v) selection, O(p · e) hop-count bound terms plus
+//! route-walking probes of only the processors a bound cannot exclude —
+//! 0.21–0.54 of the exhaustive scan's `p · e` parent arrivals (each a walk
+//! of `d` hops, the route length) on RGNOS v=500 over an 8-processor
+//! hypercube. Each hop searches its link track for a hole; every step
+//! first reindexes the tracks, so the search skips 16-slot blocks of
+//! too-short holes (`apn.link_slots_scanned`: 9–21 per probed arrival on the
+//! `tests/work_ceilings.rs` instances, 44–183 slot by slot). The paper's
+//! Table 6 places MH mid-field among APN algorithms.
 
 use dagsched_graph::TaskGraph;
 use dagsched_obs::{emit, Event, NullSink, Sink};
 use dagsched_platform::ProcId;
 
-use crate::common::ReadySet;
+use crate::common::ReadyQueue;
 use crate::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 
-use super::ApnState;
+use super::{ApnState, ProbeWork};
 
 /// The MH scheduler.
 #[derive(Debug, Default, Clone, Copy)]
@@ -67,11 +72,11 @@ impl Scheduler for Mh {
 fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, SchedError> {
     let mut st = ApnState::new(g, env)?;
     let bl = g.levels().b_levels();
-    let mut ready = ReadySet::new(g);
+    let mut ready = ReadyQueue::new(g, bl.to_vec());
     let mut lbs = Vec::new();
     let mut cands: Vec<(u64, ProcId)> = Vec::new();
-    while !ready.is_empty() {
-        let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
+    let mut work = ProbeWork::default();
+    while let Some(n) = ready.peek_max() {
         emit!(
             sink,
             Event::TaskSelected {
@@ -80,7 +85,9 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
                 tie: n.0 as u64,
             }
         );
-        // Candidates in ascending `(lb, id)`; the first is probed exactly.
+        // Candidates in ascending `(lb, id)`; the first is probed exactly,
+        // over freshly indexed link tracks.
+        st.net.reindex();
         st.est_lower_bounds(g, n, &mut lbs);
         cands.clear();
         cands.extend(
@@ -90,8 +97,7 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
         );
         cands.sort_unstable();
         let first = cands[0].1;
-        let mut arrivals = 0;
-        let est = st.probe_est(g, n, first, u64::MAX, &mut arrivals);
+        let est = st.probe_est(g, n, first, u64::MAX, &mut work);
         let mut best = (est.expect("an uncapped probe completes"), first);
         emit!(
             sink,
@@ -110,7 +116,7 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
             // `p` wins an EST tie only against a larger id (and `lb < best`
             // when it cannot, so the cap does not underflow).
             let cap = if p < best.1 { best.0 } else { best.0 - 1 };
-            if let Some(est) = st.probe_est(g, n, p, cap, &mut arrivals) {
+            if let Some(est) = st.probe_est(g, n, p, cap, &mut work) {
                 emit!(
                     sink,
                     Event::PlacementProbed {
@@ -124,7 +130,7 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
                 }
             }
         }
-        dagsched_obs::global().add(dagsched_obs::Metric::ApnProbeArrivals, arrivals);
+        work.flush();
         let p = best.1;
         // Route the parent messages (emits one `MessageRouted` per
         // cross-processor edge), then append-place.
@@ -159,14 +165,16 @@ mod tests {
     /// processor, keep the smallest `(EST, id)`. The reference the pruned
     /// engine must match placement for placement and message for message.
     fn run_exhaustive(g: &TaskGraph, env: &Env) -> Outcome {
+        use crate::common::ReadySet;
         let mut st = ApnState::new(g, env).unwrap();
         let bl = g.levels().b_levels();
         let mut ready = ReadySet::new(g);
+        let mut work = ProbeWork::default();
         while !ready.is_empty() {
             let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
             let p = (0..env.procs() as u32)
                 .map(ProcId)
-                .min_by_key(|&p| (st.probe_est(g, n, p, u64::MAX, &mut 0).unwrap(), p))
+                .min_by_key(|&p| (st.probe_est(g, n, p, u64::MAX, &mut work).unwrap(), p))
                 .unwrap();
             st.commit_and_place(g, n, p);
             ready.take(g, n);

@@ -21,7 +21,9 @@
 //!   bounds on every processor (hop counts only, no link walks), then exact
 //!   probes of only the (task, processor) pairs whose bound can still win,
 //!   each abandoned once its partial start passes a cap past which the
-//!   pair loses.
+//!   pair loses. Each round opens with `Network::reindex`, so the probes'
+//!   hole searches skip blocks of link slots whose holes are all too
+//!   short for the message.
 //! * `ReplayEngine` — incremental re-execution of `replay` with a
 //!   trial-commit/rollback journal, the APN analogue of DSC's clone-free
 //!   DSRW guard. BSA evaluates every tentative migration through it. The
@@ -51,6 +53,28 @@ use dagsched_platform::{MsgId, Network, ProcId, Schedule, Topology};
 
 use crate::{Env, Outcome, SchedError};
 
+/// Logical work of the probe kernel ([`ApnState::probe_est`]): summed in a
+/// local accumulator and added to `obs::registry` by [`ProbeWork::flush`],
+/// once per MH step and once per DLS-APN run.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct ProbeWork {
+    /// Parent arrivals probed (`apn.probe_arrivals`).
+    pub arrivals: u64,
+    /// Link slots and block summaries their hop searches visited
+    /// (`apn.link_slots_scanned`).
+    pub link_slots: u64,
+}
+
+impl ProbeWork {
+    /// Add the accumulated work to the registry and reset it.
+    pub fn flush(&mut self) {
+        let reg = dagsched_obs::global();
+        reg.add(dagsched_obs::Metric::ApnProbeArrivals, self.arrivals);
+        reg.add(dagsched_obs::Metric::ApnLinkSlotsScanned, self.link_slots);
+        *self = ProbeWork::default();
+    }
+}
+
 /// Mutable scheduling state of an APN algorithm: the task schedule plus the
 /// link occupancy.
 pub(crate) struct ApnState {
@@ -72,15 +96,15 @@ impl ApnState {
     /// exceeds `cap`: `None` when it stopped early (the start is `> cap`),
     /// else the exact start, which may still exceed `cap` if only the last
     /// parent pushed it there. With `cap = u64::MAX` the start is always
-    /// returned. Adds the number of parent arrivals it probed to
-    /// `arrivals`.
+    /// returned. Adds the parent arrivals it probed, and the link slots and
+    /// block summaries those probes visited, to `work`.
     pub fn probe_est(
         &self,
         g: &TaskGraph,
         n: TaskId,
         p: ProcId,
         cap: u64,
-        arrivals: &mut u64,
+        work: &mut ProbeWork,
     ) -> Option<u64> {
         let mut t = self.s.timeline(p).ready_time();
         for &(q, c) in g.preds(n) {
@@ -91,8 +115,11 @@ impl ApnState {
                 .s
                 .placement(q)
                 .expect("probe_est: parent must be placed");
-            *arrivals += 1;
-            t = t.max(self.net.probe_arrival(pl.proc, p, pl.finish, c));
+            work.arrivals += 1;
+            let arrival =
+                self.net
+                    .probe_arrival_counted(pl.proc, p, pl.finish, c, &mut work.link_slots);
+            t = t.max(arrival);
         }
         Some(t)
     }
@@ -817,7 +844,7 @@ mod tests {
         let env = Env::apn(Topology::chain(3).unwrap());
         let mut st = ApnState::new(&g, &env).unwrap();
         st.s.place(a, ProcId(0), 0, 2).unwrap();
-        let probed = st.probe_est(&g, b, ProcId(2), u64::MAX, &mut 0);
+        let probed = st.probe_est(&g, b, ProcId(2), u64::MAX, &mut ProbeWork::default());
         let drt = st.commit_parent_messages(&g, b, ProcId(2), &mut NullSink, |_| {});
         assert_eq!(probed, Some(drt)); // empty network: two hops of 5 → 12
         assert_eq!(drt, 12);

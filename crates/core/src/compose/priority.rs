@@ -6,7 +6,8 @@
 //! compares by integer cross-multiplication instead of division.
 
 use dagsched_graph::{TaskGraph, TaskId};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use super::{ListPolicy, Prio, Spec};
 
@@ -193,32 +194,30 @@ impl Prio {
 /// all descendants', ascending), the paper's published refinement that
 /// makes the ALAP order both topological and CP-first.
 ///
-/// The ALAP lists are never all built. Every descendant's ALAP is at least
-/// the node's own, so a list starts with the node's ALAP and the order is
+/// The ALAP lists are never built. Every descendant's ALAP is at least the
+/// node's own, so a list starts with the node's ALAP and the order is
 /// `(alap, id)` except inside groups of tied ALAP. There a node with no
 /// successors has the one-element list `[alap]`, a prefix of every other
-/// list in its group, so leaves lead in id order; only the remaining tied
-/// nodes get their lists built (one descendant walk each) and sorted by
-/// `(list, id)`. A graph without ALAP ties costs one sort.
+/// list in its group, so leaves lead in id order; the remaining tied nodes
+/// are sorted by an [`AlapCmp`] comparison that pulls list elements only
+/// until the two lists differ. A graph without ALAP ties costs one sort.
 pub(crate) fn static_order(cx: &Ctx, prio: Prio) -> Vec<TaskId> {
     let mut order: Vec<TaskId> = cx.g.tasks().collect();
     if prio == Prio::Alap {
         let (g, alap) = (cx.g, cx.alap);
         order.sort_unstable_by_key(|&n| (alap[n.index()], n.0));
+        let mut cmp = AlapCmp::new(g.num_tasks());
         for group in order.chunk_by_mut(|a, b| alap[a.index()] == alap[b.index()]) {
             // Stable: leaves first, each part still in id order.
             group.sort_by_key(|&n| !g.succs(n).is_empty());
             let leaves = group.partition_point(|&n| g.succs(n).is_empty());
             let inner = &mut group[leaves..];
-            if inner.len() < 2 {
-                continue;
+            if inner.len() >= 2 {
+                inner.sort_unstable_by(|&a, &b| cmp.cmp(g, alap, a, b).then(a.0.cmp(&b.0)));
             }
-            let mut keyed: Vec<(Vec<u64>, TaskId)> =
-                inner.iter().map(|&n| (alap_list(g, alap, n), n)).collect();
-            keyed.sort_unstable();
-            for (slot, (_, n)) in inner.iter_mut().zip(keyed) {
-                *slot = n;
-            }
+        }
+        if cmp.elems > 0 {
+            dagsched_obs::global().add(dagsched_obs::Metric::McpAlapListElems, cmp.elems);
         }
     } else {
         order.sort_by(|&a, &b| {
@@ -230,8 +229,89 @@ pub(crate) fn static_order(cx: &Ctx, prio: Prio) -> Vec<TaskId> {
     order
 }
 
+/// Lazy comparison of two nodes' ALAP lists. ALAP strictly increases along
+/// every edge (task weights are ≥ 1 at graph formation), so a best-first
+/// walk over a node's descendants — a min-heap on ALAP — yields its list
+/// in ascending order. Two walks run in lockstep and stop at the first
+/// element that differs; the walk that runs out first is the shorter list,
+/// a prefix of the other. The heaps and the stamp-based `seen` marks are
+/// reused across comparisons.
+struct AlapCmp {
+    walks: [Walk; 2],
+    /// ALAP values pulled so far (`mcp.alap_list_elems`).
+    elems: u64,
+}
+
+/// One best-first descendant walk of an [`AlapCmp`].
+struct Walk {
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `seen[n] == stamp` iff `n` was pushed in the current walk.
+    seen: Vec<u32>,
+    stamp: u32,
+}
+
+impl Walk {
+    /// Begin the walk below `n`: its own ALAP, the list's first element,
+    /// is the same for every node of a tied group and is never compared.
+    fn start(&mut self, g: &TaskGraph, alap: &[u64], n: TaskId) {
+        self.stamp += 1;
+        self.heap.clear();
+        self.push_succs(g, alap, n);
+    }
+
+    fn push_succs(&mut self, g: &TaskGraph, alap: &[u64], n: TaskId) {
+        for &(c, _) in g.succs(n) {
+            if self.seen[c.index()] != self.stamp {
+                self.seen[c.index()] = self.stamp;
+                self.heap.push(Reverse((alap[c.index()], c.0)));
+            }
+        }
+    }
+
+    /// The next list element: pop the smallest ALAP, push its unseen
+    /// successors.
+    fn next(&mut self, g: &TaskGraph, alap: &[u64]) -> Option<u64> {
+        let Reverse((a, n)) = self.heap.pop()?;
+        self.push_succs(g, alap, TaskId(n));
+        Some(a)
+    }
+}
+
+impl AlapCmp {
+    fn new(v: usize) -> AlapCmp {
+        let walk = || Walk {
+            heap: BinaryHeap::new(),
+            seen: vec![0; v],
+            stamp: 0,
+        };
+        AlapCmp {
+            walks: [walk(), walk()],
+            elems: 0,
+        }
+    }
+
+    /// `a`'s ALAP list against `b`'s, lexicographically, for two nodes of
+    /// equal ALAP.
+    fn cmp(&mut self, g: &TaskGraph, alap: &[u64], a: TaskId, b: TaskId) -> Ordering {
+        debug_assert_eq!(alap[a.index()], alap[b.index()]);
+        let [wa, wb] = &mut self.walks;
+        wa.start(g, alap, a);
+        wb.start(g, alap, b);
+        loop {
+            let (x, y) = (wa.next(g, alap), wb.next(g, alap));
+            self.elems += u64::from(x.is_some()) + u64::from(y.is_some());
+            // `None` (the list ended) sorts before every element.
+            match x.cmp(&y) {
+                Ordering::Equal if x.is_some() => {}
+                ord => return ord,
+            }
+        }
+    }
+}
+
 /// `n`'s ascending ALAP list (own ALAP + all descendants') — MCP's
-/// ordering attribute.
+/// ordering attribute, built in full for the tests' reference order.
+#[cfg(test)]
 fn alap_list(g: &TaskGraph, alap: &[u64], n: TaskId) -> Vec<u64> {
     let mut list: Vec<u64> = std::iter::once(alap[n.index()])
         .chain(g.descendants(n).into_iter().map(|d| alap[d.index()]))
@@ -331,17 +411,50 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A deep layered DAG with unit task weights: `layers` layers of
+    /// `width` nodes, each node feeding one to three nodes of the next layer
+    /// at edge cost 0 or 1. Whole layers tie on ALAP, and tied nodes' lists
+    /// agree over long prefixes, so comparisons walk deep.
+    fn deep_unit_weight_dag(layers: u32, width: u32, mut seed: u64) -> TaskGraph {
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut b = dagsched_graph::GraphBuilder::new();
+        let ids: Vec<TaskId> = (0..layers * width).map(|_| b.add_task(1)).collect();
+        for l in 0..layers - 1 {
+            for i in 0..width {
+                let src = ids[(l * width + i) as usize];
+                let fan = 1 + next() % 3;
+                for k in 0..fan as u32 {
+                    let dst = ids[((l + 1) * width + (i + k) % width) as usize];
+                    b.add_edge(src, dst, next() % 2).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn alap_static_order_matches_full_lists_sort() {
         use dagsched_suites::rgnos::{self, RgnosParams};
         let mut graphs: Vec<TaskGraph> = Vec::new();
-        for (v, ccr, seed) in [(40, 0.1, 1), (90, 1.0, 2), (150, 10.0, 3), (300, 1.0, 4)] {
+        for (v, ccr, seed) in [
+            (40, 0.1, 1),
+            (90, 1.0, 2),
+            (150, 10.0, 3),
+            (300, 1.0, 4),
+            (1000, 0.1, 42),
+        ] {
             graphs.push(rgnos::generate(RgnosParams::new(v, ccr, 3, seed)));
         }
         for seed in 1..=12u64 {
             let v = 10 + 7 * seed as u32;
             graphs.push(unit_weight_dag(v, seed % 3, seed * 0x9e37_79b9));
         }
+        graphs.push(deep_unit_weight_dag(120, 5, 0x5eed));
         let mut tied = 0;
         for (i, g) in graphs.iter().enumerate() {
             let cx = Ctx::new(g, Spec::default());

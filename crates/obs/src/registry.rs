@@ -57,6 +57,12 @@ pub enum Metric {
     /// added once per MH step and once per DLS-APN run (an exhaustive
     /// scan probes `p` per parent edge of every candidate task).
     ApnProbeArrivals,
+    /// MH and DLS-APN: link slots and block summaries the probes of
+    /// `apn.probe_arrivals` visited, added alongside it.
+    ApnLinkSlotsScanned,
+    /// MCP (`PRIO=alap` static order): ALAP values pulled by the
+    /// comparisons that order tied-ALAP nodes, added once per run.
+    McpAlapListElems,
     /// BSA: migration trials replayed.
     BsaTrials,
     /// BSA: trials cut early by a rejection bound.
@@ -91,7 +97,7 @@ pub enum Metric {
 }
 
 /// All metrics, in declaration (= print) order.
-pub const METRICS: [Metric; 29] = [
+pub const METRICS: [Metric; 31] = [
     Metric::WsStealAttempts,
     Metric::WsStealHits,
     Metric::WsParks,
@@ -107,6 +113,8 @@ pub const METRICS: [Metric; 29] = [
     Metric::ApnMsgsRetired,
     Metric::ApnBatchRetires,
     Metric::ApnProbeArrivals,
+    Metric::ApnLinkSlotsScanned,
+    Metric::McpAlapListElems,
     Metric::BsaTrials,
     Metric::BsaTrialsCut,
     Metric::BsaTrialsAccepted,
@@ -141,6 +149,8 @@ impl Metric {
             Metric::ApnMsgsRetired => "apn.msgs_retired",
             Metric::ApnBatchRetires => "apn.batch_retires",
             Metric::ApnProbeArrivals => "apn.probe_arrivals",
+            Metric::ApnLinkSlotsScanned => "apn.link_slots_scanned",
+            Metric::McpAlapListElems => "mcp.alap_list_elems",
             Metric::BsaTrials => "bsa.trials",
             Metric::BsaTrialsCut => "bsa.trials_cut",
             Metric::BsaTrialsAccepted => "bsa.trials_accepted",

@@ -31,6 +31,14 @@
 //! live message of an edge `src → dst` by scanning only `src`'s outgoing
 //! messages, so re-commits and [`Network::remove_edge`] never walk the
 //! whole store.
+//!
+//! Link tracks accumulate many short messages with holes between them too
+//! short for most later ones. [`Network::reindex`] summarizes the link
+//! tracks changed since its last call in blocks (see [`Track::reindex`]),
+//! so probes that follow skip whole blocks of too-short holes; commits and
+//! removals keep the summaries exact by truncating them. MH and DLS-APN
+//! reindex once per bound-then-probe round; BSA's migration churn never
+//! does.
 
 use dagsched_graph::TaskId;
 
@@ -87,6 +95,11 @@ pub struct Network {
     hop_pool: Vec<Vec<MessageHop>>,
     /// Scratch for [`Network::remove_batch`]: which links need compaction.
     dirty_links: Vec<bool>,
+    /// Links whose track changed since the last [`Network::reindex`], each
+    /// listed once (`stale_mark`): reindexing visits only those, not every
+    /// link of a large machine.
+    stale: Vec<LinkId>,
+    stale_mark: Vec<bool>,
 }
 
 impl Network {
@@ -101,6 +114,8 @@ impl Network {
             by_edge: Vec::new(),
             hop_pool: Vec::new(),
             dirty_links: Vec::new(),
+            stale: Vec::new(),
+            stale_mark: vec![false; links],
         }
     }
 
@@ -146,7 +161,45 @@ impl Network {
     ///
     /// `from == to` or `size == 0` ⇒ arrival = `ready` (local data).
     pub fn probe_arrival(&self, from: ProcId, to: ProcId, ready: u64, size: u64) -> u64 {
-        self.walk_route(from, to, ready, size)
+        self.probe_arrival_counted(from, to, ready, size, &mut 0)
+    }
+
+    /// [`Network::probe_arrival`] that also adds the number of link slots
+    /// and block summaries its hop searches visited to `visited`.
+    pub fn probe_arrival_counted(
+        &self,
+        from: ProcId,
+        to: ProcId,
+        ready: u64,
+        size: u64,
+        visited: &mut u64,
+    ) -> u64 {
+        if from == to || size == 0 {
+            return ready;
+        }
+        let mut t = ready;
+        for &link in self.topo.route(from, to) {
+            t = self.tracks[link.index()].scan(t, size, visited).0 + size;
+        }
+        t
+    }
+
+    /// Summarize the complete slot blocks of every link track changed since
+    /// the last call (see [`Track::reindex`]), so the probes that follow
+    /// skip blocks of holes too short for them. Answers are the same with
+    /// or without it.
+    pub fn reindex(&mut self) {
+        for l in self.stale.drain(..) {
+            self.stale_mark[l.index()] = false;
+            self.tracks[l.index()].reindex();
+        }
+    }
+
+    /// Record that `l`'s track changed (see [`Network::reindex`]).
+    fn mark_stale(stale: &mut Vec<LinkId>, stale_mark: &mut [bool], l: LinkId) {
+        if !std::mem::replace(&mut stale_mark[l.index()], true) {
+            stale.push(l);
+        }
     }
 
     /// Reserve the route and record the message. Returns the id (`None` for
@@ -183,6 +236,7 @@ impl Network {
         let mut arrival = ready;
         for &link in self.topo.route(from, to) {
             let s = self.tracks[link.index()].reserve_earliest(arrival, size, id);
+            Self::mark_stale(&mut self.stale, &mut self.stale_mark, link);
             hops.push(MessageHop {
                 link,
                 start: s,
@@ -210,6 +264,7 @@ impl Network {
         self.free.push(id.0);
         for hop in &msg.hops {
             self.tracks[hop.link.index()].remove_at(hop.start, id);
+            Self::mark_stale(&mut self.stale, &mut self.stale_mark, hop.link);
         }
         if let Some(row) = self.by_edge.get_mut(msg.src_task.index()) {
             if let Some(pos) = row.iter().position(|&(d, i)| d == msg.dst_task && i == id) {
@@ -257,6 +312,7 @@ impl Network {
         for (li, dirty) in self.dirty_links.iter_mut().enumerate() {
             if std::mem::take(dirty) {
                 self.tracks[li].retain(|s| messages[s.tag.0 as usize].is_some());
+                Self::mark_stale(&mut self.stale, &mut self.stale_mark, LinkId(li as u32));
             }
         }
     }
@@ -283,20 +339,6 @@ impl Network {
     /// Total time-units of link occupation (diagnostic).
     pub fn total_link_busy(&self) -> u64 {
         self.tracks.iter().map(|t| t.busy_time()).sum()
-    }
-
-    /// Probe walk: the earliest arrival along the precomputed route against
-    /// the current link occupancy, reserving nothing. (`commit` runs the
-    /// same recurrence through `Track::reserve_earliest`.)
-    fn walk_route(&self, from: ProcId, to: ProcId, ready: u64, size: u64) -> u64 {
-        if from == to || size == 0 {
-            return ready;
-        }
-        let mut t = ready;
-        for &link in self.topo.route(from, to) {
-            t = self.tracks[link.index()].earliest_fit(t, size) + size;
-        }
-        t
     }
 }
 

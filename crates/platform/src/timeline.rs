@@ -11,6 +11,28 @@
 //! * **insertion** ([`Track::earliest_fit`]) — a new occupation may also fill
 //!   an idle *hole* between existing occupations, the technique that ISH and
 //!   MCP exploit ("insertion is better than non-insertion", §7).
+//!
+//! ## Block summaries
+//!
+//! An insertion query walks holes until one is long enough. On a processor
+//! timeline the walk is short, but a contended link track carries hundreds
+//! of short messages separated by holes shorter than the next message, and
+//! a probe would walk them all. [`Track::reindex`] therefore summarizes each
+//! complete block of 16 slots by the largest hole before any of its
+//! slots and the running maximum finish up to its end; a query skips a
+//! block whose largest hole is shorter than the requested duration.
+//!
+//! The summaries are a pure cache. Every mutation truncates them at the
+//! block it touched (O(1)), [`Track::retain`] and [`Track::clear`] drop
+//! them, equality compares slots only, and a block without a summary is
+//! scanned slot by slot — so answers never depend on when (or whether)
+//! `reindex` ran. APN probes reindex the link tracks once per bound-then-
+//! probe round (`Network::reindex`); processor timelines and BSA's replay
+//! engine never reindex and keep the plain scan, where keeping summaries
+//! current would cost more than it saves.
+
+/// Slots per summarized block.
+const BLOCK: usize = 16;
 
 /// One occupancy interval on a track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,16 +42,41 @@ pub struct Slot<T> {
     pub tag: T,
 }
 
+/// The summary of one complete block of [`BLOCK`] slots.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    /// The largest `slot.start − (max finish of all earlier slots)` over
+    /// the block's slots (the first slot's hole is measured from 0).
+    max_hole: u64,
+    /// The maximum finish over all slots up to the block's end.
+    max_finish: u64,
+}
+
 /// A sorted, non-overlapping set of `[start, finish)` occupancy intervals.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Track<T> {
     slots: Vec<Slot<T>>, // sorted by start
+    /// Summaries of the leading complete blocks (see the module docs);
+    /// `summaries[b]` covers `slots[b·BLOCK .. (b+1)·BLOCK]`.
+    summaries: Vec<Summary>,
 }
+
+/// Equality of the occupations alone: summaries are a cache.
+impl<T: PartialEq> PartialEq for Track<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+    }
+}
+
+impl<T: Eq> Eq for Track<T> {}
 
 impl<T: Copy + PartialEq> Track<T> {
     /// An empty track.
     pub fn new() -> Self {
-        Track { slots: Vec::new() }
+        Track {
+            slots: Vec::new(),
+            summaries: Vec::new(),
+        }
     }
 
     /// Number of occupations.
@@ -70,22 +117,12 @@ impl<T: Copy + PartialEq> Track<T> {
     ///
     /// Slots finishing at or before `earliest` cannot constrain the answer
     /// (their hole ends before the search begins), so the scan starts at the
-    /// first slot found by binary search instead of walking the whole track —
-    /// on the long timelines the insertion-policy algorithms (ISH, MCP)
-    /// build, most queries land near the tail.
+    /// first slot found by binary search. From there it walks the holes in
+    /// order, skipping every summarized block whose largest hole is shorter
+    /// than `duration` (see [`Track::reindex`]); without summaries it visits
+    /// each slot up to the first hole that fits.
     pub fn earliest_fit(&self, earliest: u64, duration: u64) -> u64 {
-        let mut candidate = earliest;
-        // Sorted by start and non-overlapping ⇒ also sorted by finish.
-        let first = self.slots.partition_point(|s| s.finish <= earliest);
-        for s in &self.slots[first..] {
-            if s.start >= candidate && s.start - candidate >= duration {
-                return candidate; // fits in the hole before `s`
-            }
-            if s.finish > candidate {
-                candidate = s.finish;
-            }
-        }
-        candidate
+        self.scan(earliest, duration, &mut 0).0
     }
 
     /// Fused [`Track::earliest_fit`] + insert: reserve the earliest
@@ -98,27 +135,89 @@ impl<T: Copy + PartialEq> Track<T> {
     /// occupation).
     pub fn reserve_earliest(&mut self, earliest: u64, duration: u64, tag: T) -> u64 {
         debug_assert!(duration > 0, "zero-length reservations are meaningless");
-        let mut candidate = earliest;
-        let first = self.slots.partition_point(|s| s.finish <= earliest);
-        let mut idx = first;
-        for s in &self.slots[first..] {
-            if s.start >= candidate && s.start - candidate >= duration {
-                break; // fits in the hole before `s`
-            }
-            if s.finish > candidate {
-                candidate = s.finish;
-            }
-            idx += 1;
-        }
-        self.slots.insert(
+        let (start, idx) = self.scan(earliest, duration, &mut 0);
+        self.insert_at(
             idx,
             Slot {
-                start: candidate,
-                finish: candidate + duration,
+                start,
+                finish: start + duration,
                 tag,
             },
         );
-        candidate
+        start
+    }
+
+    /// The insertion-policy search shared by [`Track::earliest_fit`],
+    /// [`Track::reserve_earliest`] and the network's counted probes: the
+    /// earliest start and the index the new slot takes. Adds each slot and
+    /// summary visited to `visited`.
+    pub(crate) fn scan(&self, earliest: u64, duration: u64, visited: &mut u64) -> (u64, usize) {
+        let mut candidate = earliest;
+        // Sorted by start and non-overlapping ⇒ also sorted by finish.
+        let mut i = self.slots.partition_point(|s| s.finish <= earliest);
+        // Summaries cover a prefix of the slots; past it, scan to the end.
+        let indexed = self.summaries.len() * BLOCK;
+        while i < self.slots.len() {
+            let mut end = self.slots.len();
+            if i < indexed {
+                let sum = &self.summaries[i / BLOCK];
+                *visited += 1;
+                end = (i / BLOCK + 1) * BLOCK;
+                // `candidate` is at least every earlier slot's finish, so
+                // no hole this query sees in the block exceeds `max_hole`.
+                if sum.max_hole < duration {
+                    candidate = candidate.max(sum.max_finish);
+                    i = end;
+                    continue;
+                }
+            }
+            let from = i;
+            for s in &self.slots[from..end] {
+                if s.start >= candidate && s.start - candidate >= duration {
+                    *visited += (i - from + 1) as u64;
+                    return (candidate, i); // fits in the hole before `s`
+                }
+                if s.finish > candidate {
+                    candidate = s.finish;
+                }
+                i += 1;
+            }
+            *visited += (end - from) as u64;
+        }
+        (candidate, i)
+    }
+
+    /// Summarize every complete block not yet summarized, so later
+    /// [`Track::earliest_fit`] and [`Track::reserve_earliest`] queries can
+    /// skip blocks whose holes are all too short. Costs the slots of the
+    /// blocks it summarizes; a no-op on an indexed track.
+    pub fn reindex(&mut self) {
+        let complete = self.slots.len() / BLOCK;
+        while self.summaries.len() < complete {
+            let b = self.summaries.len();
+            let mut max_finish = b.checked_sub(1).map_or(0, |p| self.summaries[p].max_finish);
+            let mut max_hole = 0;
+            for s in &self.slots[b * BLOCK..(b + 1) * BLOCK] {
+                max_hole = max_hole.max(s.start.saturating_sub(max_finish));
+                max_finish = max_finish.max(s.finish);
+            }
+            self.summaries.push(Summary {
+                max_hole,
+                max_finish,
+            });
+        }
+    }
+
+    /// Insert `slot` at index `idx`, dropping the summaries it shifts.
+    fn insert_at(&mut self, idx: usize, slot: Slot<T>) {
+        self.summaries.truncate(idx / BLOCK);
+        self.slots.insert(idx, slot);
+    }
+
+    /// Remove the slot at index `idx`, dropping the summaries it shifts.
+    fn remove_index(&mut self, idx: usize) -> Slot<T> {
+        self.summaries.truncate(idx / BLOCK);
+        self.slots.remove(idx)
     }
 
     /// Insert an occupation; fails when it would overlap an existing one.
@@ -132,7 +231,7 @@ impl<T: Copy + PartialEq> Track<T> {
         // Tail fast path: append-policy callers (every replayed placement)
         // always extend the track.
         if self.slots.last().is_none_or(|s| s.finish <= start) {
-            self.slots.push(Slot { start, finish, tag });
+            self.slots.push(Slot { start, finish, tag }); // no summary covers the tail
             return Ok(());
         }
         let idx = self.slots.partition_point(|s| s.start < start);
@@ -143,7 +242,7 @@ impl<T: Copy + PartialEq> Track<T> {
         if idx < self.slots.len() && self.slots[idx].start < finish {
             return Err(());
         }
-        self.slots.insert(idx, Slot { start, finish, tag });
+        self.insert_at(idx, Slot { start, finish, tag });
         Ok(())
     }
 
@@ -153,7 +252,7 @@ impl<T: Copy + PartialEq> Track<T> {
     /// placement and message hop records it), prefer [`Track::remove_at`].
     pub fn remove(&mut self, tag: T) -> Option<(u64, u64)> {
         let idx = self.slots.iter().position(|s| s.tag == tag)?;
-        let s = self.slots.remove(idx);
+        let s = self.remove_index(idx);
         Some((s.start, s.finish))
     }
 
@@ -172,7 +271,7 @@ impl<T: Copy + PartialEq> Track<T> {
                 return None;
             }
             if s.tag == tag {
-                let s = self.slots.remove(idx);
+                let s = self.remove_index(idx);
                 return Some((s.start, s.finish));
             }
             idx += 1;
@@ -185,6 +284,7 @@ impl<T: Copy + PartialEq> Track<T> {
     /// [`Track::remove_at`] calls cost O(n) *each* — the batch-rollback
     /// path of the APN migration journal.
     pub fn retain(&mut self, f: impl FnMut(&Slot<T>) -> bool) {
+        self.summaries.clear();
         self.slots.retain(f);
     }
 
@@ -214,6 +314,7 @@ impl<T: Copy + PartialEq> Track<T> {
 
     /// Remove everything.
     pub fn clear(&mut self) {
+        self.summaries.clear();
         self.slots.clear();
     }
 }

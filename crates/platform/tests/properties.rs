@@ -2,6 +2,7 @@
 //! and the network message model, under arbitrary inputs.
 
 use dagsched_graph::TaskId;
+use dagsched_platform::timeline::Slot;
 use dagsched_platform::{Network, ProcId, Topology, Track};
 use proptest::prelude::*;
 
@@ -148,6 +149,77 @@ proptest! {
             windows.sort_unstable();
             for w in windows.windows(2) {
                 prop_assert!(w[1].0 >= w[0].1, "link overlap: {:?} vs {:?}", w[0], w[1]);
+            }
+        }
+    }
+}
+
+/// First fit by definition, slot by slot: the earliest `t ≥ earliest` whose
+/// `[t, t + dur)` overlaps no slot (`dur ≥ 1`, no zero-length slots). The
+/// reference the block-skipping scan must reproduce.
+fn linear_fit(slots: &[Slot<u32>], earliest: u64, dur: u64) -> u64 {
+    let mut t = earliest;
+    for s in slots {
+        if s.finish <= t {
+            continue;
+        }
+        if s.start >= t + dur {
+            break;
+        }
+        t = s.finish;
+    }
+    t
+}
+
+// Block summaries are a pure cache: under any interleaving of mutations
+// and reindexing, an indexed track answers exactly what the slot-by-slot
+// definition answers and stays equal to an unindexed twin that received
+// the same mutations.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn block_summaries_never_change_an_answer(
+        ops in proptest::collection::vec((0u8..6, 0u64..800, 1u64..12), 40..400),
+    ) {
+        let mut indexed: Track<u32> = Track::new();
+        let mut plain: Track<u32> = Track::new();
+        for (i, &(kind, a, b)) in ops.iter().enumerate() {
+            let tag = i as u32;
+            match kind {
+                0 => {
+                    let r = indexed.insert(a, a + b, tag);
+                    prop_assert_eq!(r, plain.insert(a, a + b, tag));
+                }
+                1 => {
+                    let want = linear_fit(plain.slots(), a, b);
+                    prop_assert_eq!(indexed.reserve_earliest(a, b, tag), want);
+                    prop_assert_eq!(plain.reserve_earliest(a, b, tag), want);
+                }
+                2 if !plain.is_empty() => {
+                    let s = plain.slots()[a as usize % plain.len()];
+                    let r = indexed.remove_at(s.start, s.tag);
+                    prop_assert_eq!(r, plain.remove_at(s.start, s.tag));
+                }
+                3 if a % 8 == 0 => {
+                    indexed.retain(|s| s.tag % 5 != b as u32 % 5);
+                    plain.retain(|s| s.tag % 5 != b as u32 % 5);
+                }
+                _ => indexed.reindex(),
+            }
+            prop_assert!(indexed == plain, "op {i}: slots diverged");
+            // Queries of every length from anywhere on the track, and
+            // queries exactly as long as one of its holes.
+            let holes = plain.holes(plain.ready_time());
+            let mut queries = vec![(a / 2, b + a % 7)];
+            if !holes.is_empty() {
+                let (from, to) = holes[a as usize % holes.len()];
+                queries.push((from.saturating_sub(b * b), to - from));
+            }
+            for (earliest, dur) in queries {
+                let want = linear_fit(plain.slots(), earliest, dur);
+                prop_assert_eq!(indexed.earliest_fit(earliest, dur), want, "op {}", i);
+                prop_assert_eq!(plain.earliest_fit(earliest, dur), want, "op {}", i);
             }
         }
     }

@@ -181,19 +181,23 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ServeError> {
 /// byte-identity contract covers. `sched` must already be
 /// [`Schedule::compact_procs`]-normalized.
 pub fn render_schedule(algo: &str, sched: &Schedule, num_tasks: usize) -> String {
-    let mut out = format!(
-        "ok {algo} makespan={} procs={}\n",
+    use std::fmt::Write;
+    // One buffer for the whole block: a task line is at most ~70 bytes,
+    // typically under 24.
+    let mut out = String::with_capacity(64 + algo.len() + 24 * num_tasks);
+    writeln!(
+        out,
+        "ok {algo} makespan={} procs={}",
         sched.makespan(),
         sched.procs_used()
-    );
+    )
+    .expect("writing to a String cannot fail");
     for n in 0..num_tasks {
         let pl = sched
             .placement(TaskId(n as u32))
             .expect("validated schedules place every task");
-        out.push_str(&format!(
-            "task {n} {} {} {}\n",
-            pl.proc.0, pl.start, pl.finish
-        ));
+        writeln!(out, "task {n} {} {} {}", pl.proc.0, pl.start, pl.finish)
+            .expect("writing to a String cannot fail");
     }
     out
 }

@@ -1,6 +1,6 @@
 //! Logical-work ceilings on the headline instances of the DSC, MD, DCP,
-//! BSA, MH and DLS-APN hot-path overhauls (paper-scale RGNOS, parallelism
-//! 3), each run once on the test thread.
+//! BSA, MH, DLS-APN and MCP hot-path overhauls (paper-scale RGNOS,
+//! parallelism 3), each run once on the test thread.
 //!
 //! Every run must reproduce its committed
 //! [`Outcome::digest`](taskbench::core::Outcome::digest), and its
@@ -14,10 +14,15 @@
 //! * BSA commits at most [`MSGS_MAX`] messages per trial (a full replay
 //!   recommits every cross-processor message);
 //! * MH probes at most [`PROBE_SHARE_MAX`] of the `p·e` parent arrivals an
-//!   exhaustive processor scan probes (`apn.probe_arrivals`);
+//!   exhaustive processor scan probes (`apn.probe_arrivals`), and visits at
+//!   most [`LINK_SLOTS_MAX`] link slots and block summaries per probed
+//!   arrival (`apn.link_slots_scanned`; a slot-by-slot scan gives 44–183);
 //! * DLS-APN probes at most [`DLS_PROBE_PER_PE_MAX`] parent arrivals per
 //!   `p·e` (an exhaustive (ready task × processor) scan re-probes every
-//!   ready task on every step and gives 22–81).
+//!   ready task on every step and gives 22–81);
+//! * MCP pulls at most [`ALAP_ELEMS_MAX`] ALAP values per task to order
+//!   tied-ALAP nodes (`mcp.alap_list_elems`; building each tied node's
+//!   full list costs 23–280).
 //!
 //! Counters of a single-threaded run are identical on every host, so these
 //! gates need no core-count exemption and no retries. The branch-and-bound
@@ -50,15 +55,23 @@ const PROBE_SHARE_MAX: f64 = 0.75;
 /// at v=500, CCR 0.1/1/10, and 10.55 at v=1000; the exhaustive scan gives
 /// 46.3 / 45.3 / 22.0 / 81.4).
 const DLS_PROBE_PER_PE_MAX: f64 = 16.0;
+/// Ceiling on MH's `apn.link_slots_scanned / apn.probe_arrivals` (9.18 /
+/// 14.46 / 13.69 / 20.67 with block summaries; 44.38 / 87.67 / 83.60 /
+/// 183.40 when every probe scans slot by slot).
+const LINK_SLOTS_MAX: f64 = 40.0;
+/// Ceiling on MCP's `mcp.alap_list_elems / v` (0.60 / 1.08 / 1.40 with
+/// lazy comparisons; 23–280 when every tied node's list is built in full).
+const ALAP_ELEMS_MAX: f64 = 4.0;
 
 /// One instance: RGNOS `(v, ccr, seed)` at parallelism 3 and the
 /// committed digest of its schedule.
 type WorkInstance = (usize, f64, u64, [u64; 2]);
 
 /// The instances per algorithm; BSA, MH and DLS-APN run on the quick APN
-/// topology (the 8-processor hypercube). The digests were generated from
-/// the pre-overhaul reference schedulers, which the live ones matched; MH's
-/// and DLS-APN's from their exhaustive scans.
+/// topology (the 8-processor hypercube), MCP on 8 fully connected
+/// processors. The digests were generated from the pre-overhaul reference
+/// schedulers, which the live ones matched; MH's and DLS-APN's from their
+/// exhaustive scans, MCP's from its full-lists sort.
 const WORK: &[(&str, &[WorkInstance])] = &[
     (
         "DSC",
@@ -113,19 +126,28 @@ const WORK: &[(&str, &[WorkInstance])] = &[
             (1000, 1.0, 42, [0xaf72f18ae759cbd3, 0x9ca5304a20fcf75e]),
         ],
     ),
+    (
+        "MCP",
+        &[
+            (500, 1.0, 42, [0x168e31ebc71f98cc, 0x59e2b0fd12d1eaa1]),
+            (1000, 0.1, 42, [0x50f617855c585089, 0xe8c8966dc001b9a2]),
+            (2000, 0.1, 42, [0x188c4e36b59ac481, 0x139b65385918c060]),
+        ],
+    ),
 ];
 
 #[test]
 fn headline_instances_keep_their_placements_within_their_work_ceilings() {
     let reg = global();
     let apn = Env::apn(Config::quick(0x1998).apn_topology());
+    let bnp = Env::parse_spec("bnp:8").unwrap();
     let unc = Env::bnp(1); // UNC algorithms ignore the environment
     for &(name, instances) in WORK {
         let algo = registry::by_name(name).unwrap();
-        let env = if matches!(name, "BSA" | "MH" | "DLS-APN") {
-            &apn
-        } else {
-            &unc
+        let env = match name {
+            "BSA" | "MH" | "DLS-APN" => &apn,
+            "MCP" => &bnp,
+            _ => &unc,
         };
         for &(v, ccr, seed, digest) in instances {
             let tag = format!("{name} v={v} ccr={ccr} seed={seed}");
@@ -157,6 +179,12 @@ fn headline_instances_keep_their_placements_within_their_work_ceilings() {
                     exhaustive,
                     DLS_PROBE_PER_PE_MAX,
                 ),
+                "MCP" => (
+                    "alap_list_elems_per_task",
+                    d.get(McpAlapListElems),
+                    v64,
+                    ALAP_ELEMS_MAX,
+                ),
                 _ => ("cone_nodes_per_repair", cone, repairs, CONE_NODES_MAX),
             };
             let value = num as f64 / den.max(1) as f64;
@@ -165,10 +193,21 @@ fn headline_instances_keep_their_placements_within_their_work_ceilings() {
                 "{tag}: {key} {value:.2} > ceiling {max}; counters {:?}",
                 d.nonzero()
             );
-            // Exactly one heap pop per DSC task, one repair per MD/DCP placement.
+            // Exactly one heap pop per DSC task, one repair per MD/DCP
+            // placement; MH's link scans within their ceiling per arrival.
             match name {
                 "DSC" => assert_eq!(pops, v64, "{tag}: heap.pops must equal v"),
                 "MD" | "DCP" => assert_eq!(repairs, v64, "{tag}: engine.repairs must equal v"),
+                "MH" => {
+                    let arrivals = d.get(ApnProbeArrivals).max(1) as f64;
+                    let slots = d.get(ApnLinkSlotsScanned) as f64 / arrivals;
+                    assert!(
+                        slots <= LINK_SLOTS_MAX,
+                        "{tag}: link_slots_per_arrival {slots:.2} > ceiling {LINK_SLOTS_MAX}; \
+                         counters {:?}",
+                        d.nonzero()
+                    );
+                }
                 _ => {}
             }
         }
