@@ -255,9 +255,8 @@ impl Outcome {
 }
 
 /// Two-stream FNV-1a over little-endian `u64` words, the second stream
-/// rotated after every word (mixed like `binio::structural_hash`): the
-/// hash under [`Outcome::digest`], also used to fold instance digests
-/// into one per sweep cell.
+/// rotated after every word: the hash under [`Outcome::digest`], also
+/// used to fold instance digests into one per sweep cell.
 pub fn digest_words(words: impl IntoIterator<Item = u64>) -> [u64; 2] {
     let mut h = [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64];
     for w in words {

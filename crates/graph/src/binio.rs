@@ -3,10 +3,12 @@
 //! The serve protocol ships DAGs over a socket on every request; TGF text
 //! is convenient but costs a tokenizing parse and ~3–5× the bytes. This
 //! module provides the wire alternative: a little-endian, length-prefixed
-//! binary frame that decodes straight into the [`GraphBuilder`] (so every
-//! model invariant — positive weights, no self loops, no duplicates,
-//! acyclicity — is enforced exactly as for TGF), and a 128-bit structural
-//! hash used as the schedule-cache key.
+//! binary frame, and a 128-bit structural hash used as the schedule-cache
+//! key. A frame decodes through the [`GraphBuilder`], so every model
+//! invariant — positive weights, no self loops, no duplicates, acyclicity,
+//! the cost bound — is enforced exactly as for TGF. Its edges arrive in
+//! `(src, dst)` order, so [`GraphBuilder::build`] lays them out as CSR rows
+//! without sorting and writes each shared array once.
 //!
 //! ## Frame layout (all integers little-endian)
 //!
@@ -27,7 +29,10 @@
 //!
 //! [`structural_hash`] digests exactly the inputs a scheduler reads —
 //! task count, computation costs, and the edge set with communication
-//! costs. The graph *name and task labels are excluded*: two graphs that
+//! costs — one 64-bit word at a time, in two multiply-rotate streams
+//! closed by a splitmix64 finalizer (the mixing `WireKey::of` in the
+//! serve crate uses on raw request bytes). The graph *name and task
+//! labels are excluded*: two graphs that
 //! differ only in labels produce identical schedules, and the cache is
 //! allowed (expected) to serve one's entry for the other. Equality of the
 //! 128-bit hash is the cache's notion of graph identity; the codec
@@ -93,11 +98,11 @@ pub fn from_bin(bytes: &[u8]) -> Result<TaskGraph, GraphError> {
             cur.remaining()
         )));
     }
-    let name = cur.take_str("graph name")?;
+    let name = cur.take_str(|| "graph name".into())?;
     let mut b = GraphBuilder::with_capacity(v, e);
     for i in 0..v {
         let weight = cur.take_u64()?;
-        let label = cur.take_str(&format!("label of task {i}"))?;
+        let label = cur.take_str(|| format!("label of task {i}"))?;
         b.add_labeled_task(weight, label);
     }
     for _ in 0..e {
@@ -122,32 +127,42 @@ pub fn from_bin(bytes: &[u8]) -> Result<TaskGraph, GraphError> {
 
 /// 128-bit structural digest of `(v, weights, edges)` — the cache key for
 /// schedule memoization. Labels and the graph name are deliberately
-/// excluded (see the module docs). Two independent FNV-1a streams over
-/// the same canonical byte walk make accidental collisions across the
-/// suite corpora negligible.
+/// excluded (see the module docs).
+///
+/// The digest reads 64-bit words: `v`, each weight, `e`, then per edge
+/// `src | dst << 32` and its cost. Two multiply-rotate streams with
+/// distinct constants eat every word (the second sees it rotated), and a
+/// splitmix64 finalizer mixes each stream into one output word. Each
+/// step is a bijection of the stream state for a fixed word, so two
+/// inputs that differ in a single word never collide.
 pub fn structural_hash(g: &TaskGraph) -> [u64; 2] {
+    const K: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
     let mut h = [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64];
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            for x in h.iter_mut() {
-                *x ^= b as u64;
-                *x = x.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        // Decorrelate the two streams: rotate the second after every field.
-        h[1] = h[1].rotate_left(17);
+    let mut eat = |w: u64| {
+        h[0] = (h[0] ^ w).wrapping_mul(K[0]).rotate_left(29);
+        h[1] = (h[1] ^ w.rotate_left(32))
+            .wrapping_mul(K[1])
+            .rotate_left(23);
     };
-    eat(&(g.num_tasks() as u64).to_le_bytes());
+    eat(g.num_tasks() as u64);
     for &w in g.weights() {
-        eat(&w.to_le_bytes());
+        eat(w);
     }
-    eat(&(g.num_edges() as u64).to_le_bytes());
-    for e in g.edges() {
-        eat(&e.src.0.to_le_bytes());
-        eat(&e.dst.0.to_le_bytes());
-        eat(&e.cost.to_le_bytes());
+    eat(g.num_edges() as u64);
+    for src in g.tasks() {
+        for &(dst, cost) in g.succs(src) {
+            eat(u64::from(src.0) | u64::from(dst.0) << 32);
+            eat(cost);
+        }
     }
-    h
+    h.map(avalanche)
+}
+
+/// The splitmix64 finalizer.
+fn avalanche(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 fn bin_err(reason: String) -> GraphError {
@@ -185,16 +200,19 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn take_str(&mut self, what: &str) -> Result<String, GraphError> {
+    /// A length-prefixed UTF-8 string; `what` names it in an error and is
+    /// only built when there is one.
+    fn take_str(&mut self, what: impl FnOnce() -> String) -> Result<String, GraphError> {
         let len = self.take_u32()? as usize;
         if len > self.remaining() {
             return Err(bin_err(format!(
-                "{what}: length {len} exceeds {} remaining bytes",
+                "{}: length {len} exceeds {} remaining bytes",
+                what(),
                 self.remaining()
             )));
         }
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| bin_err(format!("{what}: invalid UTF-8")))
+        String::from_utf8(bytes.to_vec()).map_err(|_| bin_err(format!("{}: invalid UTF-8", what())))
     }
 }
 
@@ -274,6 +292,21 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         let err = from_bin(&bytes).unwrap_err();
         assert!(err.to_string().contains("exceed"), "{err}");
+    }
+
+    #[test]
+    fn a_bad_label_names_its_task() {
+        let mut bytes = to_bin(&diamond());
+        // Task 2's label "a  b\tc\n" starts after the header, the name and
+        // tasks 0 and 1; corrupt its first byte.
+        let at = 16 + "diamond".len() + (12 + 3) + 12 + 12;
+        assert_eq!(bytes[at], b'a');
+        bytes[at] = 0xff;
+        let err = from_bin(&bytes).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "binary frame error: label of task 2: invalid UTF-8"
+        );
     }
 
     #[test]

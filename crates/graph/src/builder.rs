@@ -13,7 +13,9 @@ use std::sync::Arc;
 /// * every computation cost is positive,
 /// * no self loops, no duplicate `(src, dst)` pairs,
 /// * edge endpoints exist,
-/// * the edge set is acyclic.
+/// * the edge set is acyclic,
+/// * all computation and communication costs sum to at most
+///   [`MAX_TOTAL_COST`] (2^62).
 ///
 /// ```
 /// use dagsched_graph::GraphBuilder;
@@ -107,6 +109,12 @@ impl GraphBuilder {
     }
 
     /// Finalize into an immutable, validated [`TaskGraph`].
+    ///
+    /// Each shared array is allocated once, at its final size, directly
+    /// as an `Arc<[T]>` and filled in place. Edges that arrive in
+    /// `(src, dst)` order — as every [`crate::io::to_tgf`] and
+    /// [`crate::binio::to_bin`] body lists them — need no per-row sort:
+    /// the order check that detects them also finds their duplicates.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
         let v = self.weights.len();
         if v == 0 {
@@ -115,79 +123,119 @@ impl GraphBuilder {
         if v > u32::MAX as usize {
             return Err(GraphError::TooManyTasks);
         }
+        let mut total = 0u128;
         for (i, &w) in self.weights.iter().enumerate() {
             if w == 0 {
                 return Err(GraphError::ZeroWeightTask { task: i as u32 });
             }
+            total += u128::from(w);
         }
 
         if self.edges.len() > u32::MAX as usize {
             return Err(GraphError::TooManyEdges);
         }
 
-        // CSR construction by counting sort: degree counts → prefix-sum
-        // offsets → cursor fill, then an in-place sort of each row by
-        // neighbour id (rows are short; the sort keeps the public
-        // sorted-slice contract).
-        let e = self.edges.len();
-        let mut succ_off = vec![0u32; v + 1];
-        let mut pred_off = vec![0u32; v + 1];
-        for &(s, d, _) in &self.edges {
-            succ_off[s.index() + 1] += 1;
-            pred_off[d.index() + 1] += 1;
+        // One pass: degree counts, the cost total, and whether the edges
+        // are already in non-decreasing `(src, dst)` order — in which
+        // case the first equal neighbour pair is the smallest duplicate.
+        let mut succ_off = filled(v + 1, 0u32);
+        let mut pred_off = filled(v + 1, 0u32);
+        let (succ_cnt, pred_cnt) = (unique(&mut succ_off), unique(&mut pred_off));
+        let mut sorted = true;
+        let mut first_dup = None;
+        let mut prev = (0u32, 0u32);
+        for (k, &(s, d, c)) in self.edges.iter().enumerate() {
+            succ_cnt[s.index() + 1] += 1;
+            pred_cnt[d.index() + 1] += 1;
+            total += u128::from(c);
+            let cur = (s.0, d.0);
+            if k > 0 {
+                if cur < prev {
+                    sorted = false;
+                } else if cur == prev && first_dup.is_none() {
+                    first_dup = Some(cur);
+                }
+            }
+            prev = cur;
+        }
+        if let (true, Some((src, dst))) = (sorted, first_dup) {
+            return Err(GraphError::DuplicateEdge { src, dst });
         }
         for i in 0..v {
-            succ_off[i + 1] += succ_off[i];
-            pred_off[i + 1] += pred_off[i];
+            succ_cnt[i + 1] += succ_cnt[i];
+            pred_cnt[i + 1] += pred_cnt[i];
         }
-        let mut succ_adj = vec![(TaskId(0), 0u64); e];
-        let mut pred_adj = vec![(TaskId(0), 0u64); e];
-        let mut succ_cur: Vec<u32> = succ_off[..v].to_vec();
+
+        // Scatter into rows by counting sort. In sorted input every row
+        // fills in id order; otherwise each row is sorted afterwards and
+        // scanned for duplicates.
+        let e = self.edges.len();
+        let mut succ_adj: Arc<[(TaskId, u64)]> = if sorted {
+            self.edges.iter().map(|&(_, d, c)| (d, c)).collect()
+        } else {
+            filled(e, (TaskId(0), 0))
+        };
+        let mut pred_adj = filled(e, (TaskId(0), 0u64));
+        let succ_rows = unique(&mut succ_adj);
+        let pred_rows = unique(&mut pred_adj);
         let mut pred_cur: Vec<u32> = pred_off[..v].to_vec();
         for &(s, d, c) in &self.edges {
-            succ_adj[succ_cur[s.index()] as usize] = (d, c);
-            succ_cur[s.index()] += 1;
-            pred_adj[pred_cur[d.index()] as usize] = (s, c);
+            pred_rows[pred_cur[d.index()] as usize] = (s, c);
             pred_cur[d.index()] += 1;
         }
-        for i in 0..v {
-            succ_adj[succ_off[i] as usize..succ_off[i + 1] as usize]
-                .sort_unstable_by_key(|&(t, _)| t);
-            pred_adj[pred_off[i] as usize..pred_off[i + 1] as usize]
-                .sort_unstable_by_key(|&(t, _)| t);
-        }
-        // Duplicate detection on the sorted successor rows.
-        for i in 0..v {
-            let row = &succ_adj[succ_off[i] as usize..succ_off[i + 1] as usize];
-            for pair in row.windows(2) {
-                if pair[0].0 == pair[1].0 {
+        if !sorted {
+            let mut succ_cur: Vec<u32> = succ_off[..v].to_vec();
+            for &(s, d, c) in &self.edges {
+                succ_rows[succ_cur[s.index()] as usize] = (d, c);
+                succ_cur[s.index()] += 1;
+            }
+            for i in 0..v {
+                let (lo, hi) = (succ_off[i] as usize, succ_off[i + 1] as usize);
+                let row = &mut succ_rows[lo..hi];
+                row.sort_unstable_by_key(|&(t, _)| t);
+                if let Some(pair) = row.windows(2).find(|p| p[0].0 == p[1].0) {
                     return Err(GraphError::DuplicateEdge {
                         src: i as u32,
                         dst: pair[0].0 .0,
                     });
                 }
+                pred_rows[pred_off[i] as usize..pred_off[i + 1] as usize]
+                    .sort_unstable_by_key(|&(t, _)| t);
             }
         }
 
         let mut g = TaskGraph {
             name: self.name,
-            weights: self.weights.into(),
-            labels: self.labels.into(),
-            succ_off: succ_off.into(),
-            succ_adj: succ_adj.into(),
-            pred_off: pred_off.into(),
-            pred_adj: pred_adj.into(),
+            weights: self.weights.into_iter().collect(),
+            labels: self.labels.into_iter().collect(),
+            succ_off,
+            succ_adj,
+            pred_off,
+            pred_adj,
             topo: Arc::from([]),
             levels: std::sync::OnceLock::new(),
         };
-        match topo::topological_order(&g) {
-            Ok(order) => {
-                g.topo = order.into();
-                Ok(g)
-            }
-            Err(on_cycle) => Err(GraphError::Cycle { task: on_cycle.0 }),
+        g.topo = topo::topological_order(&g).map_err(|n| GraphError::Cycle { task: n.0 })?;
+        if total > u128::from(MAX_TOTAL_COST) {
+            return Err(GraphError::CostOverflow);
         }
+        Ok(g)
     }
+}
+
+/// The largest accepted sum of all computation and communication costs.
+/// Any start, finish or level is at most this sum, so schedulers may add
+/// a few of them together without wrapping.
+pub const MAX_TOTAL_COST: u64 = 1 << 62;
+
+/// A shared slice of `n` copies of `x`, allocated once at its final size.
+pub(crate) fn filled<T: Clone>(n: usize, x: T) -> Arc<[T]> {
+    std::iter::repeat_n(x, n).collect()
+}
+
+/// Mutable access to a slice this function's caller just allocated.
+pub(crate) fn unique<T>(a: &mut Arc<[T]>) -> &mut [T] {
+    Arc::get_mut(a).expect("a freshly allocated slice has no other owner")
 }
 
 #[cfg(test)]

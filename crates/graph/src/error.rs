@@ -26,6 +26,12 @@ pub enum GraphError {
     /// More than `u32::MAX` edges were requested (the CSR offsets are
     /// 32-bit).
     TooManyEdges,
+    /// The computation costs plus the communication costs sum to more
+    /// than [`crate::builder::MAX_TOTAL_COST`]. Every start, finish and
+    /// level a scheduler computes is bounded by that sum, so the bound
+    /// keeps all of them (and the sums built from them) far from `u64`
+    /// wrap-around.
+    CostOverflow,
     /// A `.tgf` parse failure, with the 1-based line number and a reason.
     Parse { line: usize, reason: String },
     /// A compact binary frame ([`crate::binio`]) failed to decode: bad
@@ -50,6 +56,11 @@ impl fmt::Display for GraphError {
             GraphError::Empty => write!(f, "graph has no tasks"),
             GraphError::TooManyTasks => write!(f, "too many tasks (max {})", u32::MAX),
             GraphError::TooManyEdges => write!(f, "too many edges (max {})", u32::MAX),
+            GraphError::CostOverflow => write!(
+                f,
+                "computation plus communication costs sum to more than 2^62 ({})",
+                crate::builder::MAX_TOTAL_COST
+            ),
             GraphError::Parse { line, reason } => write!(f, "parse error at line {line}: {reason}"),
             GraphError::Bin { reason } => write!(f, "binary frame error: {reason}"),
         }
@@ -69,6 +80,7 @@ impl GraphError {
             GraphError::Cycle { .. } => "E_GRAPH_CYCLE",
             GraphError::Empty => "E_GRAPH_EMPTY",
             GraphError::TooManyTasks | GraphError::TooManyEdges => "E_GRAPH_TOO_LARGE",
+            GraphError::CostOverflow => "E_GRAPH_COST_OVERFLOW",
             GraphError::Parse { .. } => "E_GRAPH_PARSE",
             GraphError::Bin { .. } => "E_GRAPH_BIN",
         }
@@ -90,6 +102,7 @@ mod tests {
             (GraphError::DuplicateEdge { src: 1, dst: 2 }, "1 -> 2"),
             (GraphError::Cycle { task: 5 }, "cyclic"),
             (GraphError::Empty, "no tasks"),
+            (GraphError::CostOverflow, "2^62"),
             (
                 GraphError::Parse {
                     line: 7,
@@ -123,6 +136,7 @@ mod tests {
             (GraphError::Empty, "E_GRAPH_EMPTY"),
             (GraphError::TooManyTasks, "E_GRAPH_TOO_LARGE"),
             (GraphError::TooManyEdges, "E_GRAPH_TOO_LARGE"),
+            (GraphError::CostOverflow, "E_GRAPH_COST_OVERFLOW"),
             (
                 GraphError::Parse {
                     line: 7,

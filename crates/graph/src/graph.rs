@@ -38,7 +38,8 @@ pub struct EdgeRef {
 ///
 /// Construction goes through [`crate::GraphBuilder`], which validates the
 /// model invariants (positive computation costs, no self loops, no duplicate
-/// edges, acyclicity) so that every `TaskGraph` in existence is well-formed.
+/// edges, acyclicity, a cost total of at most 2^62) so that every
+/// `TaskGraph` in existence is well-formed.
 /// A deterministic topological order is computed once at build time and
 /// cached.
 ///

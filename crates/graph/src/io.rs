@@ -17,6 +17,18 @@
 //! edge <src> <dst> <cost>
 //! ```
 //!
+//! `<id>`, `<weight>`, `<src>`, `<dst>` and `<cost>` are unsigned decimal
+//! integers as `str::parse` reads them: an optional leading `+`, then
+//! ASCII digits (leading zeros allowed); a value past `u32::MAX` (ids) or
+//! `u64::MAX` (costs) is an error. Tokens are separated, and lines
+//! trimmed, by any Unicode whitespace (tab, U+00A0, U+2028, …); only `\n`
+//! ends a line, and a `\r` before it is trimmed like any other space.
+//! `tests/tgf_golden.rs` pins the language one edge case per row.
+//!
+//! [`from_tgf`] is a single byte-level scanner: it splits lines on `\n`,
+//! decides ASCII whitespace on the byte, decodes a character only where a
+//! non-ASCII byte starts one, and reads numbers digit by digit in place.
+//!
 //! Graph names and task labels are written with a minimal backslash escape
 //! so any string round-trips exactly: `\\` (backslash), `\n`, `\r`, `\t`,
 //! `\_` for the leading/trailing spaces the line-oriented parser would
@@ -138,93 +150,205 @@ fn unescape_text(s: &str, line: usize) -> Result<String, GraphError> {
     Ok(out)
 }
 
-/// `None` for an empty token (so [`parse_num`] reports it as missing).
-fn nonempty(t: &str) -> Option<&str> {
-    (!t.is_empty()).then_some(t)
+/// The ASCII characters with the Unicode `White_Space` property: `\t`,
+/// `\n`, vertical tab, form feed, `\r` and space. (`u8::is_ascii_whitespace`
+/// omits the vertical tab.)
+#[inline]
+fn is_ascii_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r')
 }
 
-/// Split off the first whitespace-delimited token; the remainder comes back
-/// with its leading whitespace stripped (label boundary spaces are escaped,
-/// so this is lossless).
-fn next_token(s: &str) -> (&str, &str) {
-    let s = s.trim_start();
-    match s.find(char::is_whitespace) {
-        Some(i) => (&s[..i], s[i..].trim_start()),
-        None => (s, ""),
+/// A cursor over TGF text that never crosses a line break except in
+/// [`Scanner::next_line`]. Whitespace is the Unicode `White_Space` set:
+/// ASCII bytes are classified directly, and a character is decoded only
+/// where a non-ASCII byte starts one.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// The non-ASCII character at the cursor.
+    fn wide_char(&self) -> char {
+        self.text[self.pos..]
+            .chars()
+            .next()
+            .expect("a non-ASCII byte starts a char here")
+    }
+
+    /// Byte length of the blank at the cursor: whitespace other than the
+    /// line break, 0 when there is none.
+    #[inline]
+    fn blank_len(&self) -> usize {
+        match self.peek() {
+            None => 0,
+            Some(b) if b.is_ascii() => usize::from(b != b'\n' && is_ascii_ws(b)),
+            Some(_) => {
+                let c = self.wide_char();
+                if c.is_whitespace() {
+                    c.len_utf8()
+                } else {
+                    0
+                }
+            }
+        }
+    }
+
+    fn skip_blanks(&mut self) {
+        loop {
+            match self.blank_len() {
+                0 => return,
+                n => self.pos += n,
+            }
+        }
+    }
+
+    /// The token at the cursor (empty at the line end); the cursor moves
+    /// past it and the blanks after it.
+    fn token(&mut self) -> &'a str {
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            if b.is_ascii() {
+                if is_ascii_ws(b) {
+                    break;
+                }
+                self.pos += 1;
+            } else {
+                let c = self.wide_char();
+                if c.is_whitespace() {
+                    break;
+                }
+                self.pos += c.len_utf8();
+            }
+        }
+        let tok = &self.text[start..self.pos];
+        self.skip_blanks();
+        tok
+    }
+
+    /// The directive opening a line. `edge` and `task` open nearly every
+    /// line, so those two followed by a space are matched on the bytes;
+    /// anything else is read as a token.
+    fn directive(&mut self) -> &'a str {
+        let kw = match self.text.as_bytes().get(self.pos..self.pos + 5) {
+            Some(b"edge ") => "edge",
+            Some(b"task ") => "task",
+            _ => return self.token(),
+        };
+        self.pos += 5;
+        self.skip_blanks();
+        kw
+    }
+
+    /// The token at the cursor read as a number at most `max` (see
+    /// [`parse_num`]). Digits accumulate as they are scanned; a token
+    /// that is not a plain run of at most 19 digits ending in ASCII
+    /// whitespace takes the general path.
+    fn number(&mut self, max: u64, what: &str) -> Result<u64, String> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let (mut i, mut n) = (start, 0u64);
+        while i - start < 19 && i < bytes.len() && bytes[i].is_ascii_digit() {
+            n = n * 10 + u64::from(bytes[i] - b'0');
+            i += 1;
+        }
+        if i > start && n <= max && bytes.get(i).is_none_or(|&b| is_ascii_ws(b)) {
+            self.pos = i;
+            self.skip_blanks();
+            return Ok(n);
+        }
+        parse_num(self.token(), max, what)
+    }
+
+    /// The rest of the line without its trailing whitespace.
+    fn rest_of_line(&mut self) -> &'a str {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+        let line = &self.text[self.pos..self.pos + len];
+        self.pos += len;
+        line.trim_end()
+    }
+
+    fn at_line_end(&self) -> bool {
+        matches!(self.peek(), None | Some(b'\n'))
+    }
+
+    /// Step over the line break the cursor stands at; `false` once the
+    /// text is used up (a final `\n` does not open another line).
+    fn next_line(&mut self) -> bool {
+        self.pos += 1;
+        self.pos < self.text.len()
     }
 }
 
 /// Parse TGF text into a validated [`TaskGraph`].
+///
+/// One pass over the bytes, line by line: blanks and tokens are found
+/// byte by byte and numbers are read digit by digit in place.
 pub fn from_tgf(text: &str) -> Result<TaskGraph, GraphError> {
-    let mut b = GraphBuilder::new();
+    // Edge lines dominate and run ~16 bytes each, so this capacity
+    // usually spares the edge list its regrowth copies.
+    let mut b = GraphBuilder::with_capacity(0, text.len() / 16);
     let mut name: Option<String> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let directive = parts.next().unwrap();
-        match directive {
-            "graph" => {
-                if name.is_some() {
-                    return Err(GraphError::Parse {
-                        line: lineno,
-                        reason: "duplicate `graph` directive".into(),
-                    });
-                }
-                let rest = line["graph".len()..].trim();
-                if rest.is_empty() {
-                    return Err(GraphError::Parse {
-                        line: lineno,
-                        reason: "`graph` needs a name".into(),
-                    });
-                }
-                name = Some(unescape_text(rest, lineno)?);
+    let mut sc = Scanner { text, pos: 0 };
+    let mut lineno = 0;
+    let mut more = !text.is_empty();
+    while more {
+        lineno += 1;
+        let err = |reason: String| GraphError::Parse {
+            line: lineno,
+            reason,
+        };
+        sc.skip_blanks();
+        match sc.peek() {
+            None | Some(b'\n') => {}
+            Some(b'#') => {
+                sc.rest_of_line();
             }
-            "task" => {
-                // Tokens are scanned off the raw line (not `split_whitespace`)
-                // so the label keeps its interior spacing verbatim.
-                let (id_tok, rest) = next_token(&line["task".len()..]);
-                let (weight_tok, label_raw) = next_token(rest);
-                let id: u32 = parse_num(nonempty(id_tok), lineno, "task id")?;
-                let weight: u64 = parse_num(nonempty(weight_tok), lineno, "task weight")?;
-                if id as usize != b.num_tasks() {
-                    return Err(GraphError::Parse {
-                        line: lineno,
-                        reason: format!(
+            Some(_) => match sc.directive() {
+                "graph" => {
+                    if name.is_some() {
+                        return Err(err("duplicate `graph` directive".into()));
+                    }
+                    let rest = sc.rest_of_line();
+                    if rest.is_empty() {
+                        return Err(err("`graph` needs a name".into()));
+                    }
+                    name = Some(unescape_text(rest, lineno)?);
+                }
+                "task" => {
+                    // The label is the raw remainder, so it keeps its
+                    // interior spacing verbatim.
+                    let id = sc.number(u32::MAX.into(), "task id").map_err(err)?;
+                    let weight = sc.number(u64::MAX, "task weight").map_err(err)?;
+                    let label_raw = sc.rest_of_line();
+                    if id as usize != b.num_tasks() {
+                        return Err(err(format!(
                             "task ids must be dense and ascending: expected {}, got {}",
                             b.num_tasks(),
                             id
-                        ),
-                    });
+                        )));
+                    }
+                    b.add_labeled_task(weight, unescape_text(label_raw, lineno)?);
                 }
-                b.add_labeled_task(weight, unescape_text(label_raw, lineno)?);
-            }
-            "edge" => {
-                let src: u32 = parse_num(parts.next(), lineno, "edge src")?;
-                let dst: u32 = parse_num(parts.next(), lineno, "edge dst")?;
-                let cost: u64 = parse_num(parts.next(), lineno, "edge cost")?;
-                if parts.next().is_some() {
-                    return Err(GraphError::Parse {
-                        line: lineno,
-                        reason: "trailing tokens after edge cost".into(),
-                    });
+                "edge" => {
+                    let src = sc.number(u32::MAX.into(), "edge src").map_err(err)?;
+                    let dst = sc.number(u32::MAX.into(), "edge dst").map_err(err)?;
+                    let cost = sc.number(u64::MAX, "edge cost").map_err(err)?;
+                    if !sc.at_line_end() {
+                        return Err(err("trailing tokens after edge cost".into()));
+                    }
+                    b.add_edge(TaskId(src as u32), TaskId(dst as u32), cost)
+                        .map_err(|e| err(e.to_string()))?;
                 }
-                b.add_edge(TaskId(src), TaskId(dst), cost)
-                    .map_err(|e| GraphError::Parse {
-                        line: lineno,
-                        reason: e.to_string(),
-                    })?;
-            }
-            other => {
-                return Err(GraphError::Parse {
-                    line: lineno,
-                    reason: format!("unknown directive `{other}`"),
-                });
-            }
+                other => return Err(err(format!("unknown directive `{other}`"))),
+            },
         }
+        more = sc.next_line();
     }
     let g = b.build()?;
     Ok(match name {
@@ -233,19 +357,25 @@ pub fn from_tgf(text: &str) -> Result<TaskGraph, GraphError> {
     })
 }
 
-fn parse_num<T: std::str::FromStr>(
-    tok: Option<&str>,
-    line: usize,
-    what: &str,
-) -> Result<T, GraphError> {
-    let tok = tok.ok_or_else(|| GraphError::Parse {
-        line,
-        reason: format!("missing {what}"),
-    })?;
-    tok.parse().map_err(|_| GraphError::Parse {
-        line,
-        reason: format!("invalid {what}: `{tok}`"),
-    })
+/// Read a decimal token as `str::parse` would for an unsigned type at
+/// most `max`: an optional leading `+`, then one or more ASCII digits.
+fn parse_num(tok: &str, max: u64, what: &str) -> Result<u64, String> {
+    if tok.is_empty() {
+        return Err(format!("missing {what}"));
+    }
+    let digits = match tok.as_bytes() {
+        [b'+', rest @ ..] if !rest.is_empty() => rest,
+        all => all,
+    };
+    let mut n = 0u64;
+    for &c in digits {
+        let d = c.wrapping_sub(b'0');
+        match n.checked_mul(10).and_then(|n| n.checked_add(u64::from(d))) {
+            Some(m) if d <= 9 && m <= max => n = m,
+            _ => return Err(format!("invalid {what}: `{tok}`")),
+        }
+    }
+    Ok(n)
 }
 
 /// Export to Graphviz DOT. Node labels show `id / w`; edge labels show `c`.

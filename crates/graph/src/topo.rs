@@ -1,33 +1,46 @@
 //! Topological ordering utilities (Kahn's algorithm).
 
+use crate::builder::{filled, unique};
 use crate::graph::{TaskGraph, TaskId};
+use std::sync::Arc;
 
 /// Deterministic topological order of `g`: Kahn's algorithm with a FIFO
 /// frontier seeded with entry nodes in ascending id order. When the edge
 /// set is cyclic, returns `Err` with one node that lies on a cycle.
 ///
+/// The order doubles as the FIFO queue (a node is appended when its last
+/// parent is popped), so it is written once, straight into the shared
+/// slice the graph keeps.
+///
 /// Determinism matters: the benchmark suites and the schedulers must produce
 /// byte-identical results across runs for EXPERIMENTS.md to be reproducible.
-pub fn topological_order(g: &TaskGraph) -> Result<Vec<TaskId>, TaskId> {
+pub fn topological_order(g: &TaskGraph) -> Result<Arc<[TaskId]>, TaskId> {
     let v = g.num_tasks();
     let mut indeg: Vec<u32> = (0..v)
         .map(|i| g.in_degree(TaskId(i as u32)) as u32)
         .collect();
-    let mut queue: std::collections::VecDeque<TaskId> = (0..v as u32)
-        .map(TaskId)
-        .filter(|n| indeg[n.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(v);
-    while let Some(n) = queue.pop_front() {
-        order.push(n);
+    let mut order = filled(v, TaskId(0));
+    let queue = unique(&mut order);
+    let mut tail = 0;
+    for n in (0..v as u32).map(TaskId) {
+        if indeg[n.index()] == 0 {
+            queue[tail] = n;
+            tail += 1;
+        }
+    }
+    let mut head = 0;
+    while head < tail {
+        let n = queue[head];
+        head += 1;
         for &(s, _) in g.succs(n) {
             indeg[s.index()] -= 1;
             if indeg[s.index()] == 0 {
-                queue.push_back(s);
+                queue[tail] = s;
+                tail += 1;
             }
         }
     }
-    if order.len() == v {
+    if tail == v {
         return Ok(order);
     }
     // Every undrained node lies on or downstream of a cycle and has an

@@ -32,7 +32,7 @@
 //! branch on the code string, never on message text.
 
 use dagsched_graph::TaskId;
-use dagsched_platform::Schedule;
+use dagsched_platform::{ProcId, Schedule};
 
 #[allow(unused_imports)] // doc links
 use dagsched_core::Env;
@@ -178,28 +178,60 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ServeError> {
 }
 
 /// Render a schedule into its canonical response block — the bytes the
-/// byte-identity contract covers. `sched` must already be
-/// [`Schedule::compact_procs`]-normalized.
+/// byte-identity contract covers.
+///
+/// `sched` may leave processors empty (UNC algorithms run on one virtual
+/// processor per task): the used processors are written as `P0..Pk` in id
+/// order, the numbering [`Schedule::compact_procs`] gives them, so a
+/// schedule and its compacted copy render to the same bytes.
 pub fn render_schedule(algo: &str, sched: &Schedule, num_tasks: usize) -> String {
-    use std::fmt::Write;
+    let mut used = 0u32;
+    let rank: Vec<u32> = (0..sched.num_procs() as u32)
+        .map(|p| {
+            let r = used;
+            used += u32::from(!sched.timeline(ProcId(p)).is_empty());
+            r
+        })
+        .collect();
     // One buffer for the whole block: a task line is at most ~70 bytes,
     // typically under 24.
-    let mut out = String::with_capacity(64 + algo.len() + 24 * num_tasks);
-    writeln!(
-        out,
-        "ok {algo} makespan={} procs={}",
-        sched.makespan(),
-        sched.procs_used()
-    )
-    .expect("writing to a String cannot fail");
+    let mut out = Vec::with_capacity(64 + algo.len() + 24 * num_tasks);
+    out.extend_from_slice(b"ok ");
+    out.extend_from_slice(algo.as_bytes());
+    out.extend_from_slice(b" makespan=");
+    push_decimal(&mut out, sched.makespan());
+    out.extend_from_slice(b" procs=");
+    push_decimal(&mut out, used.into());
     for n in 0..num_tasks {
         let pl = sched
             .placement(TaskId(n as u32))
             .expect("validated schedules place every task");
-        writeln!(out, "task {n} {} {} {}", pl.proc.0, pl.start, pl.finish)
-            .expect("writing to a String cannot fail");
+        out.extend_from_slice(b"\ntask ");
+        push_decimal(&mut out, n as u64);
+        out.push(b' ');
+        push_decimal(&mut out, rank[pl.proc.index()].into());
+        out.push(b' ');
+        push_decimal(&mut out, pl.start);
+        out.push(b' ');
+        push_decimal(&mut out, pl.finish);
     }
-    out
+    out.push(b'\n');
+    String::from_utf8(out).expect("ASCII around a UTF-8 algorithm name")
+}
+
+/// Append `x` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// Wrap rendered schedule bytes with the per-request counter trailer.
@@ -410,6 +442,68 @@ mod tests {
     #[test]
     fn bye_round_trips() {
         assert_eq!(parse_response(BYE).unwrap(), Response::Bye);
+    }
+
+    /// Independent chains of heavy edges: the UNC algorithms give each
+    /// chain its own cluster and leave most of their one-per-task
+    /// processors empty, so the used ones are renumbered when rendered.
+    fn chains() -> dagsched_graph::TaskGraph {
+        let mut b = dagsched_graph::GraphBuilder::new();
+        for c in 0..6u64 {
+            let mut prev = None;
+            for k in 0..5u64 {
+                let t = b.add_task(1 + (c * 7 + k * 3) % 5);
+                if let Some(p) = prev {
+                    b.add_edge(p, t, 40 + c).unwrap();
+                }
+                prev = Some(t);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn render_compacts_processors_as_it_writes() {
+        use dagsched_core::{registry, AlgoClass, Env};
+        let g = chains();
+        let mut renumbered = 0;
+        for algo in registry::all() {
+            let env = Env::parse_spec(match algo.class() {
+                AlgoClass::Apn => "hypercube:3",
+                _ => "bnp:16",
+            })
+            .unwrap();
+            let s = algo.schedule(&g, &env).unwrap().schedule;
+            let compact = s.compact_procs();
+            if algo.class() == AlgoClass::Unc {
+                assert!(
+                    2 * s.procs_used() < s.num_procs(),
+                    "{}: {} of {} processors used",
+                    algo.name(),
+                    s.procs_used(),
+                    s.num_procs()
+                );
+            }
+            let moved = (0..g.num_tasks() as u32)
+                .any(|n| s.proc_of(TaskId(n)) != compact.proc_of(TaskId(n)));
+            renumbered += usize::from(moved);
+            assert_eq!(
+                render_schedule(algo.name(), &s, g.num_tasks()),
+                render_schedule(algo.name(), &compact, g.num_tasks()),
+                "{}",
+                algo.name()
+            );
+        }
+        assert!(renumbered > 0, "no schedule needed renumbering");
+    }
+
+    #[test]
+    fn decimal_writer_matches_display() {
+        for x in [0, 7, 10, 99, 1_000_000, u64::from(u32::MAX), u64::MAX] {
+            let mut out = Vec::new();
+            push_decimal(&mut out, x);
+            assert_eq!(out, x.to_string().into_bytes());
+        }
     }
 
     #[test]

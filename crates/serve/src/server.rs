@@ -444,8 +444,8 @@ fn process_job(
     let outcome = algo
         .schedule(&g, &env)
         .map_err(|e| ServeError::new(e.code(), e.to_string()))?;
-    let compact = outcome.schedule.compact_procs();
-    let rendered = Arc::new(render_schedule(algo.name(), &compact, g.num_tasks()).into_bytes());
+    let rendered =
+        Arc::new(render_schedule(algo.name(), &outcome.schedule, g.num_tasks()).into_bytes());
     sh.cache.insert(key, Arc::clone(&rendered));
     sh.wire_cache.insert(wire_key, Arc::clone(&rendered));
     Ok(encode_ok(&*rendered, false, sh.gate.waiting()))

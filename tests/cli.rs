@@ -158,6 +158,46 @@ fn graph_errors_carry_stable_codes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Graph formation bounds Σw + Σc by 2^62. The `u64::MAX` chain is
+/// refused with its own code whichever scheduler is asked for, and a graph
+/// at ~3.75·2^60 schedules on all fifteen (`run` validates every schedule
+/// before it prints one).
+#[test]
+fn the_cost_bound_refuses_overflow_and_admits_graphs_under_it() {
+    let dir = std::env::temp_dir().join(format!("taskbench-bound-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let max = u64::MAX;
+    let over = dir.join("over.tgf");
+    std::fs::write(
+        &over,
+        format!("task 0 {max}\ntask 1 {max}\ntask 2 {max}\nedge 0 1 {max}\nedge 1 2 {max}\n"),
+    )
+    .unwrap();
+    let (w, c) = ((1u64 << 60) - 1, (1u64 << 58) - 1);
+    let under = dir.join("under.tgf");
+    std::fs::write(
+        &under,
+        format!("task 0 {w}\ntask 1 {w}\ntask 2 {w}\nedge 0 1 {c}\nedge 0 2 {c}\nedge 1 2 {c}\n"),
+    )
+    .unwrap();
+
+    let roster = taskbench::core::registry::all();
+    assert_eq!(roster.len(), 15);
+    for algo in roster {
+        let name = algo.name();
+        let (ok, _, stderr) = taskbench(&["run", name, over.to_str().unwrap(), "-p", "2"]);
+        assert!(!ok, "{name} accepted the overflowing chain");
+        assert!(
+            stderr.contains("[E_GRAPH_COST_OVERFLOW]"),
+            "{name}: {stderr}"
+        );
+        let (ok, stdout, stderr) = taskbench(&["run", name, under.to_str().unwrap(), "-p", "2"]);
+        assert!(ok, "{name} on the graph under the bound: {stderr}");
+        assert!(stdout.contains("makespan"), "{name}: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn adversary_search_reports_and_archives() {
     let dir = std::env::temp_dir().join(format!("taskbench-adv-{}", std::process::id()));

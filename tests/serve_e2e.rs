@@ -205,6 +205,76 @@ fn errors_are_structured_and_do_not_kill_the_server() {
     handle.shutdown();
 }
 
+/// The graph-formation cost bound over the wire: the `u64::MAX` chain is
+/// refused in both wire formats for every roster algorithm, and a graph
+/// just under the bound is served the bytes of an in-process schedule
+/// that passes `Outcome::validate`.
+#[test]
+fn the_cost_bound_holds_over_the_wire_for_the_whole_roster() {
+    let max = u64::MAX;
+    let over_tgf =
+        format!("task 0 {max}\ntask 1 {max}\ntask 2 {max}\nedge 0 1 {max}\nedge 1 2 {max}\n");
+    // The same chain as a binary frame, written field by field: no
+    // `TaskGraph` of it exists to encode.
+    let mut over_bin = binio::MAGIC.to_vec();
+    for word in [3u32, 2, 0] {
+        over_bin.extend_from_slice(&word.to_le_bytes());
+    }
+    for _ in 0..3 {
+        over_bin.extend_from_slice(&max.to_le_bytes());
+        over_bin.extend_from_slice(&0u32.to_le_bytes());
+    }
+    for (src, dst) in [(0u32, 1u32), (1, 2)] {
+        over_bin.extend_from_slice(&src.to_le_bytes());
+        over_bin.extend_from_slice(&dst.to_le_bytes());
+        over_bin.extend_from_slice(&max.to_le_bytes());
+    }
+    let (w, c) = ((1u64 << 60) - 1, (1u64 << 58) - 1);
+    let mut b = GraphBuilder::named("under-the-bound");
+    let t: Vec<_> = (0..3).map(|_| b.add_task(w)).collect();
+    for (s, d) in [(0, 1), (0, 2), (1, 2)] {
+        b.add_edge(t[s], t[d], c).unwrap();
+    }
+    let under = b.build().expect("~3.75·2^60 is under the bound");
+    let under_tgf = to_tgf(&under).into_bytes();
+
+    let handle = start(Config::default()).expect("bind");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = FrameReader::new();
+    for algo in registry::all() {
+        let name = algo.name();
+        let platform = loadgen::platform_for(name).expect("class resolves");
+        for (wire, body) in [
+            (GraphWire::Tgf, over_tgf.as_bytes()),
+            (GraphWire::Bin, &over_bin[..]),
+        ] {
+            match request(&mut stream, &mut reader, wire, platform, name, body) {
+                Response::Err { code, .. } => assert_eq!(code, "E_GRAPH_COST_OVERFLOW"),
+                other => panic!("{name} over {wire:?}: {other:?}"),
+            }
+        }
+        let out = algo
+            .schedule(&under, &Env::parse_spec(platform).unwrap())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        out.validate(&under)
+            .unwrap_or_else(|e| panic!("{name}: invalid schedule under the bound: {e}"));
+        let want = render_schedule(name, &out.schedule, under.num_tasks());
+        match request(
+            &mut stream,
+            &mut reader,
+            GraphWire::Tgf,
+            platform,
+            name,
+            &under_tgf,
+        ) {
+            Response::Ok { schedule, .. } => assert_eq!(schedule, want, "{name}"),
+            other => panic!("{name} under the bound: {other:?}"),
+        }
+    }
+    drop(stream);
+    handle.shutdown();
+}
+
 /// Requests already on the wire when `shutdown` arrives still get their
 /// responses before the daemon exits.
 #[test]
