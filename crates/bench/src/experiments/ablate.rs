@@ -9,9 +9,9 @@
 //!   append) under three priority attributes: static level, b-level, and
 //!   `b-level − t-level`.
 
-use dagsched_core::common::{best_proc, ReadySet, SlotPolicy};
+use dagsched_core::common::{best_proc, list_order, SlotPolicy};
 use dagsched_core::{bnp, registry, unc::Dcp, Env};
-use dagsched_graph::{levels, TaskGraph};
+use dagsched_graph::TaskGraph;
 use dagsched_metrics::{table::f2, Running, Table};
 use dagsched_platform::Schedule;
 use dagsched_suites::rgnos::RgnosParams;
@@ -31,25 +31,20 @@ pub enum Priority {
 /// configurable priority attribute — the §3 taxonomy knob isolated from
 /// everything else.
 pub fn list_schedule(g: &TaskGraph, procs: usize, prio: Priority) -> Schedule {
+    let lv = g.levels();
     let key: Vec<i64> = match prio {
-        Priority::StaticLevel => levels::static_levels(g).iter().map(|&x| x as i64).collect(),
-        Priority::BLevel => levels::b_levels(g).iter().map(|&x| x as i64).collect(),
-        Priority::BMinusT => {
-            let bl = levels::b_levels(g);
-            let tl = levels::t_levels(g);
-            g.tasks()
-                .map(|n| bl[n.index()] as i64 - tl[n.index()] as i64)
-                .collect()
-        }
+        Priority::StaticLevel => lv.static_levels().iter().map(|&x| x as i64).collect(),
+        Priority::BLevel => lv.b_levels().iter().map(|&x| x as i64).collect(),
+        Priority::BMinusT => g
+            .tasks()
+            .map(|n| lv.b_levels()[n.index()] as i64 - lv.t_levels()[n.index()] as i64)
+            .collect(),
     };
     let mut s = Schedule::new(g.num_tasks(), procs);
-    let mut ready = ReadySet::new(g);
-    while !ready.is_empty() {
-        let n = ready.argmax_by_key(|n| key[n.index()]).expect("non-empty");
+    for n in list_order(g, &key) {
         let (p, est) = best_proc(g, &s, n, SlotPolicy::Append);
         s.place(n, p, est, g.weight(n))
             .expect("append cannot collide");
-        ready.take(g, n);
     }
     s
 }

@@ -5,7 +5,8 @@
 //! task a processor by communication affinity — stay with the child you
 //! exchange the most data with — under a load-balance guard; phase two
 //! walks top-down, list-scheduling the tasks onto their pre-assigned
-//! processors and committing the messages onto links.
+//! processors in b-level list order ([`crate::common::list_order`]) and
+//! committing the messages onto links.
 //!
 //! The original's boundary-refinement details are under-specified in print;
 //! the rule here preserves its defining trait — the assignment is made
@@ -21,7 +22,7 @@
 use dagsched_graph::TaskGraph;
 use dagsched_platform::ProcId;
 
-use crate::common::ReadySet;
+use crate::common::list_order;
 use crate::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 
 use super::ApnState;
@@ -70,12 +71,8 @@ impl Scheduler for Bu {
         }
 
         // Phase 2: top-down list scheduling on the fixed assignment.
-        let bl = g.levels().b_levels();
-        let mut ready = ReadySet::new(g);
-        while !ready.is_empty() {
-            let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
+        for n in list_order(g, g.levels().b_levels()) {
             st.commit_and_place(g, n, assignment[n.index()]);
-            ready.take(g, n);
         }
         Ok(st.into_outcome())
     }

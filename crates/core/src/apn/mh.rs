@@ -6,8 +6,10 @@
 //! over contended links (the original maintains routing tables updated with
 //! network traffic; our [`dagsched_platform::Network`] plays that role).
 //!
-//! Per step: pop the highest-b-level ready node (a [`ReadyQueue`], ties
-//! toward the smaller id), place it on the processor with the smallest
+//! Per step: take the next node of the b-level list order
+//! ([`crate::common::list_order`]: descending b-level, ties toward the
+//! smaller id — the sequence a ready list would pop, since b-levels fall
+//! along every edge), place it on the processor with the smallest
 //! `(EST, id)`, commit the messages toward the winner.
 //!
 //! The winner is found without probing every processor. A contention-free
@@ -22,11 +24,11 @@
 //! Tracing: one `PlacementProbed` per EST computed in full — skipped and
 //! abandoned probes emit nothing, the rule the compose driver documents.
 //!
-//! Complexity: O(v log v) selection, O(p · e) hop-count bound terms plus
-//! route-walking probes of only the processors a bound cannot exclude —
-//! 0.21–0.54 of the exhaustive scan's `p · e` parent arrivals (each a walk
-//! of `d` hops, the route length) on RGNOS v=500 over an 8-processor
-//! hypercube. Each hop searches its link track for a hole; every step
+//! Complexity: O(v log v) selection (one sort), O(p · e) hop-count bound
+//! terms plus route-walking probes of only the processors a bound cannot
+//! exclude — 0.21–0.54 of the exhaustive scan's `p · e` parent arrivals
+//! (each a walk of `d` hops, the route length) on RGNOS v=500 over an
+//! 8-processor hypercube. Each hop searches its link track for a hole; every step
 //! first reindexes the tracks, so the search skips 16-slot blocks of
 //! too-short holes (`apn.link_slots_scanned`: 9–21 per probed arrival on the
 //! `tests/work_ceilings.rs` instances, 44–183 slot by slot). The paper's
@@ -36,7 +38,7 @@ use dagsched_graph::TaskGraph;
 use dagsched_obs::{emit, Event, NullSink, Sink};
 use dagsched_platform::ProcId;
 
-use crate::common::ReadyQueue;
+use crate::common::list_order;
 use crate::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 
 use super::{ApnState, ProbeWork};
@@ -72,11 +74,10 @@ impl Scheduler for Mh {
 fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, SchedError> {
     let mut st = ApnState::new(g, env)?;
     let bl = g.levels().b_levels();
-    let mut ready = ReadyQueue::new(g, bl.to_vec());
     let mut lbs = Vec::new();
     let mut cands: Vec<(u64, ProcId)> = Vec::new();
     let mut work = ProbeWork::default();
-    while let Some(n) = ready.peek_max() {
+    for n in list_order(g, bl) {
         emit!(
             sink,
             Event::TaskSelected {
@@ -148,7 +149,6 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
                 hole: false,
             }
         );
-        ready.take(g, n);
     }
     Ok(st.into_outcome())
 }

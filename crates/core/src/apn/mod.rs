@@ -49,7 +49,7 @@ pub use mh::Mh;
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, Sink};
-use dagsched_platform::{MsgId, Network, ProcId, Schedule, Topology};
+use dagsched_platform::{MsgId, Network, ProcId, Schedule};
 
 use crate::{Env, Outcome, SchedError};
 
@@ -216,14 +216,18 @@ impl ApnState {
 /// Deterministic replay of a *full assignment*: every task has a processor
 /// and a per-processor execution order (each order topologically consistent
 /// with a global linearization). Rebuilds the schedule and all messages
-/// from scratch. The **semantic reference** for [`ReplayEngine`], retained
-/// for the equivalence tests; BSA itself now goes through the engine.
+/// from scratch. The **semantic reference** for [`ReplayEngine`], compiled
+/// for the equivalence tests only; BSA itself goes through the engine.
 ///
 /// Returns `None` if the orders deadlock (a cross-processor precedence
 /// points against some processor-local order) — BSA's insert-by-sequence
 /// discipline guarantees this never happens for its own calls.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn replay(g: &TaskGraph, topo: &Topology, orders: &[Vec<TaskId>]) -> Option<ApnState> {
+#[cfg(test)]
+pub(crate) fn replay(
+    g: &TaskGraph,
+    topo: &dagsched_platform::Topology,
+    orders: &[Vec<TaskId>],
+) -> Option<ApnState> {
     let procs = topo.num_procs();
     debug_assert_eq!(orders.len(), procs);
     let mut st = ApnState {
@@ -265,7 +269,7 @@ struct ReplayOp {
     msgs_end: u32,
 }
 
-/// Incremental [`replay`] with a trial-commit/rollback journal.
+/// Incremental `replay` with a trial-commit/rollback journal.
 ///
 /// The engine owns an [`ApnState`] that always equals
 /// `replay(g, topo, orders)` for the most recently applied `orders`.
@@ -746,6 +750,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::*;
     use dagsched_graph::GraphBuilder;
+    use dagsched_platform::Topology;
 
     #[test]
     fn replay_simple_two_proc_split() {

@@ -160,9 +160,9 @@ mod tests {
         let g = fixture();
         let s = Schedule::new(g.num_tasks(), 2);
         let d = DynLevels::compute(&g, &s);
-        assert_eq!(d.tl, dagsched_graph::levels::t_levels(&g));
-        assert_eq!(d.bl, dagsched_graph::levels::b_levels(&g));
-        assert_eq!(d.cp, dagsched_graph::levels::cp_length(&g));
+        assert_eq!(d.tl, g.levels().t_levels());
+        assert_eq!(d.bl, g.levels().b_levels());
+        assert_eq!(d.cp, g.levels().cp_length());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Machinery shared by the scheduling algorithms: start-time estimation
-//! under the contention-free model, ready-set tracking, rekeyable priority
-//! queues, and dynamic level computation on partially scheduled graphs.
+//! under the contention-free model, ready-set tracking and static list
+//! order, rekeyable priority queues, and dynamic level computation on
+//! partially scheduled graphs.
 
 pub mod dynengine;
 pub mod dynlevels;
@@ -12,7 +13,8 @@ pub use dynengine::{DynLevelsEngine, EngineStats};
 pub use dynlevels::DynLevels;
 pub use estimate::{best_proc, drt, est_on, SlotPolicy};
 pub use indexed_heap::{HeapOps, IndexedHeap};
-pub use ready::{ReadyQueue, ReadySet};
+pub(crate) use ready::sort_list_order;
+pub use ready::{list_order, ReadyQueue, ReadySet};
 
 use crate::{Env, SchedError};
 use dagsched_platform::Schedule;

@@ -5,10 +5,15 @@
 //! * [`ReadySet`] — unordered candidates with O(1) membership and removal;
 //!   the right tool for dynamic-priority algorithms (ETF, DLS, DSC…) that
 //!   must rescan the whole ready set every step anyway.
-//! * [`ReadyQueue`] — a keyed max-heap with lazy invalidation for
-//!   *static*-priority algorithms (HLFET, ISH): selection is O(log v)
-//!   amortized instead of an O(|ready|) scan, while still exposing the
-//!   candidate list for secondary scans such as ISH's hole filling.
+//! * [`ReadyQueue`] — a keyed max-heap with lazy invalidation, serving the
+//!   composed schedulers' static lists (HLFET, ISH, MCP): selection is
+//!   O(log v) amortized instead of an O(|ready|) scan, while still exposing
+//!   the candidate list for secondary scans such as ISH's hole filling.
+//!
+//! A static list that needs no live candidate set is a sort:
+//! [`list_order`] yields the same sequence as a ready list for any key
+//! that strictly decreases along every edge (MH, BU, and the UNC cluster
+//! timer take it).
 
 use dagsched_graph::{TaskGraph, TaskId};
 use std::cmp::Reverse;
@@ -112,6 +117,31 @@ impl ReadySet {
             .copied()
             .max_by(|&a, &b| key(a).cmp(&key(b)).then(b.0.cmp(&a.0)))
     }
+}
+
+/// The sequence a ready list yields when it takes the max-key ready task
+/// each step (ties: smallest id), as one sort by `(Reverse(key), id)`.
+///
+/// Precondition: `keys` strictly decreases along every edge. Then every
+/// unplaced parent of a task outranks it, so the highest remaining task is
+/// always ready and the sort equals the [`ReadySet::argmax_by_key`]
+/// sequence. b-level, static level, b-level with some edges zeroed and
+/// `b-level − t-level` all qualify, because task weights are ≥ 1 at graph
+/// formation. Checked over the edges in debug builds.
+pub fn list_order<K: Ord + Copy>(g: &TaskGraph, keys: &[K]) -> Vec<TaskId> {
+    let mut order: Vec<TaskId> = g.tasks().collect();
+    sort_list_order(g, keys, &mut order);
+    order
+}
+
+/// [`list_order`] into a caller-owned permutation of the tasks (any
+/// order: the sort key is total), for callers that re-sort per trial.
+pub(crate) fn sort_list_order<K: Ord + Copy>(g: &TaskGraph, keys: &[K], order: &mut [TaskId]) {
+    debug_assert!(
+        g.edges().all(|e| keys[e.src.index()] > keys[e.dst.index()]),
+        "list_order: keys must strictly decrease along every edge"
+    );
+    order.sort_unstable_by_key(|&n| (Reverse(keys[n.index()]), n));
 }
 
 /// A ready set with a fixed priority key per task and O(log v) max

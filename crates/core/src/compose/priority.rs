@@ -371,8 +371,8 @@ mod tests {
     #[test]
     fn alap_lists_start_with_own_alap() {
         let g = crate::bnp::testutil::classic_nine();
-        let alap = dagsched_graph::levels::alap_times(&g);
-        let lists = alap_lists(&g, &alap);
+        let alap = g.levels().alap_times();
+        let lists = alap_lists(&g, alap);
         for n in g.tasks() {
             assert_eq!(lists[n.index()][0], alap[n.index()], "{n}");
         }

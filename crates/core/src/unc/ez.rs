@@ -7,14 +7,17 @@
 //! The algorithm walks the edges from heaviest to lightest; for each edge
 //! joining two distinct clusters it *tentatively* merges them and keeps the
 //! merge iff the estimated parallel time — the makespan of the clustering's
-//! list schedule, see `schedule_clustering` (module source) — does not increase.
+//! list schedule, see `ClusterTimer` (module source) — does not increase.
 //!
-//! Complexity: O(e · (v + e)) — each of the `e` merge trials replays the
-//! list schedule. The paper groups EZ mid-field on running time among UNC
-//! algorithms.
+//! Complexity: O(e · (v log v + e)). Each of the `e` merge trials
+//! relabels a reused trial clustering, recomputes its zeroed b-levels,
+//! re-sorts the list and runs one timing pass, all on arrays allocated
+//! once per run; no `Schedule` is built until the final one. The paper
+//! groups EZ mid-field on running time among UNC algorithms.
 
 use dagsched_graph::TaskGraph;
 
+use super::ClusterTimer;
 use crate::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 
 /// The EZ scheduler.
@@ -33,7 +36,9 @@ impl Scheduler for Ez {
     fn schedule(&self, g: &TaskGraph, _env: &Env) -> Result<Outcome, SchedError> {
         let v = g.num_tasks();
         let mut clusters: Vec<u32> = (0..v as u32).collect();
-        let mut best_pt = super::clustering_makespan(g, &clusters);
+        let mut trial = clusters.clone();
+        let mut timer = ClusterTimer::new(g, v);
+        let mut best_pt = timer.parallel_time(g, &clusters);
 
         // Heaviest edges first; ties by (src, dst) ascending for determinism.
         let mut edges: Vec<_> = g.edges().collect();
@@ -46,20 +51,17 @@ impl Scheduler for Ez {
             }
             // Tentative merge: relabel the higher cluster id into the lower.
             let (keep, fold) = (cu.min(cv), cu.max(cv));
-            let mut trial = clusters.clone();
-            for c in trial.iter_mut() {
-                if *c == fold {
-                    *c = keep;
-                }
+            for (t, &c) in trial.iter_mut().zip(&clusters) {
+                *t = if c == fold { keep } else { c };
             }
-            let pt = super::clustering_makespan(g, &trial);
+            let pt = timer.parallel_time(g, &trial);
             if pt <= best_pt {
-                clusters = trial;
+                std::mem::swap(&mut clusters, &mut trial);
                 best_pt = pt;
             }
         }
 
-        let schedule = super::schedule_clustering(g, &clusters);
+        let schedule = super::schedule_clustering(g, &clusters, v);
         debug_assert_eq!(schedule.makespan(), best_pt);
         Ok(Outcome {
             schedule,
@@ -106,7 +108,7 @@ mod tests {
         // worse than the identity clustering.
         let g = testutil::classic_nine();
         let identity: Vec<u32> = (0..g.num_tasks() as u32).collect();
-        let baseline = crate::unc::clustering_makespan(&g, &identity);
+        let baseline = ClusterTimer::new(&g, g.num_tasks()).parallel_time(&g, &identity);
         let out = testutil::run(&Ez, &g);
         assert!(out.schedule.makespan() <= baseline);
     }

@@ -48,7 +48,7 @@ impl Scheduler for Lc {
             next_cluster += 1;
         }
 
-        let schedule = super::schedule_clustering(g, &clusters);
+        let schedule = super::schedule_clustering(g, &clusters, v);
         Ok(Outcome {
             schedule,
             network: None,

@@ -22,10 +22,13 @@
 //!
 //! After mapping, tasks are re-timed by the same b-level list scheduling
 //! used throughout the UNC class, with co-located communication zeroed.
+//! Sarkar's candidate score and that re-timing both run the class's one
+//! timing pass for fixed assignments (see the [`super`] module docs).
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_platform::Schedule;
 
+use super::{schedule_clustering, time_fixed};
 use crate::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 
 /// Which cluster-to-processor assignment strategy to use.
@@ -78,119 +81,39 @@ pub fn map_clusters(
         }
         ClusterMapping::Sarkar => {
             clusters.sort_by_key(|&(start, _, ref tasks)| (start, tasks[0]));
-            let mut mapped: Vec<(Vec<TaskId>, usize)> = Vec::new();
+            // Score a candidate by timing the tasks mapped so far plus the
+            // current cluster in topological order, on the physical
+            // machine; unmapped clusters are never timed, so their edges
+            // do not count. Exact timing happens in the final re-timing.
+            let mut included = vec![false; g.num_tasks()];
+            let (mut finish, mut tail) = (vec![0; g.num_tasks()], vec![0; procs]);
             for (_, _, tasks) in &clusters {
-                let mut best: Option<(u64, usize)> = None;
-                for cand in 0..procs {
-                    let mut trial = assign.clone();
+                for &t in tasks {
+                    included[t.index()] = true;
+                }
+                let mut best: Option<(u64, u32)> = None;
+                for cand in 0..procs as u32 {
                     for &t in tasks {
-                        trial[t.index()] = cand as u32;
+                        assign[t.index()] = cand;
                     }
-                    // Only already-mapped tasks + this cluster participate in
-                    // the trial simulation; unmapped clusters stay on
-                    // far-away virtual processors so they do not interfere.
-                    let len = simulate(g, &trial, procs, &mapped, tasks, cand);
-                    if best.is_none_or(|(bl, bp)| (len, cand) < (bl, bp)) {
+                    let order = g.topo_order().iter().copied();
+                    let order = order.filter(|t| included[t.index()]);
+                    let len = time_fixed(g, &assign, order, &mut finish, &mut tail);
+                    if best.is_none_or(|b| (len, cand) < b) {
                         best = Some((len, cand));
                     }
                 }
                 let (_, chosen) = best.expect("at least one candidate");
                 for &t in tasks {
-                    assign[t.index()] = chosen as u32;
+                    assign[t.index()] = chosen;
                 }
-                mapped.push((tasks.clone(), chosen));
             }
         }
     }
 
     // Final re-timing: b-level list scheduling on the physical machine with
     // the fixed assignment.
-    retime(g, &assign, procs)
-}
-
-/// Schedule length when the already-mapped clusters plus `current` (on
-/// `cand`) run on the physical machine, ignoring unmapped clusters.
-fn simulate(
-    g: &TaskGraph,
-    assign: &[u32],
-    procs: usize,
-    mapped: &[(Vec<TaskId>, usize)],
-    current: &[TaskId],
-    _cand: usize,
-) -> u64 {
-    let mut included = vec![false; g.num_tasks()];
-    for (tasks, _) in mapped {
-        for &t in tasks {
-            included[t.index()] = true;
-        }
-    }
-    for &t in current {
-        included[t.index()] = true;
-    }
-    // List-schedule only included tasks (their non-included parents are
-    // assumed available at their UNC finish time ≈ time 0 here; this is a
-    // heuristic score, exact timing happens in `retime`).
-    let bl = dagsched_graph::levels::b_levels(g);
-    let mut order: Vec<TaskId> = g
-        .topo_order()
-        .iter()
-        .copied()
-        .filter(|t| included[t.index()])
-        .collect();
-    order.sort_by_key(|&t| {
-        (
-            g.topo_order()
-                .iter()
-                .position(|&x| x == t)
-                .unwrap_or(usize::MAX),
-            std::cmp::Reverse(bl[t.index()]),
-        )
-    });
-    let mut finish = vec![0u64; g.num_tasks()];
-    let mut ready_at = vec![0u64; procs];
-    let mut makespan = 0u64;
-    for &t in &order {
-        let p = assign[t.index()] as usize;
-        let mut drt = 0u64;
-        for &(q, c) in g.preds(t) {
-            if included[q.index()] {
-                let cost = if assign[q.index()] as usize == p {
-                    0
-                } else {
-                    c
-                };
-                drt = drt.max(finish[q.index()] + cost);
-            }
-        }
-        let start = drt.max(ready_at[p]);
-        finish[t.index()] = start + g.weight(t);
-        ready_at[p] = finish[t.index()];
-        makespan = makespan.max(finish[t.index()]);
-    }
-    makespan
-}
-
-/// b-level list scheduling with a fixed task→processor assignment.
-fn retime(g: &TaskGraph, assign: &[u32], procs: usize) -> Schedule {
-    let clusters: Vec<u32> = assign.to_vec();
-    let bl = super::zeroed_b_levels(g, &clusters);
-    let mut s = Schedule::new(g.num_tasks(), procs);
-    let mut ready = crate::common::ReadySet::new(g);
-    while !ready.is_empty() {
-        let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
-        let p = dagsched_platform::ProcId(assign[n.index()]);
-        let mut drt = 0u64;
-        for &(q, c) in g.preds(n) {
-            let pl = s.placement(q).expect("ready ⇒ parents placed");
-            let cost = if pl.proc == p { 0 } else { c };
-            drt = drt.max(pl.finish + cost);
-        }
-        let est = s.timeline(p).earliest_append(drt);
-        s.place(n, p, est, g.weight(n))
-            .expect("append cannot collide");
-        ready.take(g, n);
-    }
-    s
+    schedule_clustering(g, &assign, procs)
 }
 
 /// Adapter: a UNC algorithm plus a cluster-scheduling pass, presented as a

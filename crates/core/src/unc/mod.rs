@@ -10,6 +10,11 @@
 //! (one per task in the worst case); callers that want dense processor ids
 //! can use `Schedule::compact_procs`. The paper's "number of processors
 //! used" measure is the count of non-empty clusters.
+//!
+//! A fixed clustering is timed by one pass (Sarkar's parallel-time
+//! estimate, see `time_fixed` in the module source): EZ's merge trials,
+//! LC's and EZ's final schedules, and [`mapping`]'s candidate scores and
+//! re-timing all go through it.
 
 pub mod dcp;
 pub mod dsc;
@@ -28,59 +33,102 @@ pub use md::Md;
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_platform::{ProcId, Schedule};
 
-use crate::common::ReadySet;
+use crate::common::sort_list_order;
 
-/// List-schedule a fixed clustering: cluster = processor, priority =
-/// b-level on the *zeroed view* (intra-cluster edge costs 0), append
-/// policy. This is Sarkar's parallel-time estimation procedure, shared by
-/// EZ (which calls it per tentative merge) and LC (once at the end).
-pub(crate) fn schedule_clustering(g: &TaskGraph, clusters: &[u32]) -> Schedule {
-    let bl = zeroed_b_levels(g, clusters);
-    let mut s = Schedule::new(g.num_tasks(), g.num_tasks());
-    let mut ready = ReadySet::new(g);
-    while !ready.is_empty() {
-        let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
-        let p = ProcId(clusters[n.index()]);
-        // Data-ready time under the zeroed view.
+/// `finish` of a task the current timing pass has not timed.
+const UNTIMED: u64 = u64::MAX;
+
+/// The timing pass over a fixed assignment, the one timing loop for fixed
+/// clusterings: each task of `order` runs on processor `assign[n]`,
+/// appended after that processor's tail at its data-ready time, where
+/// edges within a processor cost 0. Parents not timed earlier in the pass
+/// are ignored. `finish` (one entry per task) and `tail` (one per
+/// processor) are caller-owned scratch, reset here; afterwards `finish`
+/// holds each timed task's finish time. Returns the makespan.
+pub(crate) fn time_fixed(
+    g: &TaskGraph,
+    assign: &[u32],
+    order: impl IntoIterator<Item = TaskId>,
+    finish: &mut [u64],
+    tail: &mut [u64],
+) -> u64 {
+    finish.fill(UNTIMED);
+    tail.fill(0);
+    let mut makespan = 0;
+    for n in order {
+        let p = assign[n.index()];
         let mut drt = 0u64;
         for &(q, c) in g.preds(n) {
-            let pl = s.placement(q).expect("ready ⇒ parents placed");
-            let cost = if clusters[q.index()] == clusters[n.index()] {
-                0
-            } else {
-                c
-            };
-            drt = drt.max(pl.finish + cost);
+            let f = finish[q.index()];
+            if f != UNTIMED {
+                drt = drt.max(f + if assign[q.index()] == p { 0 } else { c });
+            }
         }
-        let est = s.timeline(p).earliest_append(drt);
-        s.place(n, p, est, g.weight(n))
-            .expect("append cannot collide");
-        ready.take(g, n);
+        let f = drt.max(tail[p as usize]) + g.weight(n);
+        finish[n.index()] = f;
+        tail[p as usize] = f;
+        makespan = makespan.max(f);
+    }
+    makespan
+}
+
+/// Sarkar's parallel-time estimate of a fixed assignment (cluster =
+/// processor): [`time_fixed`] in descending b-level on the *zeroed view*
+/// (edges within a cluster cost 0), on scratch reused across calls — EZ
+/// prices each tentative merge with one timer.
+pub(crate) struct ClusterTimer {
+    bl: Vec<u64>,
+    order: Vec<TaskId>,
+    finish: Vec<u64>,
+    tail: Vec<u64>,
+}
+
+impl ClusterTimer {
+    /// Scratch for `g` on `procs` processors.
+    pub(crate) fn new(g: &TaskGraph, procs: usize) -> ClusterTimer {
+        ClusterTimer {
+            bl: vec![0; g.num_tasks()],
+            order: g.tasks().collect(),
+            finish: vec![0; g.num_tasks()],
+            tail: vec![0; procs],
+        }
+    }
+
+    /// The parallel time (makespan) of `assign`'s list schedule.
+    pub(crate) fn parallel_time(&mut self, g: &TaskGraph, assign: &[u32]) -> u64 {
+        zeroed_b_levels(g, assign, &mut self.bl);
+        sort_list_order(g, &self.bl, &mut self.order);
+        let order = self.order.iter().copied();
+        time_fixed(g, assign, order, &mut self.finish, &mut self.tail)
+    }
+}
+
+/// The list schedule of a fixed assignment onto `procs` processors
+/// ([`ClusterTimer`]'s timing): LC's final schedule, EZ's, and the
+/// re-timing after cluster mapping.
+pub(crate) fn schedule_clustering(g: &TaskGraph, assign: &[u32], procs: usize) -> Schedule {
+    let mut timer = ClusterTimer::new(g, procs);
+    timer.parallel_time(g, assign);
+    let mut s = Schedule::new(g.num_tasks(), procs);
+    for &n in &timer.order {
+        let w = g.weight(n);
+        let start = timer.finish[n.index()] - w;
+        s.place(n, ProcId(assign[n.index()]), start, w)
+            .expect("the timing pass appends");
     }
     s
 }
 
-/// Parallel time of a clustering (the makespan of its list schedule).
-pub(crate) fn clustering_makespan(g: &TaskGraph, clusters: &[u32]) -> u64 {
-    schedule_clustering(g, clusters).makespan()
-}
-
-/// b-levels with intra-cluster edges zeroed.
-pub(crate) fn zeroed_b_levels(g: &TaskGraph, clusters: &[u32]) -> Vec<u64> {
-    let mut bl = vec![0u64; g.num_tasks()];
+/// b-levels with intra-cluster edges zeroed, into `bl`.
+fn zeroed_b_levels(g: &TaskGraph, clusters: &[u32], bl: &mut [u64]) {
     for &n in g.topo_order().iter().rev() {
-        let mut best = 0u64;
-        for &(sx, c) in g.succs(n) {
-            let cost = if clusters[sx.index()] == clusters[n.index()] {
-                0
-            } else {
-                c
-            };
-            best = best.max(cost + bl[sx.index()]);
-        }
-        bl[n.index()] = g.weight(n) + best;
+        let own = clusters[n.index()];
+        let tails = g
+            .succs(n)
+            .iter()
+            .map(|&(sx, c)| bl[sx.index()] + if clusters[sx.index()] == own { 0 } else { c });
+        bl[n.index()] = g.weight(n) + tails.max().unwrap_or(0);
     }
-    bl
 }
 
 /// Candidate processor set used by DCP: processors that hold a parent or a
@@ -111,7 +159,7 @@ pub(crate) mod testutil {
     //! Shared fixtures for UNC algorithm tests.
 
     use crate::{AlgoClass, Env, Outcome, Scheduler};
-    use dagsched_graph::{levels, TaskGraph};
+    use dagsched_graph::TaskGraph;
 
     pub use crate::bnp::testutil::{chain4, classic_nine, independent};
 
@@ -177,7 +225,6 @@ pub(crate) mod testutil {
         let single = b.build().unwrap();
         let out = run(algo, &single);
         assert_eq!(out.schedule.makespan(), 5, "{}", algo.name());
-        let _ = levels::cp_length(&single);
     }
 }
 
@@ -197,12 +244,16 @@ mod tests {
         gb.build().unwrap()
     }
 
+    fn parallel_time(g: &TaskGraph, clusters: &[u32]) -> u64 {
+        ClusterTimer::new(g, g.num_tasks()).parallel_time(g, clusters)
+    }
+
     #[test]
     fn identity_clustering_pays_all_comm() {
         let g = fork();
         let clusters: Vec<u32> = (0..3).collect();
         // a at 0..2; b, c both start at 12.
-        assert_eq!(clustering_makespan(&g, &clusters), 14);
+        assert_eq!(parallel_time(&g, &clusters), 14);
     }
 
     #[test]
@@ -210,26 +261,55 @@ mod tests {
         let g = fork();
         // {a, b} together, c alone: b starts at 2 locally; c at 12.
         let clusters = vec![0, 0, 2];
-        assert_eq!(clustering_makespan(&g, &clusters), 14);
+        assert_eq!(parallel_time(&g, &clusters), 14);
         // All together: serial 6 < 14.
         let clusters = vec![0, 0, 0];
-        assert_eq!(clustering_makespan(&g, &clusters), 6);
+        assert_eq!(parallel_time(&g, &clusters), 6);
+    }
+
+    #[test]
+    fn one_timer_times_many_clusterings() {
+        // Reused scratch carries nothing from one clustering to the next.
+        let g = fork();
+        let mut timer = ClusterTimer::new(&g, 3);
+        for (clusters, pt) in [
+            ([0, 1, 2], 14),
+            ([0, 0, 0], 6),
+            ([0, 0, 2], 14),
+            ([0, 0, 0], 6),
+        ] {
+            assert_eq!(timer.parallel_time(&g, &clusters), pt);
+        }
+    }
+
+    #[test]
+    fn timing_pass_ignores_untimed_parents() {
+        // Timing only b and c: a is never timed, so its edges are ignored
+        // and both are ready at 0; on one processor c appends behind b.
+        let g = fork();
+        let (mut finish, mut tail) = ([0; 3], [0; 2]);
+        let order = [TaskId(1), TaskId(2)];
+        assert_eq!(time_fixed(&g, &[0, 0, 1], order, &mut finish, &mut tail), 2);
+        assert_eq!(finish[1..], [2, 2]);
+        assert_eq!(time_fixed(&g, &[0, 1, 1], order, &mut finish, &mut tail), 4);
+        assert_eq!(finish[0], UNTIMED);
     }
 
     #[test]
     fn zeroed_b_levels_reflect_clustering() {
         let g = fork();
-        let identity: Vec<u32> = (0..3).collect();
-        let merged = vec![0u32, 0, 0];
-        assert_eq!(zeroed_b_levels(&g, &identity)[0], 2 + 10 + 2);
-        assert_eq!(zeroed_b_levels(&g, &merged)[0], 2 + 2);
+        let mut bl = [0; 3];
+        zeroed_b_levels(&g, &[0, 1, 2], &mut bl);
+        assert_eq!(bl[0], 2 + 10 + 2);
+        zeroed_b_levels(&g, &[0, 0, 0], &mut bl);
+        assert_eq!(bl[0], 2 + 2);
     }
 
     #[test]
     fn schedule_clustering_respects_cluster_assignment() {
         let g = fork();
         let clusters = vec![0u32, 0, 2];
-        let s = schedule_clustering(&g, &clusters);
+        let s = schedule_clustering(&g, &clusters, 3);
         assert_eq!(s.proc_of(TaskId(0)), Some(ProcId(0)));
         assert_eq!(s.proc_of(TaskId(1)), Some(ProcId(0)));
         assert_eq!(s.proc_of(TaskId(2)), Some(ProcId(2)));

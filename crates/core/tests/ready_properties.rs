@@ -4,9 +4,11 @@
 //! `peek_max` always agrees with a naive rescan of the ready set — is
 //! checked here over random DAGs, random (heavily tied) priorities, and
 //! interleaved out-of-order takes that stale the heap exactly the way ISH's
-//! hole fillers do.
+//! hole fillers do. [`dagsched_core::common::list_order`] is checked
+//! against the same naive rescan: for keys that strictly decrease along
+//! every edge, the sort is the ready list's sequence.
 
-use dagsched_core::common::{ReadyQueue, ReadySet};
+use dagsched_core::common::{list_order, ReadyQueue, ReadySet};
 use dagsched_graph::{GraphBuilder, TaskGraph, TaskId};
 use proptest::prelude::*;
 
@@ -37,6 +39,24 @@ fn build(weights: &[u64], raw_edges: &[(usize, usize, u64)]) -> TaskGraph {
         }
     }
     b.build().expect("forward edges are acyclic")
+}
+
+/// b-levels with the edges inside a cluster costing 0: the key of the
+/// UNC cluster timer.
+fn zeroed_b_levels(g: &TaskGraph, clusters: &[u64]) -> Vec<u64> {
+    let mut bl = vec![0u64; g.num_tasks()];
+    for &n in g.topo_order().iter().rev() {
+        let tail = g.succs(n).iter().map(|&(s, c)| {
+            let c = if clusters[s.index()] == clusters[n.index()] {
+                0
+            } else {
+                c
+            };
+            c + bl[s.index()]
+        });
+        bl[n.index()] = g.weight(n) + tail.max().unwrap_or(0);
+    }
+    bl
 }
 
 proptest! {
@@ -96,5 +116,27 @@ proptest! {
             queue.take(&g, n);
         }
         prop_assert!(taken.iter().all(|&t| t), "some task never became ready");
+    }
+
+    // A static list is a sort: for b-levels, static levels and the zeroed
+    // b-levels of a random clustering (the keys double as cluster labels),
+    // `list_order` must equal the sequence of a ready list that takes its
+    // max-key task each step.
+    #[test]
+    fn list_order_matches_the_ready_list_sequence(
+        (weights, edges, clusters, _picks) in arb_scenario()
+    ) {
+        let g = build(&weights, &edges);
+        let lv = g.levels();
+        let zeroed = zeroed_b_levels(&g, &clusters);
+        for keys in [lv.b_levels(), lv.static_levels(), &zeroed] {
+            let mut ready = ReadySet::new(&g);
+            let mut expected = Vec::new();
+            while let Some(n) = ready.argmax_by_key(|n| keys[n.index()]) {
+                expected.push(n);
+                ready.take(&g, n);
+            }
+            prop_assert_eq!(list_order(&g, keys), expected);
+        }
     }
 }

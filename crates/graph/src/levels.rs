@@ -105,31 +105,6 @@ impl Levels {
     }
 }
 
-/// t-levels of every task, indexed by task id.
-pub fn t_levels(g: &TaskGraph) -> Vec<u64> {
-    g.levels().t_levels().to_vec()
-}
-
-/// b-levels of every task, indexed by task id.
-pub fn b_levels(g: &TaskGraph) -> Vec<u64> {
-    g.levels().b_levels().to_vec()
-}
-
-/// Static levels (computation-only b-levels) of every task.
-pub fn static_levels(g: &TaskGraph) -> Vec<u64> {
-    g.levels().static_levels().to_vec()
-}
-
-/// Critical-path length of the graph (edge costs included).
-pub fn cp_length(g: &TaskGraph) -> u64 {
-    g.levels().cp_length()
-}
-
-/// ALAP start times: `ALAP(n) = CP − b-level(n)`.
-pub fn alap_times(g: &TaskGraph) -> Vec<u64> {
-    g.levels().alap_times().to_vec()
-}
-
 /// One critical path (entry→exit node sequence), deterministic: at every
 /// step the smallest-id qualifying node is chosen.
 pub fn critical_path(g: &TaskGraph) -> Vec<TaskId> {
@@ -200,7 +175,7 @@ mod tests {
     #[test]
     fn t_levels_hand_checked() {
         let g = sample();
-        let tl = t_levels(&g);
+        let tl = g.levels().t_levels();
         // n0: 0. n1: 0+2+4=6. n2: 0+2+1=3. n3: max(6+3+1, 3+5+1)=10.
         // n4: max(3+5+10, 10+4+1)=18.
         assert_eq!(tl, vec![0, 6, 3, 10, 18]);
@@ -209,7 +184,7 @@ mod tests {
     #[test]
     fn b_levels_hand_checked() {
         let g = sample();
-        let bl = b_levels(&g);
+        let bl = g.levels().b_levels();
         // n4: 2. n3: 4+1+2=7. n2: 5+max(1+7, 10+2)=17. n1: 3+1+7=11.
         // n0: 2+max(4+11, 1+17)=20.
         assert_eq!(bl, vec![20, 11, 17, 7, 2]);
@@ -218,7 +193,7 @@ mod tests {
     #[test]
     fn static_levels_ignore_comm() {
         let g = sample();
-        let sl = static_levels(&g);
+        let sl = g.levels().static_levels();
         // n4: 2. n3: 4+2=6. n2: 5+max(6,2)=11. n1: 3+6=9. n0: 2+11=13.
         assert_eq!(sl, vec![13, 9, 11, 6, 2]);
     }
@@ -226,9 +201,8 @@ mod tests {
     #[test]
     fn cp_length_equals_max_tl_plus_bl() {
         let g = sample();
-        let tl = t_levels(&g);
-        let bl = b_levels(&g);
-        let cp = cp_length(&g);
+        let l = g.levels();
+        let (tl, bl, cp) = (l.t_levels(), l.b_levels(), l.cp_length());
         let max_sum = g
             .tasks()
             .map(|n| tl[n.index()] + bl[n.index()])
@@ -241,9 +215,8 @@ mod tests {
     #[test]
     fn alap_plus_blevel_is_cp() {
         let g = sample();
-        let bl = b_levels(&g);
-        let alap = alap_times(&g);
-        let cp = cp_length(&g);
+        let l = g.levels();
+        let (bl, alap, cp) = (l.b_levels(), l.alap_times(), l.cp_length());
         for n in g.tasks() {
             assert_eq!(alap[n.index()] + bl[n.index()], cp);
         }
@@ -275,21 +248,16 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_task(7);
         let g = b.build().unwrap();
-        assert_eq!(t_levels(&g), vec![0]);
-        assert_eq!(b_levels(&g), vec![7]);
-        assert_eq!(cp_length(&g), 7);
+        assert_eq!(g.levels().t_levels(), [0]);
+        assert_eq!(g.levels().b_levels(), [7]);
+        assert_eq!(g.levels().cp_length(), 7);
         assert_eq!(cp_computation(&g), 7);
     }
 
     #[test]
-    fn cached_levels_match_free_functions() {
+    fn cached_levels_match_a_fresh_computation() {
         let g = sample();
-        let l = g.levels();
-        assert_eq!(l.t_levels(), t_levels(&g).as_slice());
-        assert_eq!(l.b_levels(), b_levels(&g).as_slice());
-        assert_eq!(l.static_levels(), static_levels(&g).as_slice());
-        assert_eq!(l.alap_times(), alap_times(&g).as_slice());
-        assert_eq!(l.cp_length(), cp_length(&g));
+        assert_eq!(g.levels(), &Levels::compute(&g));
         // The cache survives cloning (shared Arc).
         let h = g.clone();
         assert_eq!(h.levels().cp_length(), 20);

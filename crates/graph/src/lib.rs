@@ -18,14 +18,17 @@
 //! crate in the workspace builds on, plus the classic *level* attributes that
 //! drive list-scheduling priorities (§3 of the paper):
 //!
-//! * [`levels::t_levels`] — the *top level*: length of the longest path from
+//! * [`Levels::t_levels`] — the *top level*: length of the longest path from
 //!   an entry node to `n` (excluding `n` itself), edge costs included;
-//! * [`levels::b_levels`] — the *bottom level*: length of the longest path
+//! * [`Levels::b_levels`] — the *bottom level*: length of the longest path
 //!   from `n` to an exit node, edge costs included;
-//! * [`levels::static_levels`] — the bottom level computed over computation
+//! * [`Levels::static_levels`] — the bottom level computed over computation
 //!   costs only (the classic *static level* of HLFET/DLS);
-//! * [`levels::alap_times`] — `CP − b-level`, the as-late-as-possible start;
+//! * [`Levels::alap_times`] — `CP − b-level`, the as-late-as-possible start;
 //! * [`levels::critical_path`] — a maximal-length entry→exit path.
+//!
+//! The graph computes the four level attributes once, on first use, and
+//! caches them: [`TaskGraph::levels`] borrows them.
 //!
 //! All representations are index-based (`Vec` adjacency, `u32` ids) rather
 //! than pointer-based: scheduling algorithms are dominated by dense
@@ -35,7 +38,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use dagsched_graph::{GraphBuilder, levels};
+//! use dagsched_graph::GraphBuilder;
 //!
 //! // The classic two-level fork-join:  n0 → {n1, n2} → n3
 //! let mut b = GraphBuilder::new();
@@ -50,7 +53,7 @@
 //! let g = b.build().unwrap();
 //!
 //! assert_eq!(g.num_tasks(), 4);
-//! assert_eq!(levels::cp_length(&g), 4 + 1 + 5 + 2 + 2); // n0→n2→n3 incl. comm
+//! assert_eq!(g.levels().cp_length(), 4 + 1 + 5 + 2 + 2); // n0→n2→n3 incl. comm
 //! ```
 
 pub mod binio;

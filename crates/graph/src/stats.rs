@@ -70,7 +70,7 @@ impl GraphStats {
             ccr: g.ccr(),
             depth,
             level_width: counts.iter().copied().max().unwrap_or(0),
-            cp_length: levels::cp_length(g),
+            cp_length: g.levels().cp_length(),
             cp_computation: levels::cp_computation(g),
             entries: g.entries().count(),
             exits: g.exits().count(),

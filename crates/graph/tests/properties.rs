@@ -57,9 +57,7 @@ proptest! {
     #[test]
     fn cp_is_max_tl_plus_bl((weights, edges) in arb_dag()) {
         let g = build(&weights, &edges);
-        let tl = levels::t_levels(&g);
-        let bl = levels::b_levels(&g);
-        let cp = levels::cp_length(&g);
+        let (tl, bl, cp) = (g.levels().t_levels(), g.levels().b_levels(), g.levels().cp_length());
         let mut attained = false;
         for n in g.tasks() {
             prop_assert!(tl[n.index()] + bl[n.index()] <= cp);
@@ -71,8 +69,7 @@ proptest! {
     #[test]
     fn edge_level_recurrences_hold((weights, edges) in arb_dag()) {
         let g = build(&weights, &edges);
-        let tl = levels::t_levels(&g);
-        let bl = levels::b_levels(&g);
+        let (tl, bl) = (g.levels().t_levels(), g.levels().b_levels());
         for e in g.edges() {
             // t-level grows along edges by at least w(src)+c.
             prop_assert!(tl[e.dst.index()] >= tl[e.src.index()] + g.weight(e.src) + e.cost);
@@ -84,8 +81,7 @@ proptest! {
     #[test]
     fn static_level_bounded_by_blevel((weights, edges) in arb_dag()) {
         let g = build(&weights, &edges);
-        let sl = levels::static_levels(&g);
-        let bl = levels::b_levels(&g);
+        let (sl, bl) = (g.levels().static_levels(), g.levels().b_levels());
         for n in g.tasks() {
             prop_assert!(sl[n.index()] <= bl[n.index()]);
             prop_assert!(sl[n.index()] >= g.weight(n));
@@ -95,9 +91,7 @@ proptest! {
     #[test]
     fn alap_identity((weights, edges) in arb_dag()) {
         let g = build(&weights, &edges);
-        let bl = levels::b_levels(&g);
-        let alap = levels::alap_times(&g);
-        let cp = levels::cp_length(&g);
+        let (bl, alap, cp) = (g.levels().b_levels(), g.levels().alap_times(), g.levels().cp_length());
         for n in g.tasks() {
             prop_assert_eq!(alap[n.index()] + bl[n.index()], cp);
         }
@@ -116,7 +110,7 @@ proptest! {
             len += g.weight(w[0]) + g.edge_cost(w[0], w[1]).unwrap();
         }
         len += g.weight(*path.last().unwrap());
-        prop_assert_eq!(len, levels::cp_length(&g));
+        prop_assert_eq!(len, g.levels().cp_length());
     }
 
     #[test]

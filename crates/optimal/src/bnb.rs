@@ -10,7 +10,7 @@
 //! placements compared lexicographically).
 
 use dagsched_core::{registry, Env};
-use dagsched_graph::{levels, TaskGraph, TaskId};
+use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, PruneBound, Sink};
 use dagsched_platform::{ProcId, Schedule};
 use std::collections::HashSet;
@@ -89,7 +89,7 @@ impl<'g> State<'g> {
             g,
             procs,
             weights: g.weights().to_vec(),
-            slc: levels::static_levels(g),
+            slc: g.levels().static_levels().to_vec(),
             proc_ready: vec![0; procs],
             finish: vec![0; v],
             proc_of: vec![u8::MAX; v],

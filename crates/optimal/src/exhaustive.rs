@@ -209,7 +209,7 @@ pub mod tests {
     fn oracle_respects_cp_bound() {
         for seed in 40..44u64 {
             let g = random_small(6, seed);
-            let slc = dagsched_graph::levels::static_levels(&g);
+            let slc = g.levels().static_levels();
             let bound = g.entries().map(|e| slc[e.index()]).max().unwrap_or(0);
             assert!(min_makespan(&g, 3) >= bound);
         }

@@ -97,14 +97,14 @@ impl GraphWire {
     }
 }
 
-/// A parsed request.
+/// A parsed request; the graph bytes are borrowed from the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<'a> {
     Schedule {
         wire: GraphWire,
         platform: String,
         algo: String,
-        graph: Vec<u8>,
+        graph: &'a [u8],
     },
     /// Ask the daemon to shut down gracefully (drain, then exit).
     Shutdown,
@@ -129,7 +129,7 @@ pub const SHUTDOWN_REQUEST: &[u8] = b"shutdown";
 pub const BYE: &[u8] = b"bye\n";
 
 /// Parse a request payload.
-pub fn parse_request(payload: &[u8]) -> Result<Request, ServeError> {
+pub fn parse_request(payload: &[u8]) -> Result<Request<'_>, ServeError> {
     if payload == SHUTDOWN_REQUEST {
         return Ok(Request::Shutdown);
     }
@@ -140,7 +140,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ServeError> {
         .ok_or_else(|| malformed("missing header line"))?;
     let header =
         std::str::from_utf8(&payload[..nl]).map_err(|_| malformed("header line is not UTF-8"))?;
-    let graph = payload[nl + 1..].to_vec();
+    let graph = &payload[nl + 1..];
     let mut toks = header.split_whitespace();
     match toks.next() {
         Some("schedule") => {}
@@ -355,7 +355,7 @@ mod tests {
                     assert_eq!(w, wire);
                     assert_eq!(platform, "bnp:8");
                     assert_eq!(algo, "MCP");
-                    assert_eq!(graph, body);
+                    assert_eq!(graph, &body[..]);
                 }
                 other => panic!("{other:?}"),
             }

@@ -316,7 +316,7 @@ fn conn_loop(mut stream: TcpStream, sh: &Shared) {
                         algo,
                         graph,
                     }) => {
-                        let resp = admit(sh, key, wire, &platform, &algo, &graph);
+                        let resp = admit(sh, key, wire, &platform, &algo, graph);
                         if write_frame(&mut stream, &resp).is_err() {
                             return;
                         }

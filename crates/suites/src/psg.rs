@@ -194,7 +194,7 @@ mod tests {
         assert_eq!(g.entries().count(), 1);
         assert_eq!(g.exits().count(), 1);
         // CP: n0 →(1) n4 →(10) n7 →(5) n8 = 2+1+5+10+4+5+1 = 28.
-        assert_eq!(levels::cp_length(&g), 28);
+        assert_eq!(g.levels().cp_length(), 28);
         let cp: Vec<u32> = levels::critical_path(&g).iter().map(|t| t.0).collect();
         assert_eq!(cp, vec![0, 4, 7, 8]);
     }

@@ -335,7 +335,7 @@ mod tests {
         // machine of any size can beat the embedded schedule.
         for &(v, ccr, seed) in &[(40usize, 0.1, 1u64), (60, 1.0, 2), (80, 10.0, 3)] {
             let inst = generate(RgposParams::new(v, ccr, seed));
-            let sl = dagsched_graph::levels::static_levels(&inst.graph);
+            let sl = inst.graph.levels().static_levels();
             let comp_cp = inst.graph.entries().map(|n| sl[n.index()]).max().unwrap();
             assert_eq!(comp_cp, inst.optimal, "v={v} ccr={ccr}");
         }

@@ -141,7 +141,7 @@ mod tests {
     fn chain_cp_is_everything() {
         let g = chain(5, 3, 2);
         assert_eq!(g.num_tasks(), 5);
-        assert_eq!(levels::cp_length(&g), 5 * 3 + 4 * 2);
+        assert_eq!(g.levels().cp_length(), 5 * 3 + 4 * 2);
         assert_eq!(levels::cp_computation(&g), 15);
     }
 
@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(g.num_edges(), 8);
         assert_eq!(g.entries().count(), 1);
         assert_eq!(g.exits().count(), 1);
-        assert_eq!(levels::cp_length(&g), 2 + 1 + 2 + 1 + 2);
+        assert_eq!(g.levels().cp_length(), 2 + 1 + 2 + 1 + 2);
     }
 
     #[test]

@@ -252,7 +252,7 @@ mod tests {
             fft(4, 1.0),
             laplace(4, 3, 1.0),
         ] {
-            assert!(levels::cp_length(&g) > 0);
+            assert!(g.levels().cp_length() > 0);
             assert!(levels::cp_computation(&g) > 0);
         }
     }

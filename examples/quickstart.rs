@@ -35,7 +35,7 @@ fn main() {
     );
     println!(
         "critical path length (with comm): {}\n",
-        levels::cp_length(&g)
+        g.levels().cp_length()
     );
 
     // A BNP algorithm on a 2-processor machine…

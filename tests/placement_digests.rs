@@ -8,8 +8,9 @@
 //! clone-per-step DSC, the full-rescan MD/DCP, the replay-per-trial BSA
 //! and the six monolithic BNP list schedulers) and checked equal to the
 //! live schedulers' digests before those implementations were retired.
-//! The EZ, LC, MH, DLS-APN and BU tables were generated from the live
-//! schedulers before any engine work on them, so that work starts pinned.
+//! The EZ, LC, MH, DLS-APN, BU and UNC+CS tables were generated from the
+//! live schedulers before any engine work on them, so that work starts
+//! pinned.
 //! The branch-and-bound table pins the serial search's length, proof,
 //! node and prune counters and placements; it was generated while a
 //! parallel search still existed beside it, and held unchanged through
@@ -218,6 +219,83 @@ const BU: &[(&str, [u64; 2])] = &[
     ("mesh:2x3 v=50", [0x155c23a8a951bb3a, 0xab549da9eaaf0e59]),
 ];
 
+/// UNC+CS: LC, DSC and DCP (sizes 12–90) and EZ (sizes 12–40), each under
+/// Sarkar's and RCP's mapping onto 2 and 8 processors.
+const UNC_CS: &[(&str, [u64; 2])] = &[
+    ("LC/sar p=2 v=12", [0x0bcf655d1486c156, 0xdc1257424beaa270]),
+    ("LC/sar p=2 v=25", [0xf560aacc2523666d, 0xe74c2c288cf19f4f]),
+    ("LC/sar p=2 v=40", [0xcf2441a32f6983c8, 0x93f6240a35684a10]),
+    ("LC/sar p=2 v=60", [0x535c97e0a1828ceb, 0x8054ac6903bf6906]),
+    ("LC/sar p=2 v=90", [0x8957b56de7a2100d, 0x99c165443fb008fd]),
+    ("LC/sar p=8 v=12", [0x5f4e194016d25b3e, 0x218e224d9b375cc0]),
+    ("LC/sar p=8 v=25", [0xed8795c742de773f, 0x1eae2747c132fe65]),
+    ("LC/sar p=8 v=40", [0xd6f02b2dc49bc7a2, 0x705c5fe8557fbe1f]),
+    ("LC/sar p=8 v=60", [0xf5bfaf5348f221bc, 0xc27792ca4036c922]),
+    ("LC/sar p=8 v=90", [0xe779abb21bb2d0f6, 0xb18f77d12b742c56]),
+    ("LC/rcp p=2 v=12", [0xb263b6f438dab3f4, 0x08e31ab9b27c2e30]),
+    ("LC/rcp p=2 v=25", [0xb73387050b3c008c, 0x8d151cc0f1d944f2]),
+    ("LC/rcp p=2 v=40", [0x9a009db5819ee786, 0xd74f8a046a7b4516]),
+    ("LC/rcp p=2 v=60", [0x7b51e7199e92af0b, 0xf748e7f30574994c]),
+    ("LC/rcp p=2 v=90", [0x624347313ec178aa, 0x45c9ba631e8917b1]),
+    ("LC/rcp p=8 v=12", [0x19910dbcb2e7b0c3, 0xa26964e573771d2d]),
+    ("LC/rcp p=8 v=25", [0xf946421aab8fa6bc, 0x3e5c7a4d959efb56]),
+    ("LC/rcp p=8 v=40", [0x6d31a195204184c3, 0x04046ae3566af713]),
+    ("LC/rcp p=8 v=60", [0xd2a15c73b3d04295, 0xc20b2fd4e3ed1b1b]),
+    ("LC/rcp p=8 v=90", [0x3df39806f3805255, 0x0955a22db9746ec9]),
+    ("DSC/sar p=2 v=12", [0x4be06883bb8075bb, 0xa8cef627cbfd90b8]),
+    ("DSC/sar p=2 v=25", [0x4b80a43e0952d73d, 0x12af36d1fceb49cf]),
+    ("DSC/sar p=2 v=40", [0xbc6cab6f63054655, 0x323b260acf67f2bd]),
+    ("DSC/sar p=2 v=60", [0x6707d2dd7e0094fc, 0x6a16786af9593c0d]),
+    ("DSC/sar p=2 v=90", [0xaebbbe7e11d7dabd, 0x21b67fade9d2337d]),
+    ("DSC/sar p=8 v=12", [0xed8d2c455fbb6d8a, 0x8ae757e4634899e7]),
+    ("DSC/sar p=8 v=25", [0x3cb98b28cf36c878, 0x1bc8e3bb8e9dad98]),
+    ("DSC/sar p=8 v=40", [0x0663a65b29fe9cac, 0x2f55abec6d269663]),
+    ("DSC/sar p=8 v=60", [0x1ee4872d35deae36, 0x626cc317bf1e7ec8]),
+    ("DSC/sar p=8 v=90", [0x81d78dfacf1d72be, 0xfda23815fcaa8295]),
+    ("DSC/rcp p=2 v=12", [0x827b58988879e703, 0x0b0e210ceffad1ea]),
+    ("DSC/rcp p=2 v=25", [0x9f89ab43b02eeeb0, 0x2bb802407206d672]),
+    ("DSC/rcp p=2 v=40", [0x89dfb31b9401f03f, 0x4079dce39b8567b9]),
+    ("DSC/rcp p=2 v=60", [0x67c7d192c2f06d6a, 0x019a000da4a1b86c]),
+    ("DSC/rcp p=2 v=90", [0x035ecb5330ad5ce8, 0x20c420b7ab5c9671]),
+    ("DSC/rcp p=8 v=12", [0x5f8dd38e7f4168c0, 0xe0bac12fbdeee7de]),
+    ("DSC/rcp p=8 v=25", [0xd95d0e6bba3391da, 0x2a232a378f28bbe3]),
+    ("DSC/rcp p=8 v=40", [0xb26de24e1e743275, 0x0b807095b2011aaf]),
+    ("DSC/rcp p=8 v=60", [0x7a87eb0365c32aaf, 0xde71f38bd3d200c2]),
+    ("DSC/rcp p=8 v=90", [0x1e7c0cb446a9cbde, 0xbc451eb15c3bad63]),
+    ("DCP/sar p=2 v=12", [0xf0e15825fb0fa4f6, 0xd0ef83d3bee7d94f]),
+    ("DCP/sar p=2 v=25", [0xd6878bcf724b90a0, 0xec3ca1d7c58df9ff]),
+    ("DCP/sar p=2 v=40", [0x725b8a4692a855ca, 0xab2dcb107b5229e8]),
+    ("DCP/sar p=2 v=60", [0xcd673745d4adf190, 0xc8bbd85b52506280]),
+    ("DCP/sar p=2 v=90", [0x4a56fae3a2f1a1ca, 0xacf6e301741ba712]),
+    ("DCP/sar p=8 v=12", [0x6201068e4c6fc8c1, 0x593c80f5a78ef251]),
+    ("DCP/sar p=8 v=25", [0xab79706a897af98d, 0x1c88f2e0e8c446f5]),
+    ("DCP/sar p=8 v=40", [0xc4cdce7ffdc3e76b, 0x1f30fd227a1fb8c7]),
+    ("DCP/sar p=8 v=60", [0xae637118305828a5, 0xda65c6c4a776c4af]),
+    ("DCP/sar p=8 v=90", [0x8fbec7b50d1dd9d4, 0xe5ae25743e6eabb6]),
+    ("DCP/rcp p=2 v=12", [0xf95447fd9ab827cd, 0x39da4b8d7ecfdf41]),
+    ("DCP/rcp p=2 v=25", [0x7143b0c78bb354b5, 0x936f50196c60102d]),
+    ("DCP/rcp p=2 v=40", [0xb4ce0bc1866ab863, 0xea619ce108776782]),
+    ("DCP/rcp p=2 v=60", [0xade0a6310621349e, 0x3bd702c953273109]),
+    ("DCP/rcp p=2 v=90", [0x209e1685c6830b36, 0xa4ba516d9e46467b]),
+    ("DCP/rcp p=8 v=12", [0xfb07e90cc874c0ed, 0x739f285388096778]),
+    ("DCP/rcp p=8 v=25", [0xff991fde6351ab9e, 0xe01e21a35d6a8443]),
+    ("DCP/rcp p=8 v=40", [0xa864d1d4c1cc3c60, 0xfb685f9a12826e4a]),
+    ("DCP/rcp p=8 v=60", [0x4b3ea04897a4e646, 0x14ad20d2b8f0687c]),
+    ("DCP/rcp p=8 v=90", [0xfd773c91baecab41, 0xfe5902859ec7774e]),
+    ("EZ/sar p=2 v=12", [0x57f0b4258a6a3e5f, 0xf64b5cbf38c7925b]),
+    ("EZ/sar p=2 v=25", [0xb90a05dea9a43e79, 0x92d406150729f4ed]),
+    ("EZ/sar p=2 v=40", [0x8cbf1e3e0439db44, 0x4b436bae7bb93cca]),
+    ("EZ/sar p=8 v=12", [0x2bace848150dfcb9, 0xdfbbf1383e49a2d0]),
+    ("EZ/sar p=8 v=25", [0x1f2b92d454b33fb0, 0x335a6403d1fbd28e]),
+    ("EZ/sar p=8 v=40", [0x933e08c988f0faca, 0x62da939b4e8e9b09]),
+    ("EZ/rcp p=2 v=12", [0x022481f6fb5bc467, 0x60c320c214df5d25]),
+    ("EZ/rcp p=2 v=25", [0x21457b39e9533457, 0x65e2f27ae5029bae]),
+    ("EZ/rcp p=2 v=40", [0x3c19553042b897d1, 0x017514365da0c710]),
+    ("EZ/rcp p=8 v=12", [0xff3fc4b6d001d645, 0x3ea425fdb9fb13b6]),
+    ("EZ/rcp p=8 v=25", [0x15ad73390aca45ab, 0xe3aa8f125cef1f2d]),
+    ("EZ/rcp p=8 v=40", [0xda086bb50fdf938c, 0xbd22d8964cab2ee1]),
+];
+
 /// One branch-and-bound instance, RGNOS `(v, ccr, parallelism, seed,
 /// procs)`, and its digest.
 type BnbRow = (usize, f64, u32, u64, usize, [u64; 2]);
@@ -391,6 +469,40 @@ fn apn_cells(seeds: u64) -> Vec<Cell> {
     cells
 }
 
+/// UNC+CS: every `(inner, mapping, processors)` triple over the sweep with
+/// two seeds per (size, CCR, parallelism); EZ, the slowest inner
+/// algorithm, on the three smallest sizes only. Cells are labelled
+/// `"{inner}/{sar|rcp} p={procs} v={v}"`.
+fn unc_cs_digests() -> Vec<(String, [u64; 2], usize)> {
+    use taskbench::core::unc::{ClusterMapping, Dcp, Dsc, Ez, Lc, UncCs};
+    type Adapter = fn(ClusterMapping) -> Box<dyn Scheduler>;
+    fn adapter<S: Scheduler + 'static>(inner: S, mapping: ClusterMapping) -> Box<dyn Scheduler> {
+        Box::new(UncCs { inner, mapping })
+    }
+    let inners: [(&str, Adapter, &[usize]); 4] = [
+        ("LC", |m| adapter(Lc, m), &[12, 25, 40, 60, 90]),
+        ("DSC", |m| adapter(Dsc, m), &[12, 25, 40, 60, 90]),
+        ("DCP", |m| adapter(Dcp::default(), m), &[12, 25, 40, 60, 90]),
+        ("EZ", |m| adapter(Ez, m), &[12, 25, 40]),
+    ];
+    let mut got = Vec::new();
+    for (name, make, sizes) in inners {
+        for (mapping, tag) in [
+            (ClusterMapping::Sarkar, "sar"),
+            (ClusterMapping::Rcp, "rcp"),
+        ] {
+            let algo = make(mapping);
+            for procs in [2, 8] {
+                let cells = sweep(sizes, 2, &Env::bnp(procs));
+                for (label, d, n) in digests(algo.as_ref(), &cells) {
+                    got.push((format!("{name}/{tag} p={procs} {label}"), d, n));
+                }
+            }
+        }
+    }
+    got
+}
+
 /// The digest of one `BNB` row's solve.
 fn bnb_digest(v: usize, ccr: f64, par: u32, seed: u64, procs: usize) -> [u64; 2] {
     let g = rgnos::generate(RgnosParams::new(v, ccr, par, seed));
@@ -447,7 +559,17 @@ fn check(family: &str, cells: Vec<Cell>, instances: usize, table: &[(&str, [u64;
         "MCP-append" => Box::new(bnp::mcp_append()),
         name => registry::by_name(name).unwrap(),
     };
-    let got = digests(algo.as_ref(), &cells);
+    compare(family, &digests(algo.as_ref(), &cells), instances, table);
+}
+
+/// Compare recomputed `got` cells against `table`, after checking they
+/// cover `instances` instances.
+fn compare(
+    family: &str,
+    got: &[(String, [u64; 2], usize)],
+    instances: usize,
+    table: &[(&str, [u64; 2])],
+) {
     let total: usize = got.iter().map(|c| c.2).sum();
     assert_eq!(total, instances, "{family}: instance count");
     let labels: Vec<&str> = got.iter().map(|c| c.0.as_str()).collect();
@@ -455,7 +577,7 @@ fn check(family: &str, cells: Vec<Cell>, instances: usize, table: &[(&str, [u64;
     assert!(
         labels == expected,
         "{family}: cell labels {labels:?} != table {expected:?}; recomputed table:\n{}",
-        render(&got)
+        render(got)
     );
     for ((label, d, _), (_, want)) in got.iter().zip(table) {
         assert!(
@@ -463,7 +585,7 @@ fn check(family: &str, cells: Vec<Cell>, instances: usize, table: &[(&str, [u64;
             "{family} {label}: placement digest {} != table {}; recomputed table:\n{}",
             hex(d),
             hex(want),
-            render(&got)
+            render(got)
         );
     }
 }
@@ -551,6 +673,11 @@ fn dls_apn_placements_and_messages_match_table() {
 #[test]
 fn bu_placements_and_messages_match_table() {
     check("BU", apn_cells(20), 906, BU);
+}
+
+#[test]
+fn unc_cs_placements_match_table() {
+    compare("UNC+CS", &unc_cs_digests(), 1296, UNC_CS);
 }
 
 #[test]
