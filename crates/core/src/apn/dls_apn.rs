@@ -8,16 +8,20 @@
 //! contended message arrivals on the topology. Non-insertion, greedy.
 //!
 //! Per step the (ready node, processor) pair with the largest `(DL, smaller
-//! EST, smaller task id, smaller proc id)` wins. MH's contention-free bound
-//! `lb ≤ EST` gives every pair an upper-bound key; pairs are probed in
-//! descending bound order only while the bound beats the best key, each
-//! walk abandoned once its start passes `SL(n) − best DL`.
+//! EST, smaller task id, smaller proc id)` wins. It is found through the
+//! best-first probe kernel DLS-APN shares with MH (`apn::BestFirst`):
+//! every pair starts keyed by MH's contention-free bound `lb ≤ EST`, which
+//! caps its key from above; the kernel evaluates one parent arrival at a
+//! time on the pair of largest key, lowers that key to each arrival, and
+//! stops at the first pair whose parents are all evaluated while its key
+//! is still the largest.
 //!
 //! Complexity: per step O(r·p) bound terms per ready parent edge and an
-//! O(r·p·log(r·p)) sort, plus route walks of only the pairs the bound
-//! cannot exclude (`apn.probe_arrivals`: 0.01–0.26 of the exhaustive scan's
-//! on RGNOS v=500, 8-processor hypercube). Each step first reindexes the
-//! link tracks, so a walk's hole searches skip blocks of too-short holes
+//! O(r·p) heap build, plus route walks of only the parent arrivals the
+//! best-first order reaches (`apn.probe_arrivals`: 0.25–4.97 per `p·e`
+//! on RGNOS v=500, 8-processor hypercube, against 22–46 for the
+//! exhaustive scan). Each step first reindexes the link tracks, so a
+//! walk's hole searches skip blocks of too-short holes
 //! (`apn.link_slots_scanned`). The paper's Table 6 ranks DLS the slowest
 //! APN algorithm: its definition scans every pair.
 
@@ -29,7 +33,7 @@ use dagsched_platform::ProcId;
 use crate::common::ReadySet;
 use crate::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 
-use super::{ApnState, ProbeWork};
+use super::{ApnState, BestFirst};
 
 /// The selection key of a (task, processor) pair, maximised:
 /// `(SL − EST, smaller EST, smaller task id, smaller processor id)`.
@@ -57,45 +61,20 @@ impl Scheduler for DlsApn {
         let mut st = ApnState::new(g, env)?;
         let sl = g.levels().static_levels();
         let mut ready = ReadySet::new(g);
-        let mut lbs = Vec::new();
-        let mut cands: Vec<Key> = Vec::new();
-        let mut work = ProbeWork::default();
+        let mut probes = BestFirst::new();
         while !ready.is_empty() {
-            // One upper-bound key per pair, in descending order; the
-            // probes run over freshly indexed link tracks.
-            st.net.reindex();
-            cands.clear();
+            // The pair of largest key is the one of least `Reverse(key)`.
             for n in ready.iter() {
-                st.est_lower_bounds(g, n, &mut lbs);
-                let sl = sl[n.index()];
-                cands.extend(
-                    lbs.iter()
-                        .enumerate()
-                        .map(|(pi, &lb)| key(sl, lb, n, ProcId(pi as u32))),
-                );
+                probes.add_task(&st, g, n);
             }
-            cands.sort_unstable_by_key(|&k| Reverse(k));
-            let mut best: Option<Key> = None;
-            for &bound @ (_, _, Reverse(n), Reverse(p)) in &cands {
-                let (n, p) = (TaskId(n), ProcId(p));
-                let cap = match best {
-                    // Bounds descend: once one cannot beat the best, no
-                    // later one can.
-                    Some(b) if bound < b => break,
-                    // A start past `SL(n) − best DL` loses on DL. The bound
-                    // beats the best, so that cap is at least `lb ≥ 0`.
-                    Some(b) => (sl[n.index()] as i64 - b.0) as u64,
-                    None => u64::MAX,
-                };
-                if let Some(est) = st.probe_est(g, n, p, cap, &mut work) {
-                    best = best.max(Some(key(sl[n.index()], est, n, p)));
-                }
-            }
-            let (_, _, Reverse(n), Reverse(p)) = best.expect("the first probe is uncapped");
-            st.commit_and_place(g, TaskId(n), ProcId(p));
-            ready.take(g, TaskId(n));
+            let (n, p, _) = probes.select(
+                &mut st,
+                |n, p, est| Reverse(key(sl[n.index()], est, n, p)),
+                |_, _, _| {},
+            );
+            st.commit_and_place(g, n, p);
+            ready.take(g, n);
         }
-        work.flush();
         Ok(st.into_outcome())
     }
 }
@@ -109,18 +88,17 @@ mod tests {
 
     /// The exhaustive scan DLS-APN ran before its bound pruning: probe
     /// every (ready task, processor) pair, keep the largest key. The
-    /// reference the pruned scan must match placement for placement and
-    /// message for message.
+    /// reference the best-first kernel must match placement for placement
+    /// and message for message.
     fn run_exhaustive(g: &TaskGraph, env: &Env) -> Outcome {
         let mut st = ApnState::new(g, env).unwrap();
         let sl = g.levels().static_levels();
         let mut ready = ReadySet::new(g);
-        let mut work = ProbeWork::default();
         while !ready.is_empty() {
             let mut best: Option<Key> = None;
             for n in ready.iter() {
                 for p in (0..env.procs() as u32).map(ProcId) {
-                    let est = st.probe_est(g, n, p, u64::MAX, &mut work).unwrap();
+                    let est = testutil::exhaustive_est(&st, g, n, p);
                     best = best.max(Some(key(sl[n.index()], est, n, p)));
                 }
             }

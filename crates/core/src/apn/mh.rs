@@ -12,36 +12,39 @@
 //! along every edge), place it on the processor with the smallest
 //! `(EST, id)`, commit the messages toward the winner.
 //!
-//! The winner is found without probing every processor. A contention-free
-//! bound `lb(p) ≤ EST(p)` (ready time, and each parent's finish plus
-//! `hops·c`) ranks the processors; the one with the smallest `(lb, id)` is
-//! probed exactly, and another only while its bound can still beat the
-//! best `(EST, id)` so far, abandoning its parent walk as soon as the
-//! partial start loses. The result is the exhaustive scan's minimum. The
-//! parent arrivals actually probed are counted in `apn.probe_arrivals`
-//! (`tests/work_ceilings.rs` gates them against the exhaustive `p·e`).
+//! The winner is found best-first, through the probe kernel MH shares
+//! with DLS-APN (`apn::BestFirst`). Each processor starts keyed by a
+//! contention-free bound `lb(p) ≤ EST(p)` (ready time, and each parent's
+//! finish plus `hops·c`). The kernel evaluates one remote parent arrival
+//! at a time on the processor of smallest `(key, id)`, heaviest `finish +
+//! cost` first, and raises its key to each arrival. The first processor
+//! whose parents are all evaluated while it is still smallest is the
+//! exhaustive scan's minimum. The parent arrivals evaluated are counted
+//! in `apn.probe_arrivals` (`tests/work_ceilings.rs` gates them against
+//! the exhaustive `p·e`).
 //!
-//! Tracing: one `PlacementProbed` per EST computed in full — skipped and
-//! abandoned probes emit nothing, the rule the compose driver documents.
+//! Tracing: one `PlacementProbed` per EST computed in full — the winner's,
+//! and any other processor's whose last parent arrival pushed it past the
+//! best key. Processors left with a partial key emit nothing, the rule the
+//! compose driver documents.
 //!
 //! Complexity: O(v log v) selection (one sort), O(p · e) hop-count bound
-//! terms plus route-walking probes of only the processors a bound cannot
-//! exclude — 0.21–0.54 of the exhaustive scan's `p · e` parent arrivals
-//! (each a walk of `d` hops, the route length) on RGNOS v=500 over an
-//! 8-processor hypercube. Each hop searches its link track for a hole; every step
-//! first reindexes the tracks, so the search skips 16-slot blocks of
-//! too-short holes (`apn.link_slots_scanned`: 9–21 per probed arrival on the
-//! `tests/work_ceilings.rs` instances, 44–183 slot by slot). The paper's
-//! Table 6 places MH mid-field among APN algorithms.
+//! terms plus route-walking probes of only the parent arrivals the
+//! best-first order reaches — 0.14–0.33 of the exhaustive scan's
+//! `p · e` (each a walk of `d` hops, the route length) on RGNOS v=500 over
+//! an 8-processor hypercube. Each hop searches its link track for a hole;
+//! every step first reindexes the tracks, so the search skips 16-slot
+//! blocks of too-short holes (`apn.link_slots_scanned`: 9.8–19.4 per
+//! probed arrival on the `tests/work_ceilings.rs` instances, 44–183 slot
+//! by slot). The paper's Table 6 places MH mid-field among APN algorithms.
 
 use dagsched_graph::TaskGraph;
 use dagsched_obs::{emit, Event, NullSink, Sink};
-use dagsched_platform::ProcId;
 
 use crate::common::list_order;
 use crate::{AlgoClass, Env, Outcome, SchedError, Scheduler};
 
-use super::{ApnState, ProbeWork};
+use super::{ApnState, BestFirst};
 
 /// The MH scheduler.
 #[derive(Debug, Default, Clone, Copy)]
@@ -74,9 +77,7 @@ impl Scheduler for Mh {
 fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, SchedError> {
     let mut st = ApnState::new(g, env)?;
     let bl = g.levels().b_levels();
-    let mut lbs = Vec::new();
-    let mut cands: Vec<(u64, ProcId)> = Vec::new();
-    let mut work = ProbeWork::default();
+    let mut probes = BestFirst::new();
     for n in list_order(g, bl) {
         emit!(
             sink,
@@ -86,53 +87,23 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
                 tie: n.0 as u64,
             }
         );
-        // Candidates in ascending `(lb, id)`; the first is probed exactly,
-        // over freshly indexed link tracks.
-        st.net.reindex();
-        st.est_lower_bounds(g, n, &mut lbs);
-        cands.clear();
-        cands.extend(
-            lbs.iter()
-                .enumerate()
-                .map(|(pi, &lb)| (lb, ProcId(pi as u32))),
-        );
-        cands.sort_unstable();
-        let first = cands[0].1;
-        let est = st.probe_est(g, n, first, u64::MAX, &mut work);
-        let mut best = (est.expect("an uncapped probe completes"), first);
-        emit!(
-            sink,
-            Event::PlacementProbed {
-                task: n.0,
-                proc: first.0,
-                start: best.0,
-            }
-        );
-        for &(lb, p) in &cands[1..] {
-            // Candidates ascend in `(lb, id)`: once one cannot beat the
-            // best, no later one can.
-            if (lb, p) >= best {
-                break;
-            }
-            // `p` wins an EST tie only against a larger id (and `lb < best`
-            // when it cannot, so the cap does not underflow).
-            let cap = if p < best.1 { best.0 } else { best.0 - 1 };
-            if let Some(est) = st.probe_est(g, n, p, cap, &mut work) {
+        // The processor of least `(EST, id)`; one `PlacementProbed` per
+        // start the kernel completes.
+        probes.add_task(&st, g, n);
+        let (_, p, _) = probes.select(
+            &mut st,
+            |_, p, t| (t, p),
+            |n, p, start| {
                 emit!(
                     sink,
                     Event::PlacementProbed {
                         task: n.0,
                         proc: p.0,
-                        start: est,
+                        start,
                     }
                 );
-                if (est, p) < best {
-                    best = (est, p);
-                }
-            }
-        }
-        work.flush();
-        let p = best.1;
+            },
+        );
         // Route the parent messages (emits one `MessageRouted` per
         // cross-processor edge), then append-place.
         let drt = st.commit_parent_messages(g, n, p, sink, |_| {});
@@ -158,23 +129,23 @@ mod tests {
     use super::*;
     use crate::apn::testutil;
     use dagsched_graph::GraphBuilder;
-    use dagsched_platform::Topology;
+    use dagsched_platform::{ProcId, Topology};
     use dagsched_suites::rgnos::{self, RgnosParams};
 
     /// The exhaustive scan MH ran before its bound pruning: probe every
-    /// processor, keep the smallest `(EST, id)`. The reference the pruned
-    /// engine must match placement for placement and message for message.
+    /// processor, keep the smallest `(EST, id)`. The reference the
+    /// best-first kernel must match placement for placement and message
+    /// for message.
     fn run_exhaustive(g: &TaskGraph, env: &Env) -> Outcome {
         use crate::common::ReadySet;
         let mut st = ApnState::new(g, env).unwrap();
         let bl = g.levels().b_levels();
         let mut ready = ReadySet::new(g);
-        let mut work = ProbeWork::default();
         while !ready.is_empty() {
             let n = ready.argmax_by_key(|n| bl[n.index()]).expect("non-empty");
             let p = (0..env.procs() as u32)
                 .map(ProcId)
-                .min_by_key(|&p| (st.probe_est(g, n, p, u64::MAX, &mut work).unwrap(), p))
+                .min_by_key(|&p| (testutil::exhaustive_est(&st, g, n, p), p))
                 .unwrap();
             st.commit_and_place(g, n, p);
             ready.take(g, n);
@@ -184,7 +155,15 @@ mod tests {
 
     #[test]
     fn pruned_probing_matches_the_exhaustive_scan() {
-        for spec in ["ring:5", "star:6", "mesh:3x3", "full:4", "chain:6"] {
+        for spec in [
+            "ring:5",
+            "star:6",
+            "mesh:3x3",
+            "mesh:2x4",
+            "full:4",
+            "chain:6",
+            "hypercube:3",
+        ] {
             let env = Env::apn(Topology::parse_spec(spec).unwrap());
             for (i, g) in testutil::equivalence_graphs().iter().enumerate() {
                 let out = Mh.schedule(g, &env).unwrap();

@@ -16,14 +16,15 @@
 //!
 //! Two hot-path kernels sit on top:
 //!
-//! * `ApnState::est_lower_bounds` + `ApnState::probe_est` — the
-//!   bound-then-probe scan MH and DLS-APN share: contention-free start
-//!   bounds on every processor (hop counts only, no link walks), then exact
-//!   probes of only the (task, processor) pairs whose bound can still win,
-//!   each abandoned once its partial start passes a cap past which the
-//!   pair loses. Each round opens with `Network::reindex`, so the probes'
-//!   hole searches skip blocks of link slots whose holes are all too
-//!   short for the message.
+//! * `BestFirst` — the best-first probe kernel MH and DLS-APN share. Every
+//!   candidate (a processor for MH, a (ready task, processor) pair for
+//!   DLS-APN) starts keyed by its contention-free start bound (hop counts
+//!   only, no link walks). The kernel evaluates the next parent arrival of
+//!   the best-keyed candidate, raises its key to that arrival, and keeps
+//!   expanding it while it stays best; the first candidate found with
+//!   every arrival evaluated is the exhaustive scan's winner. Each step
+//!   opens with `Network::reindex`, so the probes' hole searches skip
+//!   blocks of link slots whose holes are all too short for the message.
 //! * `ReplayEngine` — incremental re-execution of `replay` with a
 //!   trial-commit/rollback journal, the APN analogue of DSC's clone-free
 //!   DSRW guard. BSA evaluates every tentative migration through it. The
@@ -47,33 +48,14 @@ pub use bu::Bu;
 pub use dls_apn::DlsApn;
 pub use mh::Mh;
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, Sink};
 use dagsched_platform::{MsgId, Network, ProcId, Schedule};
 
 use crate::{Env, Outcome, SchedError};
-
-/// Logical work of the probe kernel ([`ApnState::probe_est`]): summed in a
-/// local accumulator and added to `obs::registry` by [`ProbeWork::flush`],
-/// once per MH step and once per DLS-APN run.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ProbeWork {
-    /// Parent arrivals probed (`apn.probe_arrivals`).
-    pub arrivals: u64,
-    /// Link slots and block summaries their hop searches visited
-    /// (`apn.link_slots_scanned`).
-    pub link_slots: u64,
-}
-
-impl ProbeWork {
-    /// Add the accumulated work to the registry and reset it.
-    pub fn flush(&mut self) {
-        let reg = dagsched_obs::global();
-        reg.add(dagsched_obs::Metric::ApnProbeArrivals, self.arrivals);
-        reg.add(dagsched_obs::Metric::ApnLinkSlotsScanned, self.link_slots);
-        *self = ProbeWork::default();
-    }
-}
 
 /// Mutable scheduling state of an APN algorithm: the task schedule plus the
 /// link occupancy.
@@ -88,62 +70,6 @@ impl ApnState {
             s: crate::common::new_schedule(g, env)?,
             net: Network::new(env.topology.clone()),
         })
-    }
-
-    /// Probe the earliest (append-policy) start of `n` on `p`: `p`'s ready
-    /// time or the latest probed parent arrival, whichever is later. No
-    /// link state is mutated. The parent walk stops once the partial start
-    /// exceeds `cap`: `None` when it stopped early (the start is `> cap`),
-    /// else the exact start, which may still exceed `cap` if only the last
-    /// parent pushed it there. With `cap = u64::MAX` the start is always
-    /// returned. Adds the parent arrivals it probed, and the link slots and
-    /// block summaries those probes visited, to `work`.
-    pub fn probe_est(
-        &self,
-        g: &TaskGraph,
-        n: TaskId,
-        p: ProcId,
-        cap: u64,
-        work: &mut ProbeWork,
-    ) -> Option<u64> {
-        let mut t = self.s.timeline(p).ready_time();
-        for &(q, c) in g.preds(n) {
-            if t > cap {
-                return None;
-            }
-            let pl = self
-                .s
-                .placement(q)
-                .expect("probe_est: parent must be placed");
-            work.arrivals += 1;
-            let arrival =
-                self.net
-                    .probe_arrival_counted(pl.proc, p, pl.finish, c, &mut work.link_slots);
-            t = t.max(arrival);
-        }
-        Some(t)
-    }
-
-    /// Contention-free lower bounds on the start of `n` on every
-    /// processor: `lbs[p]` is the larger of `p`'s ready time and, over the
-    /// parents, `finish + dist·c` (`finish` alone for a local or zero-cost
-    /// edge), in saturating arithmetic. Every hop of a probed route costs
-    /// at least `c`, so `lbs[p]` never exceeds the start
-    /// [`ApnState::probe_est`] returns. No link is walked.
-    pub fn est_lower_bounds(&self, g: &TaskGraph, n: TaskId, lbs: &mut Vec<u64>) {
-        let topo = self.net.topology();
-        lbs.clear();
-        lbs.extend(topo.procs().map(|p| self.s.timeline(p).ready_time()));
-        for &(q, c) in g.preds(n) {
-            let pl = self
-                .s
-                .placement(q)
-                .expect("est_lower_bounds: parent must be placed");
-            for (p, lb) in topo.procs().zip(lbs.iter_mut()) {
-                let hops = u64::from(topo.distance(pl.proc, p));
-                *lb = (*lb).max(pl.finish.saturating_add(hops.saturating_mul(c)));
-            }
-        }
     }
 
     /// Commit the messages from all placed parents of `n` toward `p`
@@ -210,6 +136,205 @@ impl ApnState {
             schedule: self.s,
             network: Some(self.net),
         }
+    }
+}
+
+/// One parent of a candidate task, as its arrival probes read it.
+#[derive(Debug, Clone, Copy)]
+struct Parent {
+    from: ProcId,
+    finish: u64,
+    cost: u64,
+}
+
+/// One candidate of [`BestFirst`]: a (task, processor) pair, a lower
+/// bound `t` on its start, and how many of its task's parents `t` covers.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    /// Index into [`BestFirst::tasks`].
+    slot: u32,
+    proc: ProcId,
+    /// Parents passed so far (a local or zero-cost one without a probe);
+    /// `t` is exact once all are.
+    next: u32,
+    t: u64,
+}
+
+/// The best-first probe kernel MH and DLS-APN select through, with its
+/// scratch reused across steps (a step allocates nothing once the buffers
+/// have grown).
+///
+/// A step adds its candidate tasks ([`BestFirst::add_task`]), each paired
+/// with every processor, then [`BestFirst::select`] returns the pair of
+/// least `rank(task, proc, start)`. A candidate's key starts at its
+/// contention-free bound (see [`BestFirst::add_task`]); the kernel
+/// evaluates the next parent arrival of the candidate on top of a min-heap,
+/// raises its key to `max(key, arrival)`, and keeps expanding it while it
+/// stays on top. `rank` must not decrease as the start grows, so every key
+/// ranks at or below its candidate's exact start, and the first candidate
+/// popped with every parent evaluated is the exact minimum of an exhaustive
+/// scan.
+///
+/// Parents are probed heaviest `finish + cost` first, so the arrival most
+/// likely to decide a start is read first. A local or zero-cost parent is
+/// never probed: it arrives at its finish, which the bound already holds.
+pub(crate) struct BestFirst<K> {
+    /// The step's candidate tasks.
+    tasks: Vec<TaskId>,
+    /// `parents[offsets[i]..offsets[i + 1]]` are `tasks[i]`'s parents.
+    offsets: Vec<u32>,
+    parents: Vec<Parent>,
+    cands: Vec<Cand>,
+    /// Min-heap of `(rank, index into cands)`.
+    heap: BinaryHeap<Reverse<(K, u32)>>,
+    /// Scratch: the contention-free bounds of the task being added.
+    lbs: Vec<u64>,
+    /// Parent arrivals probed in this step (`apn.probe_arrivals`).
+    arrivals: u64,
+    /// Link slots and block summaries those arrivals' hop searches visited
+    /// (`apn.link_slots_scanned`).
+    link_slots: u64,
+}
+
+impl<K: Ord + Copy> BestFirst<K> {
+    pub fn new() -> BestFirst<K> {
+        BestFirst {
+            tasks: Vec::new(),
+            offsets: vec![0],
+            parents: Vec::new(),
+            cands: Vec::new(),
+            heap: BinaryHeap::new(),
+            lbs: Vec::new(),
+            arrivals: 0,
+            link_slots: 0,
+        }
+    }
+
+    /// Add `n` (every parent placed) as a candidate on every processor,
+    /// keyed by its contention-free start bound: the larger of the
+    /// processor's ready time and, over the parents, `finish + hops·c`
+    /// (`finish` alone for a local or zero-cost edge), in saturating
+    /// arithmetic. Every hop of a routed message costs at least `c`, so the
+    /// bound never exceeds the exact start. No link is walked.
+    pub fn add_task(&mut self, st: &ApnState, g: &TaskGraph, n: TaskId) {
+        let topo = st.net.topology();
+        self.lbs.clear();
+        self.lbs
+            .extend(topo.procs().map(|p| st.s.timeline(p).ready_time()));
+        let first = self.parents.len();
+        for &(q, cost) in g.preds(n) {
+            let pl = st.s.placement(q).expect("add_task: parent must be placed");
+            self.parents.push(Parent {
+                from: pl.proc,
+                finish: pl.finish,
+                cost,
+            });
+            for (lb, &hops) in self.lbs.iter_mut().zip(topo.distances_from(pl.proc)) {
+                *lb = (*lb).max(
+                    pl.finish
+                        .saturating_add(u64::from(hops).saturating_mul(cost)),
+                );
+            }
+        }
+        self.parents[first..].sort_unstable_by_key(|a| Reverse(a.finish.saturating_add(a.cost)));
+        self.offsets.push(self.parents.len() as u32);
+        let slot = self.tasks.len() as u32;
+        self.tasks.push(n);
+        self.cands
+            .extend(self.lbs.iter().enumerate().map(|(pi, &t)| Cand {
+                slot,
+                proc: ProcId(pi as u32),
+                next: 0,
+                t,
+            }));
+    }
+
+    /// The candidate `(task, proc, start)` of least `rank(task, proc,
+    /// start)`, found best-first over link tracks reindexed for this step;
+    /// the candidates are cleared for the next step. `on_complete` sees
+    /// every candidate whose start the kernel completes: the winner, and
+    /// each one whose last parent arrival raised it past the best key.
+    /// Panics without candidates.
+    pub fn select(
+        &mut self,
+        st: &mut ApnState,
+        rank: impl Fn(TaskId, ProcId, u64) -> K,
+        mut on_complete: impl FnMut(TaskId, ProcId, u64),
+    ) -> (TaskId, ProcId, u64) {
+        st.net.reindex();
+        let st = &*st;
+        let Self {
+            tasks,
+            offsets,
+            parents,
+            cands,
+            heap,
+            arrivals,
+            link_slots,
+            ..
+        } = self;
+        let mut entries = std::mem::take(heap).into_vec();
+        entries.clear();
+        entries.extend(
+            cands
+                .iter()
+                .enumerate()
+                .map(|(i, c)| Reverse((rank(tasks[c.slot as usize], c.proc, c.t), i as u32))),
+        );
+        *heap = BinaryHeap::from(entries);
+        let won = 'pop: loop {
+            let Reverse((_, i)) = heap.pop().expect("select: no candidates");
+            let c = &mut cands[i as usize];
+            let n = tasks[c.slot as usize];
+            let ps =
+                &parents[offsets[c.slot as usize] as usize..offsets[c.slot as usize + 1] as usize];
+            // A candidate popped complete was reported when it completed.
+            let complete_at_pop = c.next as usize == ps.len();
+            loop {
+                let Some(&a) = ps.get(c.next as usize) else {
+                    if !complete_at_pop || ps.is_empty() {
+                        on_complete(n, c.proc, c.t);
+                    }
+                    break 'pop (n, c.proc, c.t);
+                };
+                c.next += 1;
+                // A local or zero-cost parent arrives at its finish, which
+                // the bound already covers.
+                if a.from == c.proc || a.cost == 0 {
+                    continue;
+                }
+                *arrivals += 1;
+                let arrival = st
+                    .net
+                    .probe_arrival_counted(a.from, c.proc, a.finish, a.cost, link_slots);
+                if arrival <= c.t {
+                    continue;
+                }
+                c.t = arrival;
+                let key = rank(n, c.proc, arrival);
+                if heap.peek().is_some_and(|Reverse(top)| *top < (key, i)) {
+                    if c.next as usize == ps.len() {
+                        on_complete(n, c.proc, c.t);
+                    }
+                    heap.push(Reverse((key, i)));
+                    continue 'pop;
+                }
+            }
+        };
+        self.tasks.clear();
+        self.offsets.truncate(1);
+        self.parents.clear();
+        self.cands.clear();
+        let reg = dagsched_obs::global();
+        reg.add(
+            dagsched_obs::Metric::ApnProbeArrivals,
+            std::mem::take(&mut self.arrivals),
+        );
+        reg.add(
+            dagsched_obs::Metric::ApnLinkSlotsScanned,
+            std::mem::take(&mut self.link_slots),
+        );
+        won
     }
 }
 
@@ -639,9 +764,10 @@ impl Cutoff {
 pub(crate) mod testutil {
     //! Shared fixtures for APN algorithm tests.
 
+    use super::ApnState;
     use crate::{AlgoClass, Env, Outcome, Scheduler};
-    use dagsched_graph::{GraphBuilder, TaskGraph};
-    use dagsched_platform::Topology;
+    use dagsched_graph::{GraphBuilder, TaskGraph, TaskId};
+    use dagsched_platform::{ProcId, Topology};
     use dagsched_suites::rgnos::{self, RgnosParams};
 
     pub use crate::bnp::testutil::{chain4, classic_nine, independent};
@@ -667,6 +793,18 @@ pub(crate) mod testutil {
             }
         }
         graphs
+    }
+
+    /// The exact start of `n` on `p` by definition: `p`'s ready time or
+    /// the latest probed parent arrival, whichever is later. The exhaustive
+    /// references of MH and DLS-APN probe every candidate with it.
+    pub fn exhaustive_est(st: &ApnState, g: &TaskGraph, n: TaskId, p: ProcId) -> u64 {
+        g.preds(n)
+            .iter()
+            .fold(st.s.timeline(p).ready_time(), |t, &(q, c)| {
+                let pl = st.s.placement(q).expect("parent must be placed");
+                t.max(st.net.probe_arrival(pl.proc, p, pl.finish, c))
+            })
     }
 
     pub fn run(algo: &dyn Scheduler, g: &TaskGraph, topo: Topology) -> Outcome {
@@ -849,9 +987,13 @@ mod tests {
         let env = Env::apn(Topology::chain(3).unwrap());
         let mut st = ApnState::new(&g, &env).unwrap();
         st.s.place(a, ProcId(0), 0, 2).unwrap();
-        let probed = st.probe_est(&g, b, ProcId(2), u64::MAX, &mut ProbeWork::default());
+        // A rank that puts P2 first makes the kernel return P2's exact start.
+        let mut probes = BestFirst::new();
+        probes.add_task(&st, &g, b);
+        let (n, p, probed) = probes.select(&mut st, |_, p, t| (p != ProcId(2), t), |_, _, _| {});
+        assert_eq!((n, p), (b, ProcId(2)));
         let drt = st.commit_parent_messages(&g, b, ProcId(2), &mut NullSink, |_| {});
-        assert_eq!(probed, Some(drt)); // empty network: two hops of 5 → 12
+        assert_eq!(probed, drt); // empty network: two hops of 5 → 12
         assert_eq!(drt, 12);
     }
 

@@ -34,7 +34,6 @@ pub struct ReadySet {
     ready: Vec<TaskId>,
     /// `pos[n]` = index of `n` in `ready`, or [`ABSENT`].
     pos: Vec<u32>,
-    remaining: usize,
 }
 
 impl ReadySet {
@@ -50,7 +49,6 @@ impl ReadySet {
             missing_preds,
             ready,
             pos,
-            remaining: g.num_tasks(),
         }
     }
 
@@ -67,11 +65,6 @@ impl ReadySet {
     /// Whether nothing is ready (true also when everything is scheduled).
     pub fn is_empty(&self) -> bool {
         self.ready.is_empty()
-    }
-
-    /// Number of tasks not yet taken.
-    pub fn remaining(&self) -> usize {
-        self.remaining
     }
 
     /// Whether `n` is currently ready. O(1).
@@ -98,7 +91,6 @@ impl ReadySet {
         if let Some(&moved) = self.ready.get(idx as usize) {
             self.pos[moved.index()] = idx;
         }
-        self.remaining -= 1;
         for &(child, _) in g.succs(n) {
             self.missing_preds[child.index()] -= 1;
             if self.missing_preds[child.index()] == 0 {
@@ -175,27 +167,6 @@ impl<K: Ord + Copy> ReadyQueue<K> {
         self.inner.iter()
     }
 
-    /// Number of ready candidates.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether nothing is ready.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of tasks not yet taken.
-    pub fn remaining(&self) -> usize {
-        self.inner.remaining()
-    }
-
-    /// Whether `n` is currently ready. O(1).
-    #[inline]
-    pub fn contains(&self, n: TaskId) -> bool {
-        self.inner.contains(n)
-    }
-
     /// The highest-key ready task (ties: smallest id) without removing it;
     /// `None` when nothing is ready. Amortized O(log v): stale entries are
     /// discarded here, and each task contributes at most one.
@@ -243,7 +214,6 @@ mod tests {
         let r = ReadySet::new(&g);
         assert_eq!(r.len(), 1);
         assert!(r.contains(TaskId(0)));
-        assert_eq!(r.remaining(), 4);
     }
 
     #[test]
@@ -259,7 +229,6 @@ mod tests {
         assert!(r.contains(TaskId(3)));
         r.take(&g, TaskId(3));
         assert!(r.is_empty());
-        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -295,7 +264,6 @@ mod tests {
         assert_eq!(q.peek_max(), Some(TaskId(3)));
         q.take(&g, TaskId(3));
         assert_eq!(q.peek_max(), None);
-        assert_eq!(q.remaining(), 0);
     }
 
     #[test]
@@ -311,7 +279,6 @@ mod tests {
         assert_eq!(q.peek_max(), Some(TaskId(2)));
         q.take(&g, TaskId(2));
         assert_eq!(q.peek_max(), Some(TaskId(3)));
-        assert!(q.contains(TaskId(3)));
         assert_eq!(q.iter().collect::<Vec<_>>(), vec![TaskId(3)]);
     }
 

@@ -42,8 +42,8 @@
 //! | EZ | per merge trial (e of them): a fresh `Schedule` over v processors, a trial clustering clone and an O(r) ready scan per step | O(v log v + e) per trial on reused arrays — zeroed b-levels, one sort, one timing pass; no `Schedule` built | [`unc`]'s cluster timer: [`common::list_order`] plus the one timing pass for fixed clusterings (shared with LC, UNC+CS re-timing and Sarkar's mapping score); placements pinned by the EZ and UNC_CS tables of `tests/placement_digests.rs` |
 //! | LC | O(v + e) level recompute | — (input levels now cached per graph) | static level passes shared via `TaskGraph::levels` |
 //! | MD / DCP | full `DynLevels` rescan per placement — combined adjacency rebuild, Kahn order, two passes, O(v·(v + e)) per run | cone-bounded incremental repair: pinning `tl[n]` dirties only the forward cone over original edges, the new sequence edges and zeroed costs dirty the backward cone on the combined view, `cp` is a `peek_max`; O((v+e)·log v) worst case, small neighbourhoods in practice | [`common::DynLevelsEngine`] over three [`common::IndexedHeap`]s (forward/backward dirty order + `tl+bl` tracker); placements pinned by `tests/placement_digests.rs`; `tests/work_ceilings.rs` gates one repair per placement and ≤ 100 cone nodes per repair at v=2000 (measured 44 / 52, against 2v = 4000 for the rescan) |
-//! | MH | O(r) ready scan; O(p·route) per parent edge with a route `Vec` + an adjacency lookup per hop per probe, each hop a slot-by-slot hole search | one O(v log v) b-level sort up front; O(p) hop-count bound terms per parent edge, route walks only on processors the bound cannot exclude, abandoned once they lose; each hop skips 16-slot blocks whose holes are all too short | [`common::list_order`] on static b-level; `Topology` CSR route tables; `Network::reindex` once per step, then [`apn`]'s `est_lower_bounds` + capped `probe_est`; `tests/work_ceilings.rs` gates ≤ 0.75 of the exhaustive `p·e` parent arrivals (measured 0.21–0.54 at v=500) and ≤ 40 link slots and summaries per probed arrival (measured 9.2–20.7, against 44–183 slot by slot) |
-//! | DLS-APN | O(r·p·route) per step with a route `Vec` + an adjacency lookup per hop per probe | O(r·p) hop-count bound terms per ready parent edge and an O(r·p·log(r·p)) sort per step; route walks only on (task, processor) pairs the bound cannot exclude, abandoned once they lose, over block-indexed link tracks | MH's bound-then-probe scan over all ready pairs, link tracks reindexed once per step; `tests/work_ceilings.rs` gates ≤ 16 parent arrivals per `p·e` (measured 0.43–10.55, against 22–81 for the exhaustive scan) |
+//! | MH | O(r) ready scan; O(p·route) per parent edge with a route `Vec` + an adjacency lookup per hop per probe, each hop a slot-by-slot hole search | one O(v log v) b-level sort up front; O(p) hop-count bound terms per parent edge, then best-first probing: one parent arrival at a time on the processor of least key, so only arrivals that can still decide the winner are walked; each hop skips 16-slot blocks whose holes are all too short | [`common::list_order`] on static b-level; `Topology` CSR route tables; `Network::reindex` once per step, then [`apn`]'s best-first kernel over hop-count bounds read from `Topology::distances_from` rows; `tests/work_ceilings.rs` gates ≤ 0.45 of the exhaustive `p·e` parent arrivals (measured 0.14–0.33 at v=500) and ≤ 40 link slots and summaries per probed arrival (measured 9.8–19.4, against 44–183 slot by slot) |
+//! | DLS-APN | O(r·p·route) per step with a route `Vec` + an adjacency lookup per hop per probe | O(r·p) hop-count bound terms per ready parent edge and an O(r·p) heap build per step; best-first probing walks only the parent arrivals that can still decide the winning (task, processor) pair, over block-indexed link tracks | MH's best-first kernel over all ready pairs, link tracks reindexed once per step; `tests/work_ceilings.rs` gates ≤ 10 parent arrivals per `p·e` (measured 0.25–7.65, against 22–81 for the exhaustive scan) |
 //! | BU | O(v·p) assignment + an O(r) ready scan per step | O(v·p) assignment + one O(v log v) b-level sort | phase 2 walks [`common::list_order`]; commits ride the same allocation-free probes |
 //! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; `tests/work_ceilings.rs` gates ≤ 1000 messages committed per trial on the paper-scale APN instance (measured 427, against up to e = 2632 for a full replay) |
 //! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | — (a work-stealing parallel split of the same tree never beat serial and was removed; parallelism comes from solving independent cells concurrently) | byte-deterministic counters; `tests/placement_digests.rs` pins length, proof, node and prune counters and placements on 25 instances |

@@ -62,43 +62,45 @@ fn zeroed_b_levels(g: &TaskGraph, clusters: &[u64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // Drain the graph taking a mix of heap maxima and arbitrary ready
-    // nodes ("fillers"); after every take the queue's lazily-invalidated
-    // heap must agree with a full rescan, and both structures must agree
-    // on membership and size.
+    // Drain both structures by one script of heap maxima and arbitrary
+    // ready nodes ("fillers"), each choosing its own victims: the queue
+    // from its lazily-invalidated heap and its candidate list, the set by
+    // a full rescan. The two sequences of (maximum, taken task) must be
+    // equal, and every task must be taken once.
     #[test]
     fn peek_max_matches_naive_rescan_under_interleaved_takes(
         (weights, edges, keys, picks) in arb_scenario()
     ) {
         let g = build(&weights, &edges);
+        // The k-th smallest-id candidate: a deterministic "filler".
+        let kth = |it: &mut dyn Iterator<Item = TaskId>, k: usize| {
+            let mut ready: Vec<TaskId> = it.collect();
+            ready.sort_unstable();
+            ready[k % ready.len()]
+        };
         let mut queue = ReadyQueue::new(&g, keys.clone());
-        let mut naive = ReadySet::new(&g);
-        let mut step = 0usize;
-        while !naive.is_empty() {
-            // Invariant: lazy heap == naive O(|ready|) rescan.
-            let expected = naive.argmax_by_key(|n| keys[n.index()]);
-            prop_assert_eq!(queue.peek_max(), expected);
-            prop_assert_eq!(queue.len(), naive.len());
-            prop_assert_eq!(queue.remaining(), naive.remaining());
-
-            // Take either the max or an arbitrary ready node, per script.
+        let mut queue_pops = Vec::new();
+        for step in 0.. {
             let pick = picks[step % picks.len()];
-            step += 1;
-            let victim = if pick % 2 == 0 {
-                expected.unwrap()
-            } else {
-                // Deterministic "filler": k-th smallest-id ready node.
-                let mut ready: Vec<TaskId> = naive.iter().collect();
-                ready.sort_unstable();
-                ready[pick % ready.len()]
-            };
-            prop_assert!(queue.contains(victim));
+            let Some(max) = queue.peek_max() else { break };
+            let victim = if pick % 2 == 0 { max } else { kth(&mut queue.iter(), pick) };
             queue.take(&g, victim);
-            naive.take(&g, victim);
+            queue_pops.push((max, victim));
         }
-        prop_assert_eq!(queue.peek_max(), None);
-        prop_assert!(queue.is_empty());
-        prop_assert_eq!(queue.remaining(), 0);
+        prop_assert_eq!(queue.iter().count(), 0);
+        let mut naive = ReadySet::new(&g);
+        let mut naive_pops = Vec::new();
+        for step in 0.. {
+            let pick = picks[step % picks.len()];
+            let Some(max) = naive.argmax_by_key(|n| keys[n.index()]) else { break };
+            let victim = if pick % 2 == 0 { max } else { kth(&mut naive.iter(), pick) };
+            naive.take(&g, victim);
+            naive_pops.push((max, victim));
+        }
+        prop_assert_eq!(&queue_pops, &naive_pops);
+        let mut sorted: Vec<TaskId> = queue_pops.iter().map(|&(_, v)| v).collect();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, g.tasks().collect::<Vec<_>>());
     }
 
     // Draining purely by maximum must visit every task exactly once in

@@ -83,7 +83,8 @@ pub enum Event {
     TaskSelected { task: u32, key: u64, tie: u64 },
     /// A candidate processor was probed for a start slot: one per start
     /// time the scheduler computes in full. A candidate a bound rules out,
-    /// or a probe abandoned part-way because it already lost (MH), emits
+    /// or one whose parent arrivals were evaluated only in part because it
+    /// stopped being the best candidate (MH's best-first probing), emits
     /// none.
     PlacementProbed { task: u32, proc: u32, start: u64 },
     /// A placement was committed. `hole` is true when the slot was an

@@ -37,8 +37,8 @@
 //! tracks changed since its last call in blocks (see [`Track::reindex`]),
 //! so probes that follow skip whole blocks of too-short holes; commits and
 //! removals keep the summaries exact by truncating them. MH and DLS-APN
-//! reindex once per bound-then-probe round; BSA's migration churn never
-//! does.
+//! reindex once per step, before their best-first probes; BSA's migration
+//! churn never does.
 
 use dagsched_graph::TaskId;
 

@@ -26,8 +26,8 @@
 //! block it touched (O(1)), [`Track::retain`] and [`Track::clear`] drop
 //! them, equality compares slots only, and a block without a summary is
 //! scanned slot by slot — so answers never depend on when (or whether)
-//! `reindex` ran. APN probes reindex the link tracks once per bound-then-
-//! probe round (`Network::reindex`); processor timelines and BSA's replay
+//! `reindex` ran. APN probes reindex the link tracks once per best-first
+//! selection step (`Network::reindex`); processor timelines and BSA's replay
 //! engine never reindex and keep the plain scan, where keeping summaries
 //! current would cost more than it saves.
 

@@ -414,6 +414,11 @@ impl Topology {
         &self.adj[p.index()]
     }
 
+    /// Hop distances from `a` to every processor, indexed by processor.
+    pub fn distances_from(&self, a: ProcId) -> &[u32] {
+        &self.dist[a.index() * self.num_procs..(a.index() + 1) * self.num_procs]
+    }
+
     /// Hop distance between two processors.
     pub fn distance(&self, a: ProcId, b: ProcId) -> u32 {
         if a == b {
@@ -541,6 +546,7 @@ mod tests {
                 for b in t.procs() {
                     let hops = walk(&t, a, b).len() - 1;
                     assert_eq!(hops as u32, t.distance(a, b), "{a}->{b}");
+                    assert_eq!(hops as u32, t.distances_from(a)[b.index()], "{a}->{b}");
                 }
             }
         }

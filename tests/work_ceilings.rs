@@ -48,16 +48,20 @@ const CONE_NODES_MAX: f64 = 100.0;
 /// Ceiling on BSA's `apn.msgs_committed / bsa.trials` (427 at v=500, CCR
 /// 0.1; a full replay recommits up to e = 2632 messages per trial).
 const MSGS_MAX: f64 = 1000.0;
-/// Ceiling on MH's `apn.probe_arrivals / (p·e)` (0.21–0.54 at v=500, 0.52
-/// at v=1000; probing every processor in full gives 1.0).
-const PROBE_SHARE_MAX: f64 = 0.75;
-/// Ceiling on DLS-APN's `apn.probe_arrivals / (p·e)` (0.43 / 7.06 / 5.79
-/// at v=500, CCR 0.1/1/10, and 10.55 at v=1000; the exhaustive scan gives
-/// 46.3 / 45.3 / 22.0 / 81.4).
-const DLS_PROBE_PER_PE_MAX: f64 = 16.0;
-/// Ceiling on MH's `apn.link_slots_scanned / apn.probe_arrivals` (9.18 /
-/// 14.46 / 13.69 / 20.67 with block summaries; 44.38 / 87.67 / 83.60 /
-/// 183.40 when every probe scans slot by slot).
+/// Ceiling on MH's `apn.probe_arrivals / (p·e)` (0.14 / 0.30 / 0.33 at
+/// v=500, CCR 0.1/1/10, and 0.31 at v=1000 with best-first probing; 0.21 /
+/// 0.50 / 0.54 and 0.52 when the lowest-bound processor was always probed
+/// in full; probing every processor in full gives 1.0).
+const PROBE_SHARE_MAX: f64 = 0.45;
+/// Ceiling on DLS-APN's `apn.probe_arrivals / (p·e)` (0.25 / 4.97 / 4.02
+/// at v=500, CCR 0.1/1/10, and 7.65 at v=1000 with best-first probing;
+/// 0.43 / 7.06 / 5.79 and 10.55 for the bound-ordered capped scan; the
+/// exhaustive scan gives 46.3 / 45.3 / 22.0 / 81.4).
+const DLS_PROBE_PER_PE_MAX: f64 = 10.0;
+/// Ceiling on MH's `apn.link_slots_scanned / apn.probe_arrivals` (9.78 /
+/// 14.24 / 13.11 / 19.39 with block summaries and best-first probing,
+/// which never probes a local parent; 44.38 / 87.67 / 83.60 / 183.40 when
+/// every probe scanned slot by slot).
 const LINK_SLOTS_MAX: f64 = 40.0;
 /// Ceiling on MCP's `mcp.alap_list_elems / v` (0.60 / 1.08 / 1.40 with
 /// lazy comparisons; 23–280 when every tied node's list is built in full).
