@@ -33,10 +33,11 @@
 //!   graph's precedence structure — timing never feeds back into it. The
 //!   engine therefore simulates the commit sequence of a trial (cheap
 //!   integer work, no link state touched), diffs it against the journal of
-//!   the live state, rolls back exactly the divergent suffix (unplace +
-//!   message removal restore the track sets bit-for-bit), and replays
-//!   forward only from the first difference. Results are byte-identical to
-//!   a from-scratch replay.
+//!   the live state, rolls back exactly the divergent suffix (unplace, and
+//!   truncate the network's message stack to the prefix's length — both
+//!   restore the track sets bit-for-bit), and replays forward only from
+//!   the first difference. Results are byte-identical to a from-scratch
+//!   replay.
 
 pub mod bsa;
 pub mod bu;
@@ -53,7 +54,7 @@ use std::collections::BinaryHeap;
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, Sink};
-use dagsched_platform::{MsgId, Network, ProcId, Schedule};
+use dagsched_platform::{Network, ProcId, Schedule};
 
 use crate::{Env, Outcome, SchedError};
 
@@ -75,18 +76,18 @@ impl ApnState {
     /// Commit the messages from all placed parents of `n` toward `p`
     /// (ascending parent id — deterministic), returning the actual
     /// data-ready time. Same-processor and zero-cost edges need no message.
-    /// Every routed message is reported to `sink` as
-    /// [`Event::MessageRouted`] (MH's traced path) and its id to `journal`
-    /// (the replay engine's rollback log). The replay engine passes a
-    /// [`NullSink`]: per-message events in BSA's trial loop would swamp
-    /// both the sink and the hot path.
+    /// The messages are pushed onto the network's stack, so they are the
+    /// ones past its length before the call (the replay engine's rollback
+    /// point). Every routed message is reported to `sink` as
+    /// [`Event::MessageRouted`] (MH's traced path). The replay engine
+    /// passes a [`NullSink`]: per-message events in BSA's trial loop would
+    /// swamp both the sink and the hot path.
     pub fn commit_parent_messages<S: Sink>(
         &mut self,
         g: &TaskGraph,
         n: TaskId,
         p: ProcId,
         sink: &mut S,
-        mut journal: impl FnMut(MsgId),
     ) -> u64 {
         let mut drt = 0u64;
         let mut committed = 0u64;
@@ -96,10 +97,7 @@ impl ApnState {
                 pl.finish
             } else {
                 let (id, arr) = self.net.commit(q, n, pl.proc, p, pl.finish, c);
-                if let Some(id) = id {
-                    journal(id);
-                    committed += 1;
-                }
+                committed += u64::from(id.is_some());
                 emit!(
                     sink,
                     Event::MessageRouted {
@@ -123,7 +121,7 @@ impl ApnState {
     /// Commit messages and place `n` on `p` under the append policy.
     /// Returns the start time.
     pub fn commit_and_place(&mut self, g: &TaskGraph, n: TaskId, p: ProcId) -> u64 {
-        let drt = self.commit_parent_messages(g, n, p, &mut NullSink, |_| {});
+        let drt = self.commit_parent_messages(g, n, p, &mut NullSink);
         let start = self.s.timeline(p).earliest_append(drt);
         self.s
             .place(n, p, start, g.weight(n))
@@ -384,9 +382,9 @@ pub(crate) fn replay(
 }
 
 /// One journaled commit of a [`ReplayEngine`]: the task, the processor it
-/// went to, and the cumulative message-journal length *after* its parent
-/// messages were committed (so op `i`'s messages are
-/// `msg_log[log[i-1].msgs_end .. log[i].msgs_end]`).
+/// went to, and the network's length *after* its parent messages were
+/// committed (so op `i`'s messages are the stack positions
+/// `log[i-1].msgs_end .. log[i].msgs_end`).
 #[derive(Debug, Clone, Copy)]
 struct ReplayOp {
     task: TaskId,
@@ -403,10 +401,13 @@ struct ReplayOp {
 /// integer work over precedence structure, since replay's round-robin
 /// commit order never consults timing — (2) rolling back the journal to the
 /// longest common prefix with the live sequence, and (3) committing forward
-/// from there. Rollback unplaces tasks and removes their journaled
-/// messages in reverse commit order, which restores every `Track`'s
-/// interval set exactly (tracks are canonically sorted, so equal sets are
-/// equal states); the forward commits therefore see bit-for-bit the state a
+/// from there. The engine is the network's only committer and commits an
+/// op's messages right after the op's predecessors', so the messages of
+/// the divergent suffix are exactly the top of the network's message
+/// stack: rollback unplaces the suffix's tasks and truncates the stack to
+/// the prefix's `msgs_end`. Both restore every `Track`'s interval set
+/// exactly (tracks are canonically sorted, so equal sets are equal
+/// states); the forward commits therefore see bit-for-bit the state a
 /// from-scratch replay would, and the resulting schedule and messages are
 /// byte-identical to `replay(g, topo, orders)`.
 ///
@@ -417,7 +418,6 @@ struct ReplayOp {
 pub(crate) struct ReplayEngine {
     st: ApnState,
     log: Vec<ReplayOp>,
-    msg_log: Vec<MsgId>,
     /// Scratch: the simulated commit sequence of the trial orders.
     seq: Vec<(TaskId, ProcId)>,
     /// Scratch: per-processor next-uncommitted index into `orders`.
@@ -439,7 +439,6 @@ impl ReplayEngine {
         Ok(ReplayEngine {
             st: ApnState::new(g, env)?,
             log: Vec::with_capacity(g.num_tasks()),
-            msg_log: Vec::with_capacity(g.num_edges()),
             seq: Vec::with_capacity(g.num_tasks()),
             heads: vec![0; procs],
             placed: vec![false; g.num_tasks()],
@@ -537,7 +536,7 @@ impl ReplayEngine {
             } else {
                 self.log[k - 1].msgs_end as usize
             };
-            let retired = (self.msg_log.len() - msgs_start) as u64;
+            let retired = (self.st.net.len() - msgs_start) as u64;
             if retired > 0 {
                 let reg = dagsched_obs::global();
                 reg.add(dagsched_obs::Metric::ApnMsgsRetired, retired);
@@ -545,8 +544,7 @@ impl ReplayEngine {
                 reg.hist(dagsched_obs::HistId::ApnRetireBatch)
                     .record(retired);
             }
-            self.st.net.remove_batch(&self.msg_log[msgs_start..]);
-            self.msg_log.truncate(msgs_start);
+            self.st.net.truncate(msgs_start);
             for op in &self.log[k..] {
                 self.committed_weight[op.proc.index()] -= g.weight(op.task);
             }
@@ -617,8 +615,8 @@ impl ReplayEngine {
         let work_bound = max_finish < u64::MAX;
         for i in k..self.seq.len() {
             let (n, p) = self.seq[i];
-            let (st, msg_log) = (&mut self.st, &mut self.msg_log);
-            let drt = st.commit_parent_messages(g, n, p, &mut NullSink, |id| msg_log.push(id));
+            let st = &mut self.st;
+            let drt = st.commit_parent_messages(g, n, p, &mut NullSink);
             let start = st.s.timeline(p).earliest_append(drt);
             let finish = start + g.weight(n);
             st.s.place(n, p, start, g.weight(n))
@@ -626,7 +624,7 @@ impl ReplayEngine {
             self.log.push(ReplayOp {
                 task: n,
                 proc: p,
-                msgs_end: self.msg_log.len() as u32,
+                msgs_end: st.net.len() as u32,
             });
             self.committed_weight[p.index()] += g.weight(n);
             if finish > max_finish {
@@ -682,7 +680,7 @@ impl ReplayEngine {
         }
         dagsched_obs::global()
             .hist(dagsched_obs::HistId::ApnOccupancy)
-            .record(self.msg_log.len() as u64);
+            .record(self.st.net.len() as u64);
         debug_assert!(matches!(outcome, ApplyOutcome::Cut(_)) || self.log.len() == self.seq.len());
         outcome
     }
@@ -953,11 +951,15 @@ mod tests {
                     "placement of {t} diverged"
                 );
             }
-            let mut got: Vec<_> = engine.state().net.messages().cloned().collect();
-            let mut want: Vec<_> = reference.net.messages().cloned().collect();
-            got.sort_by_key(|m| (m.src_task, m.dst_task));
-            want.sort_by_key(|m| (m.src_task, m.dst_task));
-            assert_eq!(got, want, "message schedules diverged");
+            // The engine commits in replay's order, so even the stacks'
+            // order and hop arenas agree.
+            let (got, want) = (&engine.state().net, &reference.net);
+            assert_eq!(
+                got.messages(),
+                want.messages(),
+                "message schedules diverged"
+            );
+            assert_eq!(got.all_hops(), want.all_hops(), "hop arenas diverged");
         }
     }
 
@@ -992,7 +994,7 @@ mod tests {
         probes.add_task(&st, &g, b);
         let (n, p, probed) = probes.select(&mut st, |_, p, t| (p != ProcId(2), t), |_, _, _| {});
         assert_eq!((n, p), (b, ProcId(2)));
-        let drt = st.commit_parent_messages(&g, b, ProcId(2), &mut NullSink, |_| {});
+        let drt = st.commit_parent_messages(&g, b, ProcId(2), &mut NullSink);
         assert_eq!(probed, drt); // empty network: two hops of 5 → 12
         assert_eq!(drt, 12);
     }
@@ -1011,8 +1013,8 @@ mod tests {
         st.s.place(a, ProcId(0), 0, 2).unwrap();
         st.s.place(b, ProcId(1), 0, 2).unwrap();
         // c on P0: a local (no message), b remote but zero-cost (no message).
-        let drt = st.commit_parent_messages(&g, c, ProcId(0), &mut NullSink, |_| {});
+        let drt = st.commit_parent_messages(&g, c, ProcId(0), &mut NullSink);
         assert_eq!(drt, 2);
-        assert_eq!(st.net.messages().count(), 0);
+        assert!(st.net.is_empty());
     }
 }

@@ -241,14 +241,15 @@ impl Outcome {
             }
         }
         if let Some(net) = &self.network {
-            let mut msgs: Vec<_> = net.messages().collect();
+            let mut msgs: Vec<_> = net.messages().iter().collect();
             msgs.sort_by_key(|m| (m.src_task, m.dst_task));
             words.push(msgs.len() as u64);
             for m in msgs {
                 let ends = [m.src_task.0, m.dst_task.0, m.from.0, m.to.0];
                 words.extend(ends.map(u64::from));
-                words.extend([m.ready, m.arrival, m.hops.len() as u64]);
-                for h in &m.hops {
+                let hops = net.hops(m);
+                words.extend([m.ready, m.arrival, hops.len() as u64]);
+                for h in hops {
                     words.extend([h.link.0 as u64, h.start, h.finish]);
                 }
             }

@@ -47,11 +47,11 @@ pub enum Metric {
     EngineFwdNodes,
     /// `DynLevelsEngine`: total nodes drained by backward (ALST) repairs.
     EngineBwdNodes,
-    /// APN slab: messages committed onto the network.
+    /// APN network: messages committed onto the network.
     ApnMsgsCommitted,
-    /// APN slab: messages retired (rolled back or superseded).
+    /// APN network: messages rolled back by BSA's replay engine.
     ApnMsgsRetired,
-    /// APN slab: batch-retire calls.
+    /// APN network: replay-engine rollbacks that retired a message.
     ApnBatchRetires,
     /// MH and DLS-APN: parent arrivals probed while choosing placements,
     /// added once per MH step and once per DLS-APN run (an exhaustive
@@ -177,9 +177,9 @@ pub enum HistId {
     EngineFwdCone,
     /// `DynLevelsEngine`: nodes drained per backward (ALST) repair.
     EngineBwdCone,
-    /// APN slab: live-message occupancy sampled at each commit.
+    /// APN network: live messages, sampled after each replay-engine apply.
     ApnOccupancy,
-    /// APN slab: messages retired per batch-retire call.
+    /// APN network: messages retired per replay-engine rollback.
     ApnRetireBatch,
     /// Runner: per-cell schedule+validate duration, microseconds.
     RunnerCellUs,

@@ -67,6 +67,10 @@ pub enum ValidationError {
     MessageTiming { src: TaskId, dst: TaskId },
     /// (APN) two messages overlap on one link.
     LinkOverlap { link: LinkId },
+    /// (APN) a message carries no edge that needs one: a second message
+    /// for one edge, or a message for an absent, co-located or zero-cost
+    /// edge.
+    StrayMessage { src: TaskId, dst: TaskId },
     /// A placement references a processor outside the machine.
     BadProcessor { task: TaskId, proc: ProcId },
 }
@@ -111,6 +115,12 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::LinkOverlap { link } => {
                 write!(f, "two messages overlap on link {}", link.0)
+            }
+            ValidationError::StrayMessage { src, dst } => {
+                write!(
+                    f,
+                    "message for {src} -> {dst} carries no edge that needs one"
+                )
             }
             ValidationError::BadProcessor { task, proc } => {
                 write!(f, "{task} placed on non-existent {proc}")

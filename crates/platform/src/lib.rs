@@ -20,9 +20,8 @@
 //! * [`Track`] — a sorted set of non-overlapping occupancy intervals with
 //!   insertion-based earliest-slot queries. Both processor timelines and link
 //!   schedules are tracks. Hot-path variants exist for the APN message
-//!   layer: a fused probe+reserve ([`Track::reserve_earliest`]), a
-//!   position-hinted O(log n) removal ([`Track::remove_at`]), and a batch
-//!   compaction ([`Track::retain`]).
+//!   layer: a fused probe+reserve ([`Track::reserve_earliest`]) and a
+//!   batch compaction ([`Track::retain`]).
 //! * [`Schedule`] — a (partial or complete) mapping of tasks to
 //!   `(processor, start, finish)`, with full validation against a task graph
 //!   under either communication model, Gantt rendering, and the performance
@@ -31,12 +30,11 @@
 //!   All `p²` routes are flattened into one CSR array at construction, so
 //!   [`Topology::route`] is an allocation-free slice view.
 //! * [`Network`] — mutable link-schedule state used by APN algorithms to
-//!   probe and commit message transmissions. Messages live in a slab with
-//!   a free list behind vector-backed edge and per-task incidence indices;
-//!   [`Network::remove_batch`] retires a whole set of messages with one
-//!   compaction pass per touched link — the primitive under the
-//!   trial-commit/rollback journal that `dagsched-core`'s incremental BSA
-//!   drives (see `ReplayEngine` there for the journal design).
+//!   probe and commit message transmissions. Messages form a stack in
+//!   commit order with all hops in one arena; [`Network::truncate`] rolls
+//!   the stack back with one compaction pass per touched link — the
+//!   primitive under the trial-commit/rollback journal that
+//!   `dagsched-core`'s incremental BSA drives (see `ReplayEngine` there).
 
 pub mod analysis;
 pub mod error;

@@ -17,35 +17,40 @@
 //! `Network` supports the *probe/commit* pattern every APN heuristic needs:
 //! [`Network::probe_arrival`] answers "when would the data get there?"
 //! without mutating anything, and [`Network::commit`] performs the identical
-//! computation while reserving link time. BSA additionally removes and
-//! re-commits messages when it migrates tasks.
+//! computation while reserving link time. BSA additionally rolls messages
+//! back ([`Network::truncate`]) and re-commits them when it migrates tasks.
 //!
 //! ## Storage
 //!
 //! Routes come precomputed from [`Topology::route`] (flat CSR slices), so a
 //! probe walks its hops with zero allocation and no per-hop neighbour
-//! lookups. Committed messages live in a **slab with a free list**: removal
-//! leaves a reusable hole instead of a tombstone, so migration-heavy
-//! algorithms (BSA removes and re-commits messages thousands of times) keep
-//! the store at its live size. A per-producer **edge index** finds the
-//! live message of an edge `src → dst` by scanning only `src`'s outgoing
-//! messages, so re-commits and [`Network::remove_edge`] never walk the
-//! whole store.
+//! lookups. The committed messages are a **stack in commit order**: a
+//! message's [`MsgId`] is its position, and the hops of all messages live
+//! back to back in one arena, each message recording its range
+//! ([`Network::hops`] lends it out as a slice). A commit pushes one message
+//! and its hops and allocates nothing once the buffers have grown. Every
+//! caller commits each edge once per placement of its consumer: MH,
+//! DLS-APN and BU place each task once, and BSA's replay engine rolls the
+//! divergent suffix of its commit sequence back before it recommits, which
+//! is exactly [`Network::truncate`] to the length the prefix left. There is
+//! no edge index: [`crate::Schedule::validate_apn`] sorts the store by
+//! edge itself and rejects a second message for one edge.
 //!
 //! Link tracks accumulate many short messages with holes between them too
 //! short for most later ones. [`Network::reindex`] summarizes the link
 //! tracks changed since its last call in blocks (see [`Track::reindex`]),
 //! so probes that follow skip whole blocks of too-short holes; commits and
-//! removals keep the summaries exact by truncating them. MH and DLS-APN
-//! reindex once per step, before their best-first probes; BSA's migration
-//! churn never does.
+//! truncations keep the summaries exact by dropping the stale ones. MH and
+//! DLS-APN reindex once per step, before their best-first probes; BSA's
+//! migration churn never does.
 
 use dagsched_graph::TaskId;
 
 use crate::timeline::Track;
 use crate::topology::{LinkId, ProcId, Topology};
 
-/// Identifier of a committed message within a [`Network`].
+/// Identifier of a committed message within a [`Network`]: its position
+/// in commit order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId(pub u32);
 
@@ -58,43 +63,36 @@ pub struct MessageHop {
 }
 
 /// A committed message: the data of edge `src_task → dst_task` travelling
-/// from processor `from` to processor `to`.
+/// from processor `from` to processor `to`. Its link traversals are in the
+/// network's hop arena ([`Network::hops`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     pub src_task: TaskId,
     pub dst_task: TaskId,
     pub from: ProcId,
     pub to: ProcId,
-    /// Link traversals in order; empty iff `from == to` or the edge cost is 0.
-    pub hops: Vec<MessageHop>,
     /// When the message became available at `from` (producer finish time).
     pub ready: u64,
     /// When the message is fully received at `to`.
     pub arrival: u64,
+    /// `hops_start..hops_end` in the arena; never empty (`from != to`).
+    hops_start: u32,
+    hops_end: u32,
 }
 
 /// Link-occupancy state of one machine during APN scheduling.
-///
-/// The edge index is a plain vector indexed by task id (grown lazily to
-/// the highest producer seen): APN inner loops commit and roll back
-/// messages millions of times, and hashing task-pair keys dominated the
-/// profile before the journal-driven BSA rewrite.
 #[derive(Debug, Clone)]
 pub struct Network {
     topo: Topology,
     tracks: Vec<Track<MsgId>>,
-    /// Message slab: `None` entries are free slots threaded on `free`.
-    messages: Vec<Option<Message>>,
-    /// LIFO free list of slab indices (holes left by removals).
-    free: Vec<u32>,
-    /// Edge index: `by_edge[src]` lists `(dst, id)` of src's live outgoing
-    /// messages (out-degree is small, so a scan beats hashing).
-    by_edge: Vec<Vec<(TaskId, MsgId)>>,
-    /// Recycled hop buffers (see [`Network::remove_batch`]): commit/remove
-    /// churn in migration loops stops hitting the allocator per message.
-    hop_pool: Vec<Vec<MessageHop>>,
-    /// Scratch for [`Network::remove_batch`]: which links need compaction.
-    dirty_links: Vec<bool>,
+    /// Committed messages in commit order; `messages[i]` has id `i`.
+    messages: Vec<Message>,
+    /// The hop arena: every message's hops, in commit order.
+    hops: Vec<MessageHop>,
+    /// Scratch for [`Network::truncate`]: the links whose tracks lose
+    /// slots, each listed once (`touched_mark`).
+    touched: Vec<LinkId>,
+    touched_mark: Vec<bool>,
     /// Links whose track changed since the last [`Network::reindex`], each
     /// listed once (`stale_mark`): reindexing visits only those, not every
     /// link of a large machine.
@@ -110,10 +108,9 @@ impl Network {
             topo,
             tracks: vec![Track::new(); links],
             messages: Vec::new(),
-            free: Vec::new(),
-            by_edge: Vec::new(),
-            hop_pool: Vec::new(),
-            dirty_links: Vec::new(),
+            hops: Vec::new(),
+            touched: Vec::new(),
+            touched_mark: vec![false; links],
             stale: Vec::new(),
             stale_mark: vec![false; links],
         }
@@ -129,30 +126,40 @@ impl Network {
         &self.tracks[l.index()]
     }
 
-    /// All committed (live) messages.
-    pub fn messages(&self) -> impl Iterator<Item = &Message> {
-        self.messages.iter().flatten()
+    /// All committed messages in commit order (`messages()[id.0]` is the
+    /// message `id`).
+    pub fn messages(&self) -> &[Message] {
+        &self.messages
     }
 
-    /// The live message carrying edge `src → dst`, if committed.
+    /// Number of committed messages.
+    pub fn len(&self) -> usize {
+        self.messages.len()
+    }
+
+    /// Whether no message is committed.
+    pub fn is_empty(&self) -> bool {
+        self.messages.is_empty()
+    }
+
+    /// The link traversals of `msg`, in order.
+    pub fn hops(&self, msg: &Message) -> &[MessageHop] {
+        &self.hops[msg.hops_start as usize..msg.hops_end as usize]
+    }
+
+    /// Every committed message's hops, message after message: the whole
+    /// arena, no longer than the live messages' hop counts sum to.
+    pub fn all_hops(&self) -> &[MessageHop] {
+        &self.hops
+    }
+
+    /// The message carrying edge `src → dst`, if committed. A linear scan
+    /// of the store, for tests and diagnostics; no scheduler looks a
+    /// message up by edge.
     pub fn message_for(&self, src: TaskId, dst: TaskId) -> Option<&Message> {
-        let id = self.edge_id(src, dst)?;
-        self.messages[id.0 as usize].as_ref()
-    }
-
-    fn edge_id(&self, src: TaskId, dst: TaskId) -> Option<MsgId> {
-        self.by_edge
-            .get(src.index())?
+        self.messages
             .iter()
-            .find(|&&(d, _)| d == dst)
-            .map(|&(_, id)| id)
-    }
-
-    /// Grow a task-indexed vector so `task` is addressable.
-    fn ensure_task_slot<T: Default>(v: &mut Vec<T>, task: TaskId) {
-        if v.len() <= task.index() {
-            v.resize_with(task.index() + 1, T::default);
-        }
+            .find(|m| m.src_task == src && m.dst_task == dst)
     }
 
     /// Earliest arrival at `to` of a message of size `size` that becomes
@@ -195,21 +202,20 @@ impl Network {
         }
     }
 
-    /// Record that `l`'s track changed (see [`Network::reindex`]).
-    fn mark_stale(stale: &mut Vec<LinkId>, stale_mark: &mut [bool], l: LinkId) {
-        if !std::mem::replace(&mut stale_mark[l.index()], true) {
-            stale.push(l);
+    /// Add `l` to `list` unless `mark` says it is there already.
+    fn mark_once(list: &mut Vec<LinkId>, mark: &mut [bool], l: LinkId) {
+        if !std::mem::replace(&mut mark[l.index()], true) {
+            list.push(l);
         }
     }
 
-    /// Reserve the route and record the message. Returns the id (`None` for
+    /// Reserve the route and push the message. Returns its id (`None` for
     /// local or zero-size delivery, which needs no link time and leaves no
     /// record) and the arrival time.
     ///
-    /// Any previously committed message for the same `(src_task, dst_task)`
-    /// edge is removed first (re-commit semantics for migration algorithms)
-    /// — including when the re-commit itself is local, so migrating a
-    /// consumer back onto its producer's processor retires the old message.
+    /// The edge must have no committed message: a commit never looks for
+    /// one to replace, and [`crate::Schedule::validate_apn`] rejects a
+    /// second message for one edge.
     pub fn commit(
         &mut self,
         src_task: TaskId,
@@ -219,121 +225,59 @@ impl Network {
         ready: u64,
         size: u64,
     ) -> (Option<MsgId>, u64) {
-        self.remove_edge(src_task, dst_task);
         if from == to || size == 0 {
             return (None, ready);
         }
-        let id = match self.free.pop() {
-            Some(slot) => MsgId(slot),
-            None => {
-                self.messages.push(None);
-                MsgId(self.messages.len() as u32 - 1)
-            }
-        };
-        let mut hops = self.hop_pool.pop().unwrap_or_default();
+        let id = MsgId(self.messages.len() as u32);
+        let hops_start = self.hops.len() as u32;
         // Same walk as `probe_arrival`, but each hop reserves its slot in
         // the single pass that found it (`Track::reserve_earliest`).
         let mut arrival = ready;
         for &link in self.topo.route(from, to) {
             let s = self.tracks[link.index()].reserve_earliest(arrival, size, id);
-            Self::mark_stale(&mut self.stale, &mut self.stale_mark, link);
-            hops.push(MessageHop {
+            Self::mark_once(&mut self.stale, &mut self.stale_mark, link);
+            self.hops.push(MessageHop {
                 link,
                 start: s,
                 finish: s + size,
             });
             arrival = s + size;
         }
-        self.messages[id.0 as usize] = Some(Message {
+        self.messages.push(Message {
             src_task,
             dst_task,
             from,
             to,
-            hops,
             ready,
             arrival,
+            hops_start,
+            hops_end: self.hops.len() as u32,
         });
-        Self::ensure_task_slot(&mut self.by_edge, src_task);
-        self.by_edge[src_task.index()].push((dst_task, id));
         (Some(id), arrival)
     }
 
-    /// Remove a committed message, freeing its link time.
-    pub fn remove(&mut self, id: MsgId) -> Option<Message> {
-        let msg = self.messages[id.0 as usize].take()?;
-        self.free.push(id.0);
-        for hop in &msg.hops {
-            self.tracks[hop.link.index()].remove_at(hop.start, id);
-            Self::mark_stale(&mut self.stale, &mut self.stale_mark, hop.link);
-        }
-        if let Some(row) = self.by_edge.get_mut(msg.src_task.index()) {
-            if let Some(pos) = row.iter().position(|&(d, i)| d == msg.dst_task && i == id) {
-                row.swap_remove(pos);
-            }
-        }
-        Some(msg)
-    }
-
-    /// Remove a batch of committed messages at once. Exactly equivalent to
-    /// removing each id in turn, but every affected link track is
-    /// compacted in a single pass: a migration rollback retiring dozens of
-    /// messages pays O(track) per link instead of O(track) per hop. Hop
-    /// buffers are recycled into an internal pool and handed to later
-    /// [`Network::commit`]s, so migration churn allocates nothing per
-    /// message.
-    pub fn remove_batch(&mut self, ids: &[MsgId]) {
-        if self.dirty_links.len() < self.tracks.len() {
-            self.dirty_links.resize(self.tracks.len(), false);
-        }
-        let mut any = false;
-        for &id in ids {
-            let Some(mut msg) = self.messages[id.0 as usize].take() else {
-                continue;
-            };
-            self.free.push(id.0);
-            for hop in &msg.hops {
-                self.dirty_links[hop.link.index()] = true;
-            }
-            if let Some(row) = self.by_edge.get_mut(msg.src_task.index()) {
-                if let Some(pos) = row.iter().position(|&(d, i)| d == msg.dst_task && i == id) {
-                    row.swap_remove(pos);
-                }
-            }
-            msg.hops.clear();
-            self.hop_pool.push(std::mem::take(&mut msg.hops));
-            any = true;
-        }
-        if !any {
+    /// Roll back to the first `len` committed messages: pop the rest with
+    /// their hops and free their link time. Only the links the popped hops
+    /// crossed are compacted, each in one pass, so a rollback retiring
+    /// dozens of messages pays O(track) per touched link, not per hop. A
+    /// no-op when `len ≥ self.len()`.
+    pub fn truncate(&mut self, len: usize) {
+        let Some(first) = self.messages.get(len) else {
             return;
+        };
+        let hops_from = first.hops_start as usize;
+        for hop in &self.hops[hops_from..] {
+            Self::mark_once(&mut self.touched, &mut self.touched_mark, hop.link);
         }
-        // A track slot is live iff its message still occupies the slab —
-        // the ids just removed are exactly the slab entries taken above.
-        let messages = &self.messages;
-        for (li, dirty) in self.dirty_links.iter_mut().enumerate() {
-            if std::mem::take(dirty) {
-                self.tracks[li].retain(|s| messages[s.tag.0 as usize].is_some());
-                Self::mark_stale(&mut self.stale, &mut self.stale_mark, LinkId(li as u32));
-            }
+        // A slot survives iff its message does: ids are commit positions.
+        let keep = len as u32;
+        for l in self.touched.drain(..) {
+            self.touched_mark[l.index()] = false;
+            self.tracks[l.index()].retain(|s| s.tag.0 < keep);
+            Self::mark_once(&mut self.stale, &mut self.stale_mark, l);
         }
-    }
-
-    /// Remove the message (if any) carrying edge `src → dst`.
-    pub fn remove_edge(&mut self, src: TaskId, dst: TaskId) -> Option<Message> {
-        let id = self.edge_id(src, dst)?;
-        self.remove(id)
-    }
-
-    /// Drop all messages and link reservations. Keeps the slab, track and
-    /// index capacity, so a reused `Network` re-fills without reallocating.
-    pub fn clear(&mut self) {
-        for t in &mut self.tracks {
-            t.clear();
-        }
-        self.messages.clear();
-        self.free.clear();
-        for row in &mut self.by_edge {
-            row.clear();
-        }
+        self.hops.truncate(hops_from);
+        self.messages.truncate(len);
     }
 
     /// Total time-units of link occupation (diagnostic).
@@ -371,10 +315,10 @@ mod tests {
         let (_, arrival) = net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(2), 0, 7);
         assert_eq!(probed, arrival);
         assert_eq!(arrival, 14);
-        let msg = net.message_for(TaskId(0), TaskId(1)).unwrap();
-        assert_eq!(msg.hops.len(), 2);
-        assert_eq!(msg.hops[0].start, 0);
-        assert_eq!(msg.hops[1].start, 7);
+        let hops = net.hops(net.message_for(TaskId(0), TaskId(1)).unwrap());
+        assert_eq!(hops.len(), 2);
+        assert_eq!(hops[0].start, 0);
+        assert_eq!(hops[1].start, 7);
     }
 
     #[test]
@@ -398,12 +342,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_link_time() {
+    fn truncate_frees_link_time() {
         let mut net = chain3();
-        let (id, _) = net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 0, 10);
+        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 0, 10);
         assert_eq!(net.probe_arrival(ProcId(0), ProcId(1), 0, 10), 20);
-        let msg = net.remove(id.unwrap()).unwrap();
-        assert_eq!(msg.src_task, TaskId(0));
+        net.truncate(0);
         assert_eq!(net.probe_arrival(ProcId(0), ProcId(1), 0, 10), 10);
         assert!(net.message_for(TaskId(0), TaskId(1)).is_none());
     }
@@ -411,7 +354,7 @@ mod tests {
     #[test]
     fn local_and_zero_size_commits_leave_no_record() {
         // Regression: `commit` used to push a phantom zero-hop message into
-        // the store (and the edge index) when `from == to` or `size == 0`.
+        // the store when `from == to` or `size == 0`.
         let mut net = chain3();
         let (id, arrival) = net.commit(TaskId(0), TaskId(1), ProcId(1), ProcId(1), 42, 10);
         assert_eq!(id, None);
@@ -419,100 +362,39 @@ mod tests {
         let (id, arrival) = net.commit(TaskId(2), TaskId(3), ProcId(0), ProcId(2), 7, 0);
         assert_eq!(id, None);
         assert_eq!(arrival, 7);
-        assert_eq!(net.messages().count(), 0);
+        assert!(net.is_empty());
         assert!(net.message_for(TaskId(0), TaskId(1)).is_none());
         assert!(net.message_for(TaskId(2), TaskId(3)).is_none());
         assert_eq!(net.total_link_busy(), 0);
     }
 
     #[test]
-    fn local_recommit_retires_the_previous_message() {
-        // A migration that lands the consumer back on the producer's
-        // processor must remove the now-obsolete cross-processor message.
-        let mut net = chain3();
-        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 0, 10);
-        assert_eq!(net.messages().count(), 1);
-        let (id, arrival) = net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(0), 0, 10);
-        assert_eq!(id, None);
-        assert_eq!(arrival, 0);
-        assert_eq!(net.messages().count(), 0);
-        assert_eq!(net.total_link_busy(), 0);
-    }
-
-    #[test]
-    fn remove_batch_matches_sequential_removes() {
-        let mk = || {
-            let mut net = Network::new(Topology::ring(5).unwrap());
-            let mut ids = Vec::new();
-            for i in 0..8u32 {
-                let (id, _) = net.commit(
-                    TaskId(i),
-                    TaskId(100 + i),
-                    ProcId(i % 5),
-                    ProcId((i + 2) % 5),
-                    (i as u64) * 3,
-                    4,
-                );
-                ids.push(id.unwrap());
-            }
-            (net, ids)
-        };
-        let (mut a, ids) = mk();
-        let (mut b, _) = mk();
-        let batch = [ids[1], ids[3], ids[4], ids[6]];
-        a.remove_batch(&batch);
-        for id in batch {
-            b.remove(id);
-        }
-        assert_eq!(a.messages().count(), b.messages().count());
-        assert_eq!(a.total_link_busy(), b.total_link_busy());
-        for l in 0..a.topology().num_links() {
-            assert_eq!(
-                a.link_track(LinkId(l as u32)).slots(),
-                b.link_track(LinkId(l as u32)).slots(),
-                "link {l} diverged"
-            );
-        }
-        // Removed edges are gone from the index; survivors remain.
-        assert!(a.message_for(TaskId(1), TaskId(101)).is_none());
-        assert!(a.message_for(TaskId(0), TaskId(100)).is_some());
-        // Double-removal in a later batch is a no-op.
-        a.remove_batch(&batch);
-        assert_eq!(a.messages().count(), 4);
-    }
-
-    #[test]
-    fn slab_reuses_freed_slots() {
+    fn truncate_pops_the_tail_and_reuses_its_ids() {
         let mut net = chain3();
         let (a, _) = net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 0, 5);
-        let (b, _) = net.commit(TaskId(2), TaskId(3), ProcId(1), ProcId(2), 0, 5);
-        net.remove(a.unwrap());
-        // The freed slot is recycled for the next commit: the store never
-        // accumulates tombstones.
-        let (c, _) = net.commit(TaskId(4), TaskId(5), ProcId(0), ProcId(1), 20, 5);
-        assert_eq!(c, a);
-        assert_ne!(c, b);
-        assert_eq!(net.messages().count(), 2);
+        net.commit(TaskId(2), TaskId(3), ProcId(1), ProcId(2), 0, 5);
+        net.commit(TaskId(4), TaskId(5), ProcId(0), ProcId(2), 0, 5);
+        net.truncate(1);
+        assert_eq!(net.len(), 1);
+        assert_eq!(net.messages()[0].src_task, TaskId(0));
+        // The survivor keeps its id and hops; the next commit takes the
+        // first popped position.
+        assert_eq!(a, Some(MsgId(0)));
+        assert_eq!(net.hops(&net.messages()[0]).len(), 1);
+        let (c, _) = net.commit(TaskId(6), TaskId(7), ProcId(1), ProcId(2), 20, 5);
+        assert_eq!(c, Some(MsgId(1)));
+        assert_eq!(net.total_link_busy(), 10);
+        // Truncating past the end changes nothing.
+        net.truncate(5);
+        assert_eq!(net.len(), 2);
     }
 
     #[test]
-    fn recommit_replaces_previous_message() {
-        let mut net = chain3();
-        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 0, 10);
-        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(2), 0, 10);
-        let msg = net.message_for(TaskId(0), TaskId(1)).unwrap();
-        assert_eq!(msg.to, ProcId(2));
-        // Old reservation must be gone: the P0–P1 link is free at [0,10)
-        // only for the new message itself, which occupies [0,10) there.
-        assert_eq!(net.messages().count(), 1);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
+    fn truncate_to_zero_resets_everything() {
         let mut net = chain3();
         net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(2), 0, 5);
-        net.clear();
-        assert_eq!(net.messages().count(), 0);
+        net.truncate(0);
+        assert!(net.is_empty());
         assert_eq!(net.total_link_busy(), 0);
         assert_eq!(net.probe_arrival(ProcId(0), ProcId(2), 0, 5), 10);
     }
@@ -521,10 +403,10 @@ mod tests {
     fn hops_are_sequential_store_and_forward() {
         let mut net = Network::new(Topology::chain(5).unwrap());
         let (_, arrival) = net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(4), 3, 6);
-        let msg = net.message_for(TaskId(0), TaskId(1)).unwrap();
-        assert_eq!(msg.hops.len(), 4);
+        let hops = net.hops(net.message_for(TaskId(0), TaskId(1)).unwrap());
+        assert_eq!(hops.len(), 4);
         let mut prev = 3;
-        for hop in &msg.hops {
+        for hop in hops {
             assert!(hop.start >= prev);
             assert_eq!(hop.finish, hop.start + 6);
             prev = hop.finish;

@@ -3,7 +3,7 @@
 use dagsched_graph::{TaskGraph, TaskId};
 
 use crate::error::{PlaceError, ValidationError};
-use crate::network::Network;
+use crate::network::{Message, Network};
 use crate::timeline::Track;
 use crate::topology::ProcId;
 
@@ -237,13 +237,25 @@ impl Schedule {
     }
 
     /// Validate under the **link-contended APN** model: every cross-processor
-    /// edge with non-zero cost must have a committed message in `net` whose
-    /// hops form a link path from producer to consumer, hold each link for
-    /// exactly `c` time units in sequence, start no earlier than the
-    /// producer's finish and arrive no later than the consumer's start.
-    /// Additionally no two messages may overlap on any link.
+    /// edge with non-zero cost must have exactly one committed message in
+    /// `net` whose hops form a link path from producer to consumer, hold
+    /// each link for exactly `c` time units in sequence, start no earlier
+    /// than the producer's finish and arrive no later than the consumer's
+    /// start. Every other message is stray: a second message for one edge,
+    /// or one for an absent, co-located or zero-cost edge. Additionally no
+    /// two messages may overlap on any link.
     pub fn validate_apn(&self, g: &TaskGraph, net: &Network) -> Result<(), ValidationError> {
         self.validate_structure(g)?;
+        // The store sorted by edge, walked in step with `g.edges()` (which
+        // are sorted by `(src, dst)` too): a message sorted before the next
+        // edge that needs one, or left over at the end, is stray.
+        let mut msgs: Vec<&Message> = net.messages().iter().collect();
+        msgs.sort_by_key(|m| (m.src_task, m.dst_task));
+        let mut msgs = msgs.into_iter().peekable();
+        let stray = |m: &Message| ValidationError::StrayMessage {
+            src: m.src_task,
+            dst: m.dst_task,
+        };
         for e in g.edges() {
             let pu = self.placements[e.src.index()].unwrap();
             let pv = self.placements[e.dst.index()].unwrap();
@@ -259,21 +271,26 @@ impl Schedule {
                 }
                 continue;
             }
-            let msg = net
-                .message_for(e.src, e.dst)
-                .ok_or(ValidationError::MissingMessage {
+            let edge = (e.src, e.dst);
+            if let Some(m) = msgs.next_if(|m| (m.src_task, m.dst_task) < edge) {
+                return Err(stray(m));
+            }
+            let msg = msgs.next_if(|m| (m.src_task, m.dst_task) == edge).ok_or(
+                ValidationError::MissingMessage {
                     src: e.src,
                     dst: e.dst,
-                })?;
+                },
+            )?;
+            let hops = net.hops(msg);
             // Hop chain must trace a link path proc(u) → proc(v).
-            if msg.hops.is_empty() {
+            if hops.is_empty() {
                 return Err(ValidationError::BadRoute {
                     src: e.src,
                     dst: e.dst,
                 });
             }
             let mut cur = pu.proc;
-            for hop in &msg.hops {
+            for hop in hops {
                 let (a, b) = net.topology().link_ends(hop.link);
                 cur = if a == cur {
                     b
@@ -294,7 +311,7 @@ impl Schedule {
             }
             // Timing: store-and-forward with constant message size.
             let mut prev_finish = pu.finish;
-            for hop in &msg.hops {
+            for hop in hops {
                 if hop.start < prev_finish || hop.finish != hop.start + e.cost {
                     return Err(ValidationError::MessageTiming {
                         src: e.src,
@@ -312,12 +329,13 @@ impl Schedule {
                 });
             }
         }
+        if let Some(m) = msgs.next() {
+            return Err(stray(m));
+        }
         // Global link non-overlap, rebuilt independently of Network's tracks.
         let mut per_link: Vec<Vec<(u64, u64)>> = vec![Vec::new(); net.topology().num_links()];
-        for msg in net.messages() {
-            for hop in &msg.hops {
-                per_link[hop.link.index()].push((hop.start, hop.finish));
-            }
+        for hop in net.all_hops() {
+            per_link[hop.link.index()].push((hop.start, hop.finish));
         }
         for (li, occ) in per_link.iter_mut().enumerate() {
             occ.sort_unstable();
@@ -522,6 +540,68 @@ mod tests {
             s.validate(&g),
             Err(ValidationError::Unplaced { .. })
         ));
+    }
+
+    /// `a(5) →(4) b(3)` and `a →(0) c(2)` on a 3-processor chain: `a` on
+    /// P0, `b` on P1 behind its one-hop message, `c` on P2 (a zero-cost
+    /// edge needs no message). Valid as built; `b_proc` moves `b`.
+    fn apn_fixture(b_proc: ProcId) -> (TaskGraph, Schedule, Network) {
+        let mut gb = GraphBuilder::new();
+        let a = gb.add_task(5);
+        let b = gb.add_task(3);
+        let c = gb.add_task(2);
+        gb.add_edge(a, b, 4).unwrap();
+        gb.add_edge(a, c, 0).unwrap();
+        let g = gb.build().unwrap();
+        let net = Network::new(crate::Topology::chain(3).unwrap());
+        let mut s = Schedule::new(g.num_tasks(), 3);
+        s.place(a, ProcId(0), 0, 5).unwrap();
+        s.place(b, b_proc, 13, 3).unwrap();
+        s.place(c, ProcId(2), 5, 2).unwrap();
+        (g, s, net)
+    }
+
+    fn assert_stray(r: Result<(), ValidationError>, src: u32, dst: u32) {
+        assert_eq!(
+            r,
+            Err(ValidationError::StrayMessage {
+                src: TaskId(src),
+                dst: TaskId(dst),
+            })
+        );
+    }
+
+    #[test]
+    fn validate_apn_rejects_a_second_message_for_one_edge() {
+        let (g, s, mut net) = apn_fixture(ProcId(1));
+        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 5, 4);
+        assert_eq!(s.validate_apn(&g, &net), Ok(()));
+        // Both arrive by b's start (9 and 13): only the duplicate is wrong.
+        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 5, 4);
+        assert_stray(s.validate_apn(&g, &net), 0, 1);
+    }
+
+    #[test]
+    fn validate_apn_rejects_a_message_for_an_absent_edge() {
+        let (g, s, mut net) = apn_fixture(ProcId(1));
+        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 5, 4);
+        net.commit(TaskId(2), TaskId(1), ProcId(2), ProcId(1), 7, 2);
+        assert_stray(s.validate_apn(&g, &net), 2, 1);
+    }
+
+    #[test]
+    fn validate_apn_rejects_a_message_for_a_co_located_edge() {
+        let (g, s, mut net) = apn_fixture(ProcId(0));
+        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 5, 4);
+        assert_stray(s.validate_apn(&g, &net), 0, 1);
+    }
+
+    #[test]
+    fn validate_apn_rejects_a_message_for_a_zero_cost_edge() {
+        let (g, s, mut net) = apn_fixture(ProcId(1));
+        net.commit(TaskId(0), TaskId(1), ProcId(0), ProcId(1), 5, 4);
+        net.commit(TaskId(0), TaskId(2), ProcId(0), ProcId(2), 5, 3);
+        assert_stray(s.validate_apn(&g, &net), 0, 2);
     }
 
     #[test]

@@ -23,13 +23,13 @@
 //! block whose largest hole is shorter than the requested duration.
 //!
 //! The summaries are a pure cache. Every mutation truncates them at the
-//! block it touched (O(1)), [`Track::retain`] and [`Track::clear`] drop
-//! them, equality compares slots only, and a block without a summary is
-//! scanned slot by slot — so answers never depend on when (or whether)
-//! `reindex` ran. APN probes reindex the link tracks once per best-first
-//! selection step (`Network::reindex`); processor timelines and BSA's replay
-//! engine never reindex and keep the plain scan, where keeping summaries
-//! current would cost more than it saves.
+//! block it touched (O(1)), [`Track::retain`] drops them, equality
+//! compares slots only, and a block without a summary is scanned slot by
+//! slot — so answers never depend on when (or whether) `reindex` ran.
+//! APN probes reindex the link tracks once per best-first selection step
+//! (`Network::reindex`); processor timelines and BSA's replay engine never
+//! reindex and keep the plain scan, where keeping summaries current would
+//! cost more than it saves.
 
 /// Slots per summarized block.
 const BLOCK: usize = 16;
@@ -259,9 +259,8 @@ impl<T: Copy + PartialEq> Track<T> {
     /// Remove the occupation tagged `tag` known to start at `start`:
     /// binary-search by start, then verify the tag among the (at most few,
     /// only zero-length intervals can share a start) slots there. O(log n)
-    /// locate instead of [`Track::remove`]'s O(n) scan — the hot path of
-    /// rollback-heavy callers (BSA's migration journal removes one slot per
-    /// hop per rollback).
+    /// locate instead of [`Track::remove`]'s O(n) scan — how a schedule
+    /// unplaces a task.
     ///
     /// Returns `None` when no slot with that `(start, tag)` exists.
     pub fn remove_at(&mut self, start: u64, tag: T) -> Option<(u64, u64)> {
@@ -281,8 +280,8 @@ impl<T: Copy + PartialEq> Track<T> {
 
     /// Keep only the occupations satisfying `f`, in one compaction pass.
     /// Removing a *set* of slots this way costs O(n) total where repeated
-    /// [`Track::remove_at`] calls cost O(n) *each* — the batch-rollback
-    /// path of the APN migration journal.
+    /// [`Track::remove_at`] calls cost O(n) *each* — how a network rollback
+    /// (`Network::truncate`) frees a link.
     pub fn retain(&mut self, f: impl FnMut(&Slot<T>) -> bool) {
         self.summaries.clear();
         self.slots.retain(f);
@@ -310,12 +309,6 @@ impl<T: Copy + PartialEq> Track<T> {
             out.push((cur, horizon));
         }
         out
-    }
-
-    /// Remove everything.
-    pub fn clear(&mut self) {
-        self.summaries.clear();
-        self.slots.clear();
     }
 }
 

@@ -3,7 +3,7 @@
 
 use dagsched_graph::TaskId;
 use dagsched_platform::timeline::Slot;
-use dagsched_platform::{Network, ProcId, Topology, Track};
+use dagsched_platform::{LinkId, Network, ProcId, Topology, Track};
 use proptest::prelude::*;
 
 proptest! {
@@ -141,7 +141,7 @@ proptest! {
         let mut occ: Vec<Vec<(u64, u64)>> =
             vec![Vec::new(); net.topology().num_links()];
         for m in net.messages() {
-            for hop in &m.hops {
+            for hop in net.hops(m) {
                 occ[hop.link.index()].push((hop.start, hop.finish));
             }
         }
@@ -220,6 +220,85 @@ proptest! {
                 let want = linear_fit(plain.slots(), earliest, dur);
                 prop_assert_eq!(indexed.earliest_fit(earliest, dur), want, "op {}", i);
                 prop_assert_eq!(plain.earliest_fit(earliest, dur), want, "op {}", i);
+            }
+        }
+    }
+}
+
+/// The six machine shapes the APN message tests draw from (the same menu
+/// as `tests/apn_messages.rs`).
+fn topology_menu(which: usize) -> Topology {
+    match which % 6 {
+        0 => Topology::chain(5).unwrap(),
+        1 => Topology::ring(6).unwrap(),
+        2 => Topology::star(5).unwrap(),
+        3 => Topology::mesh(2, 3).unwrap(),
+        4 => Topology::hypercube(3).unwrap(),
+        _ => Topology::fully_connected(4).unwrap(),
+    }
+}
+
+/// The arguments of one `Network::commit` call.
+type Commit = (TaskId, TaskId, ProcId, ProcId, u64, u64);
+
+// Rollback is exact: under any interleaving of commits, truncations (the
+// rollbacks of BSA's replay engine) and reindexing, the network equals one
+// rebuilt by committing only the surviving messages, in order — messages,
+// hops, every link track's slots and every probe answer — and the hop
+// arena holds exactly the live messages' hops.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn truncate_matches_a_rebuild_from_the_surviving_commits(
+        which in 0usize..6,
+        ops in proptest::collection::vec((0u32..40, 0u32..8, 0u64..80, 0u64..20), 1..120),
+    ) {
+        let topo = topology_menu(which);
+        let p = topo.num_procs() as u32;
+        let mut net = Network::new(topo.clone());
+        let mut live: Vec<Commit> = Vec::new();
+        for (i, &(op, b, ready, size)) in ops.iter().enumerate() {
+            let a = op / 5;
+            match op % 5 {
+                0 => {
+                    let len = (a as usize * 8 + b as usize) % (net.len() + 1);
+                    net.truncate(len);
+                    live.truncate(len);
+                }
+                1 => net.reindex(),
+                _ => {
+                    let c = (TaskId(i as u32), TaskId(1000 + i as u32), ProcId(a % p), ProcId(b % p), ready, size);
+                    if net.commit(c.0, c.1, c.2, c.3, c.4, c.5).0.is_some() {
+                        live.push(c);
+                    }
+                }
+            }
+            prop_assert_eq!(net.len(), live.len());
+        }
+        let mut fresh = Network::new(topo);
+        for &(src, dst, from, to, ready, size) in &live {
+            fresh.commit(src, dst, from, to, ready, size);
+        }
+        prop_assert_eq!(net.messages(), fresh.messages());
+        for (m, f) in net.messages().iter().zip(fresh.messages()) {
+            prop_assert_eq!(net.hops(m), fresh.hops(f));
+        }
+        let live_hops: usize = net.messages().iter().map(|m| net.hops(m).len()).sum();
+        prop_assert_eq!(net.all_hops().len(), live_hops);
+        prop_assert_eq!(net.all_hops(), fresh.all_hops());
+        for l in 0..net.topology().num_links() as u32 {
+            prop_assert_eq!(net.link_track(LinkId(l)).slots(), fresh.link_track(LinkId(l)).slots());
+        }
+        net.reindex();
+        for from in net.topology().procs() {
+            for to in net.topology().procs() {
+                for (ready, size) in [(0, 1), (7, 5), (40, 19), (90, 3)] {
+                    prop_assert_eq!(
+                        net.probe_arrival(from, to, ready, size),
+                        fresh.probe_arrival(from, to, ready, size)
+                    );
+                }
             }
         }
     }

@@ -26,7 +26,9 @@
 //!
 //! A scheduler that panics costs its request an `E_INTERNAL` reply, not
 //! its connection: each request runs under `catch_unwind`, and its slot
-//! is freed on the way out.
+//! is freed on the way out. A connection whose thread cannot be spawned
+//! is answered `E_QUEUE_FULL` with a retry-after and closed; the acceptor
+//! keeps accepting.
 //!
 //! ## Graceful shutdown
 //!
@@ -256,11 +258,22 @@ pub fn start(cfg: Config) -> io::Result<Handle> {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // A second handle answers the peer if the stream's thread
+                // cannot start (the failed spawn drops the first).
+                let refusal = stream.try_clone();
                 let sh2 = Arc::clone(&sh);
-                let h = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("serve-conn".into())
-                    .spawn(move || conn_loop(stream, &sh2))
-                    .expect("spawn conn thread");
+                    .spawn(move || conn_loop(stream, &sh2));
+                let h = match spawned {
+                    Ok(h) => h,
+                    Err(_) => {
+                        if let Ok(mut stream) = refusal {
+                            refuse_connection(&mut stream);
+                        }
+                        continue;
+                    }
+                };
                 // Drop the handles of connections that already closed, so
                 // `conns` tracks open connections, not every one accepted.
                 let mut conns = sh.conns.lock().unwrap();
@@ -274,6 +287,16 @@ pub fn start(cfg: Config) -> io::Result<Handle> {
         shared,
         listener: Some(acceptor),
     })
+}
+
+/// Answer a connection that gets no thread: count the error and tell the
+/// peer to retry (`E_QUEUE_FULL` with a retry-after), best effort. The
+/// caller then drops the stream and keeps accepting.
+fn refuse_connection(stream: &mut impl io::Write) {
+    global().incr(Metric::ServeErrors);
+    let e = ServeError::new(code::QUEUE_FULL, "no connection thread available")
+        .retry_after(RETRY_AFTER_MS);
+    let _ = write_frame(stream, &encode_err(&e));
 }
 
 /// Socket options for an accepted stream: the shutdown-poll read timeout,
@@ -487,6 +510,26 @@ mod tests {
         assert!(unwound.is_err());
         assert_eq!(gate.state().running, 0, "unwinding freed the slot");
         assert!(gate.enter().is_some());
+    }
+
+    #[test]
+    fn a_refused_connection_is_counted_and_told_to_retry() {
+        let before = global().get(Metric::ServeErrors);
+        let mut wire = Vec::new();
+        refuse_connection(&mut wire);
+        assert!(global().get(Metric::ServeErrors) > before);
+        let resp = FrameReader::new()
+            .poll(&mut wire.as_slice())
+            .unwrap()
+            .unwrap();
+        let text = String::from_utf8(resp).unwrap();
+        assert!(text.starts_with("err E_QUEUE_FULL"), "{text}");
+        assert!(
+            text.contains(&format!("retry_after_ms={RETRY_AFTER_MS}")),
+            "{text}"
+        );
+        // A peer that already hung up costs nothing but the count.
+        refuse_connection(&mut io::sink());
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn main() {
                 topo.num_links().to_string(),
                 out.schedule.makespan().to_string(),
                 format!("{:.2}", nsl(&g, &out.schedule)),
-                net.messages().count().to_string(),
+                net.len().to_string(),
                 net.total_link_busy().to_string(),
             ]);
         }
@@ -64,16 +64,16 @@ fn main() {
         .schedule(&g, &Env::apn(Topology::chain(8).unwrap()))
         .unwrap();
     let net = out.network.unwrap();
-    if let Some(msg) = net.messages().max_by_key(|m| m.hops.len()) {
+    if let Some(msg) = net.messages().iter().max_by_key(|m| net.hops(m).len()) {
         println!(
             "longest BSA route on chain-8: {} → {} ({} hops, departs {}, arrives {})",
             msg.src_task,
             msg.dst_task,
-            msg.hops.len(),
+            net.hops(msg).len(),
             msg.ready,
             msg.arrival
         );
-        for hop in &msg.hops {
+        for hop in net.hops(msg) {
             let (a, b) = net.topology().link_ends(hop.link);
             println!("  link {a}–{b}: [{}, {})", hop.start, hop.finish);
         }

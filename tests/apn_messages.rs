@@ -31,9 +31,9 @@ fn every_cross_edge_has_a_message_with_a_real_route() {
             });
             assert_eq!(msg.from, pu, "{}", algo.name());
             assert_eq!(msg.to, pv, "{}", algo.name());
-            assert!(!msg.hops.is_empty());
+            assert!(!net.hops(msg).is_empty());
             // Each hop holds the link for exactly the edge cost.
-            for hop in &msg.hops {
+            for hop in net.hops(msg) {
                 assert_eq!(hop.finish - hop.start, e.cost, "{}", algo.name());
             }
             // Arrival feeds the consumer.
@@ -52,7 +52,7 @@ fn no_link_carries_two_messages_at_once() {
         // Rebuild occupancy per link independently of Network's tracks.
         let mut occ: Vec<Vec<(u64, u64)>> = vec![Vec::new(); topo.num_links()];
         for m in net.messages() {
-            for hop in &m.hops {
+            for hop in net.hops(m) {
                 occ[hop.link.index()].push((hop.start, hop.finish));
             }
         }
@@ -110,7 +110,7 @@ fn zero_comm_graphs_need_no_messages() {
             .unwrap();
         out.validate(&g).unwrap();
         assert_eq!(
-            out.network.as_ref().unwrap().messages().count(),
+            out.network.as_ref().unwrap().len(),
             0,
             "{}: zero-cost edges need no messages",
             algo.name()
