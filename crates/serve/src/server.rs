@@ -265,14 +265,11 @@ pub fn start(cfg: Config) -> io::Result<Handle> {
                 let spawned = std::thread::Builder::new()
                     .name("serve-conn".into())
                     .spawn(move || conn_loop(stream, &sh2));
-                let h = match spawned {
-                    Ok(h) => h,
-                    Err(_) => {
-                        if let Ok(mut stream) = refusal {
-                            refuse_connection(&mut stream);
-                        }
-                        continue;
+                let Ok(h) = spawned else {
+                    if let Ok(mut stream) = refusal {
+                        refuse_connection(&mut stream);
                     }
+                    continue;
                 };
                 // Drop the handles of connections that already closed, so
                 // `conns` tracks open connections, not every one accepted.
