@@ -13,12 +13,12 @@
 //! Quick mode covers the UNC and APN classes (APN pairs became affordable
 //! with the incremental-BSA message-layer overhaul — per-evaluation cost
 //! used to be the blocker); `TASKBENCH_FULL=1` adds BNP and raises the
-//! per-cell evaluation budget. Cells run on the work-stealing runtime
-//! (`dagsched_ws::parallel_map` — uneven cells migrate to idle workers
-//! instead of pinning a static share of the sweep) and derive their seeds
-//! from the pair names, so stdout and every archived file are
-//! byte-identical across runs and thread counts with the same seed and
-//! budget — wall-clock goes to stderr only.
+//! per-cell evaluation budget. Cells run on the shared-queue pool
+//! (`dagsched_ws::parallel_map` — an idle worker takes the next queued
+//! cell, so uneven cells never pin a static share of the sweep to one
+//! worker) and derive their seeds from the pair names, so stdout and
+//! every archived file are byte-identical across runs and thread counts
+//! with the same seed and budget — wall-clock goes to stderr only.
 //!
 //! Acceptance gate: at least one UNC pair must reach a makespan ratio
 //! ≥ 1.10 on a ≤ 60-node instance.

@@ -3,7 +3,7 @@
 //! The workspace's two wall-clock CI gates, reported on stdout.
 //!
 //! 1. **runner_scaling** — wall-clock of the same (algorithm × graph)
-//!    sweep through the work-stealing runner with 1 worker vs all cores
+//!    sweep through the parallel runner with 1 worker vs all cores
 //!    (warmup pass, then median of 3 timed passes per leg). Both legs must
 //!    produce identical results, and the many-worker leg must be ≥1.5×
 //!    faster when the host has ≥4 cores (smaller hosts run the
@@ -93,7 +93,7 @@ fn runner_scaling() {
     if meaningful {
         assert!(
             speedup >= 1.5,
-            "acceptance bar: the work-stealing runner must be ≥1.5x faster than \
+            "acceptance bar: the parallel runner must be ≥1.5x faster than \
              1 worker on a ≥4-core host, got {speedup:.1}x on {workers} workers"
         );
     }

@@ -46,7 +46,7 @@
 //! | DLS-APN | O(r·p·route) per step with a route `Vec` + an adjacency lookup per hop per probe | O(r·p) hop-count bound terms per ready parent edge and an O(r·p) heap build per step; best-first probing walks only the parent arrivals that can still decide the winning (task, processor) pair, over block-indexed link tracks | MH's best-first kernel over all ready pairs, link tracks reindexed once per step; `tests/work_ceilings.rs` gates ≤ 10 parent arrivals per `p·e` (measured 0.25–7.65, against 22–81 for the exhaustive scan) |
 //! | BU | O(v·p) assignment + an O(r) ready scan per step | O(v·p) assignment + one O(v log v) b-level sort | phase 2 walks [`common::list_order`]; commits ride the same allocation-free probes |
 //! | BSA | full replay per tentative migration: O(v·deg·(v·p + e·hops)) + a topology clone and fresh allocations per candidate | O(v·deg·(v + e + suffix)) — journal diff, batched rollback, dominance bounds cut doomed trials early | [`apn`]'s `ReplayEngine`; `tests/work_ceilings.rs` gates ≤ 1000 messages committed per trial on the paper-scale APN instance (measured 427, against up to e = 2632 for a full replay) |
-//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | — (a work-stealing parallel split of the same tree never beat serial and was removed; parallelism comes from solving independent cells concurrently) | byte-deterministic counters; `tests/placement_digests.rs` pins length, proof, node and prune counters and placements on 25 instances |
+//! | B&B (reference, `dagsched-optimal`) | serial DFS over list schedules, exponential worst case, single incumbent | — (a parallel split of the same tree never beat serial and was removed; parallelism comes from solving independent cells concurrently) | byte-deterministic counters; `tests/placement_digests.rs` pins length, proof, node and prune counters and placements on 25 instances |
 //!
 //! Substrate changes underneath all of them: adjacency is CSR (flat
 //! offsets + packed `(TaskId, cost)` entries — cache-line sweeps instead of

@@ -9,7 +9,8 @@
 //! per-placement (and coarser) code.
 //!
 //! The registry is deliberately *not* part of any determinism contract:
-//! totals depend on thread interleaving (e.g. steal counts). Committed
+//! totals depend on thread interleaving (e.g. which worker ran which
+//! item, or how far a pool got before a panic stopped it). Committed
 //! artifacts only ever include trace events ([`crate::Event`]), never
 //! registry totals.
 
@@ -23,13 +24,16 @@ use crate::hist::LogHist;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
-    /// `ws`: steal sweeps attempted by idle workers.
+    /// `ws`: steal sweeps attempted by idle workers. The pool has one
+    /// shared queue and nothing to steal, so this always reads 0; the name
+    /// stays for readers that still print it.
     WsStealAttempts,
-    /// `ws`: steal sweeps that yielded a job.
+    /// `ws`: steal sweeps that yielded a job. Always 0, like
+    /// [`Metric::WsStealAttempts`].
     WsStealHits,
-    /// `ws`: idle backoff sleeps (parks). The pool no longer parks (a
-    /// worker exits once it finds no work), so this always reads 0; the
-    /// name stays for readers that still print it.
+    /// `ws`: idle backoff sleeps (parks). The pool never parks (a worker
+    /// exits once the queue is empty), so this always reads 0; the name
+    /// stays for readers that still print it.
     WsParks,
     /// `ws`: jobs executed across all workers.
     WsJobs,

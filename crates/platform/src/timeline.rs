@@ -246,21 +246,10 @@ impl<T: Copy + PartialEq> Track<T> {
         Ok(())
     }
 
-    /// Remove the occupation tagged `tag`; returns its interval if present.
-    ///
-    /// Linear scan — when the caller knows the interval's start time (every
-    /// placement and message hop records it), prefer [`Track::remove_at`].
-    pub fn remove(&mut self, tag: T) -> Option<(u64, u64)> {
-        let idx = self.slots.iter().position(|s| s.tag == tag)?;
-        let s = self.remove_index(idx);
-        Some((s.start, s.finish))
-    }
-
     /// Remove the occupation tagged `tag` known to start at `start`:
     /// binary-search by start, then verify the tag among the (at most few,
-    /// only zero-length intervals can share a start) slots there. O(log n)
-    /// locate instead of [`Track::remove`]'s O(n) scan — how a schedule
-    /// unplaces a task.
+    /// only zero-length intervals can share a start) slots there — how a
+    /// schedule unplaces a task.
     ///
     /// Returns `None` when no slot with that `(start, tag)` exists.
     pub fn remove_at(&mut self, start: u64, tag: T) -> Option<(u64, u64)> {
@@ -285,14 +274,6 @@ impl<T: Copy + PartialEq> Track<T> {
     pub fn retain(&mut self, f: impl FnMut(&Slot<T>) -> bool) {
         self.summaries.clear();
         self.slots.retain(f);
-    }
-
-    /// The occupation covering time `t`, if any.
-    pub fn at(&self, t: u64) -> Option<&Slot<T>> {
-        let idx = self.slots.partition_point(|s| s.start <= t);
-        idx.checked_sub(1)
-            .map(|i| &self.slots[i])
-            .filter(|s| s.finish > t)
     }
 
     /// Idle holes between occupations within `[0, horizon)`.
@@ -394,17 +375,15 @@ mod tests {
     #[test]
     fn remove_frees_the_slot() {
         let mut t = track_with(&[(0, 5), (5, 10)]);
-        assert_eq!(t.remove(0), Some((0, 5)));
-        assert_eq!(t.remove(0), None);
+        assert_eq!(t.remove_at(0, 0), Some((0, 5)));
+        assert_eq!(t.remove_at(0, 0), None);
         assert!(t.insert(0, 5, 7).is_ok());
     }
 
     #[test]
     fn remove_at_matches_remove() {
         let mut a = track_with(&[(0, 5), (5, 10), (12, 20), (25, 30)]);
-        let mut b = a.clone();
-        assert_eq!(a.remove_at(12, 2), b.remove(2));
-        assert_eq!(a.slots(), b.slots());
+        assert_eq!(a.remove_at(12, 2), Some((12, 20)));
         assert_eq!(a.remove_at(25, 3), Some((25, 30)));
         // Wrong start or wrong tag: untouched.
         assert_eq!(a.remove_at(5, 0), None);
@@ -422,15 +401,6 @@ mod tests {
         assert_eq!(t.remove_at(5, 2), Some((5, 5)));
         assert_eq!(t.remove_at(5, 1), Some((5, 5)));
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn at_finds_covering_slot() {
-        let t = track_with(&[(0, 5), (10, 15)]);
-        assert_eq!(t.at(3).map(|s| s.tag), Some(0));
-        assert_eq!(t.at(5), None);
-        assert_eq!(t.at(10).map(|s| s.tag), Some(1));
-        assert_eq!(t.at(99), None);
     }
 
     #[test]

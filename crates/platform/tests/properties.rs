@@ -71,7 +71,7 @@ proptest! {
             }
         }
         for &(tag, s, f) in &inserted {
-            let got = t.remove(tag);
+            let got = t.remove_at(s, tag);
             prop_assert_eq!(got, Some((s, f)));
             prop_assert!(t.insert(s, f, tag).is_ok());
         }

@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! # dagsched-ws — the work-stealing execution substrate
+//! # dagsched-ws — the shared-queue execution substrate
 //!
 //! One client: the order-preserving [`parallel_map_with`] (and
 //! [`parallel_map`] on [`worker_count`] workers). Every parallel sweep in
@@ -9,40 +9,33 @@
 //!
 //! ## Design
 //!
-//! The runtime is the classic work-stealing shape — per-worker deques with
-//! LIFO owner pop and FIFO steal (Chase–Lev discipline: the owner works on
-//! its freshest jobs while thieves take the oldest ones) — built on `std`
-//! only:
+//! [`parallel_map_with`] puts every item in one shared queue before the
+//! workers start, and no item creates another. That is all the balancing
+//! a sweep of independent cells needs: a worker takes the next
+//! `(index, item)` pair whenever it is free, so a slow cell never strands
+//! work behind it, and a worker that finds the queue empty is done —
+//! nothing can appear later.
 //!
-//! * [`WsDeque`] — one double-ended job queue per worker. The owner pushes
-//!   and pops at the bottom; thieves steal from the top. Rather than the
-//!   unsafe atomic bottom/top ring buffer of the original Chase–Lev
-//!   structure, the buffer is lock-guarded with an **atomic length hint**:
-//!   thieves scan victims and skip empty deques without touching any lock,
-//!   so the only contended path is a genuine steal — rare by construction,
-//!   and a map item (a whole scheduling cell) is orders of magnitude
-//!   coarser than a lock handoff. The safe fallback is deliberate: this
-//!   workspace carries no `unsafe`, and nothing here is hot enough to
-//!   warrant it.
-//! * [`parallel_map_with`] deals every item to the worker deques before
-//!   the workers start, and no item creates another. A worker drains its
-//!   own deque, then steals from **randomized victims** (per-worker
-//!   xorshift, no global coordination); once its deque and one full victim
-//!   sweep are empty, nothing can appear later, so it exits.
-//!   A panic in any item stops the pool promptly (poison flag checked
-//!   between items) and propagates after the scope joins, exactly like
-//!   `std::thread::scope`.
+//! * The queue is a `Mutex` around the indexed input iterator, taken once
+//!   per item and released before the item runs. An item is a whole
+//!   scheduling cell, orders of magnitude coarser than an uncontended
+//!   lock, and the workspace carries no `unsafe`.
+//! * Workers take items **highest input index first**, so a caller that
+//!   lists its cells from small to large starts the largest ones first and
+//!   lets the short ones fill the tail.
+//! * A panic in any item stops the pool promptly (poison flag checked
+//!   between items) and propagates after every worker has joined, exactly
+//!   like `std::thread::scope`.
 //!
 //! ## Determinism contract
 //!
-//! Work stealing makes *who computes what* nondeterministic.
+//! The queue makes *who computes what* nondeterministic.
 //! [`parallel_map_with`] recovers determinism at the edge: it tags every
 //! item with its input index and scatters worker-local results back into
 //! input order, so the fold order observed by callers is byte-identical
 //! across runs and thread counts.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
@@ -85,75 +78,7 @@ pub fn worker_count() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// The deque
-// ---------------------------------------------------------------------------
-
-/// A work-stealing double-ended job queue: LIFO [`pop`](WsDeque::pop) for
-/// the owning worker, FIFO [`steal`](WsDeque::steal) for thieves.
-///
-/// The buffer is a lock-guarded `VecDeque` with an atomic length mirror so
-/// thieves can dismiss empty victims lock-free; see the crate docs for why
-/// the lock-guarded fallback is preferred over an unsafe atomic ring here.
-/// All three operations are safe to call from any thread — "owner" and
-/// "thief" are roles, not enforced identities (the property tests exploit
-/// this to drive arbitrary interleavings).
-#[derive(Debug, Default)]
-pub struct WsDeque<T> {
-    buf: Mutex<VecDeque<T>>,
-    len: AtomicUsize,
-}
-
-impl<T> WsDeque<T> {
-    pub fn new() -> WsDeque<T> {
-        WsDeque {
-            buf: Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of queued jobs (a racy snapshot under concurrency).
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether the deque currently looks empty (racy snapshot; used by
-    /// thieves to skip victims without locking).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Owner push: enqueue at the bottom.
-    pub fn push(&self, item: T) {
-        let mut buf = self.buf.lock().unwrap();
-        buf.push_back(item);
-        self.len.store(buf.len(), Ordering::Release);
-    }
-
-    /// Owner pop: newest job first (LIFO — depth-first on own work).
-    pub fn pop(&self) -> Option<T> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut buf = self.buf.lock().unwrap();
-        let item = buf.pop_back();
-        self.len.store(buf.len(), Ordering::Release);
-        item
-    }
-
-    /// Thief steal: oldest job first (FIFO — coarsest work migrates).
-    pub fn steal(&self) -> Option<T> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut buf = self.buf.lock().unwrap();
-        let item = buf.pop_front();
-        self.len.store(buf.len(), Ordering::Release);
-        item
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The pool
+// Order-preserving map
 // ---------------------------------------------------------------------------
 
 /// Disarmable guard: if an item panics (unwinds past the guard), poison
@@ -171,51 +96,14 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// Worker-local runtime tallies. Kept as plain integers on the hot loop and
-/// flushed to the [`dagsched_obs`] registry once at pool teardown — the
-/// steal path never touches a shared cache line for bookkeeping.
-#[derive(Default)]
-struct WorkerTallies {
-    jobs: u64,
-    steal_attempts: u64,
-    steal_hits: u64,
-}
-
-impl WorkerTallies {
-    fn flush(&self) {
-        use dagsched_obs::Metric;
-        let reg = dagsched_obs::global();
-        reg.add(Metric::WsJobs, self.jobs);
-        reg.add(Metric::WsStealAttempts, self.steal_attempts);
-        reg.add(Metric::WsStealHits, self.steal_hits);
-    }
-}
-
-/// Cheap per-worker xorshift for randomized victim selection; seeded from
-/// the worker index so runs are reproducible in the aggregate (the *result*
-/// never depends on who steals what — see the crate docs).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-// ---------------------------------------------------------------------------
-// Order-preserving map
-// ---------------------------------------------------------------------------
-
-/// Apply `f` to every item on `workers` work-stealing threads, returning
-/// results in **input order**. Items are moved into the worker deques up
-/// front (no per-item locking handshake on the hot loop); each worker
-/// accumulates `(index, result)` pairs locally, and the pairs are scattered
-/// back into input positions after the pool joins — so the fold order any
-/// caller observes is byte-identical across runs and thread counts. A panic
-/// in `f` stops the other workers at their next item and propagates after
-/// all of them have joined. One worker (or at most one item) maps inline
-/// on the calling thread.
+/// Apply `f` to every item on `workers` threads, returning results in
+/// **input order**. The workers pull `(index, item)` pairs from one shared
+/// queue, highest index first, and accumulate `(index, result)` pairs
+/// locally; the pairs are scattered back into input positions after the
+/// pool joins — so the fold order any caller observes is byte-identical
+/// across runs and thread counts. A panic in `f` stops the other workers
+/// at their next item and propagates after all of them have joined. One
+/// worker (or at most one item) maps inline on the calling thread.
 pub fn parallel_map_with<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -227,40 +115,21 @@ where
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    // Every item is dealt before the workers start and none creates
-    // another, so a worker whose own deque and one full victim sweep both
-    // come up empty is done: no work can appear later.
-    let deques: Vec<WsDeque<(usize, T)>> = (0..workers).map(|_| WsDeque::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        deques[i % workers].push((i, item));
-    }
+    // Every item is queued before the workers start and none creates
+    // another, so a worker that finds the queue empty is done.
+    let queue = Mutex::new(items.into_iter().enumerate().rev());
     let poisoned = AtomicBool::new(false);
-    let (deques, poisoned, f) = (&deques, &poisoned, &f);
+    let (queue, poisoned, f) = (&queue, &poisoned, &f);
     let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 scope.spawn(move || {
                     let mut out = Vec::new();
-                    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((w as u64 + 1) << 17);
-                    let mut tallies = WorkerTallies::default();
                     while !poisoned.load(Ordering::Acquire) {
-                        let mut stole = false;
-                        let job = deques[w].pop().or_else(|| {
-                            // One randomized sweep over the other deques.
-                            tallies.steal_attempts += 1;
-                            let start = (xorshift(&mut rng) as usize) % workers;
-                            let found = (0..workers)
-                                .map(|i| (start + i) % workers)
-                                .filter(|&v| v != w)
-                                .find_map(|v| deques[v].steal());
-                            stole = found.is_some();
-                            found
-                        });
-                        let Some((i, item)) = job else { break };
-                        tallies.jobs += 1;
-                        if stole {
-                            tallies.steal_hits += 1;
-                        }
+                        // The lock is released at the end of this statement,
+                        // before the item runs, so no item panic can poison it.
+                        let next = queue.lock().expect("queue lock is never poisoned").next();
+                        let Some((i, item)) = next else { break };
                         let mut guard = PanicGuard {
                             poisoned,
                             armed: true,
@@ -268,7 +137,8 @@ where
                         out.push((i, f(item)));
                         guard.armed = false;
                     }
-                    tallies.flush();
+                    // One registry update per worker, never one per item.
+                    dagsched_obs::global().add(dagsched_obs::Metric::WsJobs, out.len() as u64);
                     out
                 })
             })
@@ -324,22 +194,6 @@ mod tests {
         assert!(parse_workers(Some("two")).is_err());
         assert!(parse_workers(Some("-1")).is_err());
         assert!(parse_workers(Some("1.5")).is_err());
-    }
-
-    #[test]
-    fn deque_is_lifo_for_owner_fifo_for_thief() {
-        let d = WsDeque::new();
-        for i in 0..4 {
-            d.push(i);
-        }
-        assert_eq!(d.len(), 4);
-        assert_eq!(d.pop(), Some(3), "owner pops newest");
-        assert_eq!(d.steal(), Some(0), "thief steals oldest");
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.steal(), Some(1));
-        assert!(d.is_empty());
-        assert_eq!(d.pop(), None);
-        assert_eq!(d.steal(), None);
     }
 
     #[test]

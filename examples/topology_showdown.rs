@@ -8,6 +8,8 @@
 //! cargo run --release --example topology_showdown
 //! ```
 
+use std::cmp::Reverse;
+
 use taskbench::prelude::*;
 use taskbench::suites::rgnos::{self, RgnosParams};
 
@@ -58,13 +60,19 @@ fn main() {
     }
     println!("{}", table.ascii());
 
-    // Zoom in: the longest single message route under BSA on the chain.
+    // Zoom in: the longest single message route under BSA on the chain,
+    // ties broken toward the smallest (source, destination) edge so the
+    // pick does not depend on the order the network stores messages in.
     let bsa = registry::by_name("BSA").unwrap();
     let out = bsa
         .schedule(&g, &Env::apn(Topology::chain(8).unwrap()))
         .unwrap();
     let net = out.network.unwrap();
-    if let Some(msg) = net.messages().iter().max_by_key(|m| net.hops(m).len()) {
+    let longest = net
+        .messages()
+        .iter()
+        .max_by_key(|m| (net.hops(m).len(), Reverse((m.src_task, m.dst_task))));
+    if let Some(msg) = longest {
         println!(
             "longest BSA route on chain-8: {} → {} ({} hops, departs {}, arrives {})",
             msg.src_task,
