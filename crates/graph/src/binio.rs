@@ -29,10 +29,9 @@
 //!
 //! [`structural_hash`] digests exactly the inputs a scheduler reads —
 //! task count, computation costs, and the edge set with communication
-//! costs — one 64-bit word at a time, in two multiply-rotate streams
-//! closed by a splitmix64 finalizer (the mixing `WireKey::of` in the
-//! serve crate uses on raw request bytes). The graph *name and task
-//! labels are excluded*: two graphs that
+//! costs — two 64-bit words at a time, through the [`WordHasher`] that
+//! `WireKey::of` in the serve crate runs on raw request bytes. The graph
+//! *name and task labels are excluded*: two graphs that
 //! differ only in labels produce identical schedules, and the cache is
 //! allowed (expected) to serve one's entry for the other. Equality of the
 //! 128-bit hash is the cache's notion of graph identity; the codec
@@ -129,36 +128,75 @@ pub fn from_bin(bytes: &[u8]) -> Result<TaskGraph, GraphError> {
 /// schedule memoization. Labels and the graph name are deliberately
 /// excluded (see the module docs).
 ///
-/// The digest reads 64-bit words: `v`, each weight, `e`, then per edge
-/// `src | dst << 32` and its cost. Two multiply-rotate streams with
-/// distinct constants eat every word (the second sees it rotated), and a
-/// splitmix64 finalizer mixes each stream into one output word. Each
-/// step is a bijection of the stream state for a fixed word, so two
-/// inputs that differ in a single word never collide.
+/// The digest feeds [`WordHasher`] pairs of 64-bit words: `(v, e)`, the
+/// weights two at a time (an odd last one paired with 0, which `v`
+/// makes unambiguous), then per edge `(src | dst << 32, cost)`.
 pub fn structural_hash(g: &TaskGraph) -> [u64; 2] {
-    const K: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
-    let mut h = [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64];
-    let mut eat = |w: u64| {
-        h[0] = (h[0] ^ w).wrapping_mul(K[0]).rotate_left(29);
-        h[1] = (h[1] ^ w.rotate_left(32))
-            .wrapping_mul(K[1])
-            .rotate_left(23);
-    };
-    eat(g.num_tasks() as u64);
-    for &w in g.weights() {
-        eat(w);
+    let mut h = WordHasher::new(0);
+    h.pair([g.num_tasks() as u64, g.num_edges() as u64]);
+    for w in g.weights().chunks(2) {
+        h.pair([w[0], w.get(1).copied().unwrap_or(0)]);
     }
-    eat(g.num_edges() as u64);
     for src in g.tasks() {
         for &(dst, cost) in g.succs(src) {
-            eat(u64::from(src.0) | u64::from(dst.0) << 32);
-            eat(cost);
+            h.pair([u64::from(src.0) | u64::from(dst.0) << 32, cost]);
         }
     }
-    h.map(avalanche)
+    h.finish()
+}
+
+/// The 128-bit word hasher behind both content keys: [`structural_hash`]
+/// here and `WireKey::of` in the serve crate, which hashes raw request
+/// bytes.
+///
+/// Two multiply-rotate streams with distinct constants eat every word
+/// (the second sees it rotated). Each stream runs as two lanes, one for
+/// the first and one for the second word of each pair, so the four
+/// multiply chains overlap. [`WordHasher::finish`] folds each stream's
+/// lanes into one word and closes it with the splitmix64 finalizer. For
+/// a fixed word each lane step is a bijection of the lane state, so two
+/// equally long inputs that differ in a single word never collide.
+#[derive(Debug, Clone)]
+pub struct WordHasher {
+    a: [u64; 2],
+    b: [u64; 2],
+}
+
+impl WordHasher {
+    /// A hasher with `seed` (`WireKey::of` passes the input length)
+    /// mixed into every lane.
+    #[inline]
+    pub fn new(seed: u64) -> Self {
+        WordHasher {
+            a: [0xcbf2_9ce4_8422_2325 ^ seed, 0x8422_2325_cbf2_9ce4 ^ seed],
+            b: [0x6c62_272e_07bb_0142 ^ seed, 0x07bb_0142_6c62_272e ^ seed],
+        }
+    }
+
+    /// Eat two words, one per lane.
+    #[inline(always)]
+    pub fn pair(&mut self, words: [u64; 2]) {
+        const K: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
+        for (i, w) in words.into_iter().enumerate() {
+            self.a[i] = (self.a[i] ^ w).wrapping_mul(K[0]).rotate_left(29);
+            self.b[i] = (self.b[i] ^ w.rotate_left(32))
+                .wrapping_mul(K[1])
+                .rotate_left(23);
+        }
+    }
+
+    /// The two output words, one per stream.
+    #[inline]
+    pub fn finish(self) -> [u64; 2] {
+        [
+            avalanche(self.a[0] ^ self.a[1].rotate_left(32)),
+            avalanche(self.b[0] ^ self.b[1].rotate_left(32)),
+        ]
+    }
 }
 
 /// The splitmix64 finalizer.
+#[inline]
 fn avalanche(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

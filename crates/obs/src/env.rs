@@ -28,11 +28,6 @@ pub fn stress_factor() -> usize {
     }
 }
 
-/// Scale an iteration/thread budget by the stress factor.
-pub fn stressed(n: usize) -> usize {
-    n * stress_factor()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,8 +48,6 @@ mod tests {
         assert_eq!(stress_factor(), 8);
         std::env::set_var("TASKBENCH_STRESS", "3");
         assert_eq!(stress_factor(), 3);
-        assert_eq!(stressed(5), 15);
         std::env::remove_var("TASKBENCH_STRESS");
-        assert_eq!(stressed(5), 5);
     }
 }

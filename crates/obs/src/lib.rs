@@ -13,25 +13,27 @@
 //!    the optimizer removes entirely. Events carry **logical step stamps
 //!    only** (the sink's own event index), never wall-clock time, so a
 //!    recorded trace is byte-deterministic across runs and thread counts.
-//! 2. **Counter/histogram registry** ([`registry::Registry`]) — a fixed
+//! 2. **Chrome-trace export** ([`chrome::ChromeTrace`]) — renders a
+//!    recorded event stream and a schedule's Gantt timeline as Trace Event
+//!    JSON (loadable in `chrome://tracing` or Perfetto) for
+//!    `taskbench trace`. Timestamps are logical, so the file is as
+//!    deterministic as the events.
+//! 3. **Counter/histogram registry** ([`registry::Registry`]) — a fixed
 //!    enum of process-wide metrics backed by sharded relaxed atomics plus
 //!    fixed-bucket log₂ histograms ([`hist::LogHist`]). Hot paths
 //!    accumulate in plain locals and flush once per run/teardown; the
 //!    registry itself is only touched at flush points or for coarse
-//!    (per-placement and slower) happenings.
-//! 3. **Span profiling** ([`span`]) — scoped wall-clock timers for the
-//!    `taskbench profile` front door. Off by default (one atomic load per
-//!    scope); when enabled they feed a flat self-time table and a
-//!    Chrome-trace export ([`chrome::ChromeTrace`], loadable in
-//!    `chrome://tracing` or Perfetto). Wall-clock appears *only* here —
-//!    profile output is explicitly non-deterministic and never CI-diffed.
+//!    (per-placement and slower) happenings. `taskbench profile` prints
+//!    its counter delta and histograms beside the two stage timings it
+//!    measures itself.
+//!
+//! This crate never reads the wall clock.
 
 pub mod chrome;
 pub mod env;
 pub mod event;
 pub mod hist;
 pub mod registry;
-pub mod span;
 
 pub use chrome::{ArgVal, ChromeTrace};
 pub use event::{Event, PruneBound, TrialVerdict};

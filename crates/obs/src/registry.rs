@@ -275,14 +275,6 @@ impl Counter {
         // quiesced (joined), approximate while they run — by design.
         self.shards.iter().map(|s| s.0.load(Relaxed)).sum()
     }
-
-    pub fn reset(&self) {
-        for s in &self.shards {
-            // relaxed-ok: reset runs between measurement phases, never
-            // concurrently with writers it must synchronize with.
-            s.0.store(0, Relaxed);
-        }
-    }
 }
 
 impl Default for Counter {
@@ -333,17 +325,6 @@ impl Registry {
             counts: METRICS.map(|m| self.get(m)),
         }
     }
-
-    /// Reset every counter and histogram to zero. Intended for the
-    /// profile front door (fresh numbers per run), not for library code.
-    pub fn reset(&self) {
-        for c in &self.counters {
-            c.reset();
-        }
-        for h in &self.hists {
-            h.reset();
-        }
-    }
 }
 
 impl Default for Registry {
@@ -370,8 +351,7 @@ impl Snapshot {
         self.counts[m as usize]
     }
 
-    /// Per-metric difference vs an earlier snapshot (saturating, so a
-    /// racing reset cannot underflow).
+    /// Per-metric difference vs an earlier snapshot (saturating).
     pub fn since(&self, earlier: &Snapshot) -> Snapshot {
         let mut counts = self.counts;
         for (c, e) in counts.iter_mut().zip(earlier.counts.iter()) {

@@ -19,8 +19,9 @@
 //! of short messages separated by holes shorter than the next message, and
 //! a probe would walk them all. [`Track::reindex`] therefore summarizes each
 //! complete block of 16 slots by the largest hole before any of its
-//! slots and the running maximum finish up to its end; a query skips a
-//! block whose largest hole is shorter than the requested duration.
+//! slots; a query skips a block whose largest hole is shorter than the
+//! requested duration, to the finish of the block's last slot (finishes
+//! are sorted, so that is every earlier slot's finish too).
 //!
 //! The summaries are a pure cache. Every mutation truncates them at the
 //! block it touched (O(1)), [`Track::retain`] drops them, equality
@@ -42,23 +43,15 @@ pub struct Slot<T> {
     pub tag: T,
 }
 
-/// The summary of one complete block of [`BLOCK`] slots.
-#[derive(Debug, Clone, Copy)]
-struct Summary {
-    /// The largest `slot.start − (max finish of all earlier slots)` over
-    /// the block's slots (the first slot's hole is measured from 0).
-    max_hole: u64,
-    /// The maximum finish over all slots up to the block's end.
-    max_finish: u64,
-}
-
 /// A sorted, non-overlapping set of `[start, finish)` occupancy intervals.
 #[derive(Debug, Clone, Default)]
 pub struct Track<T> {
     slots: Vec<Slot<T>>, // sorted by start
-    /// Summaries of the leading complete blocks (see the module docs);
-    /// `summaries[b]` covers `slots[b·BLOCK .. (b+1)·BLOCK]`.
-    summaries: Vec<Summary>,
+    /// Summaries of the leading complete blocks (see the module docs):
+    /// `max_holes[b]` is the largest `slot.start − (previous slot's
+    /// finish)` over `slots[b·BLOCK .. (b+1)·BLOCK]`, the first slot's hole
+    /// measured from 0.
+    max_holes: Vec<u64>,
 }
 
 /// Equality of the occupations alone: summaries are a cache.
@@ -75,7 +68,7 @@ impl<T: Copy + PartialEq> Track<T> {
     pub fn new() -> Self {
         Track {
             slots: Vec::new(),
-            summaries: Vec::new(),
+            max_holes: Vec::new(),
         }
     }
 
@@ -156,17 +149,16 @@ impl<T: Copy + PartialEq> Track<T> {
         // Sorted by start and non-overlapping ⇒ also sorted by finish.
         let mut i = self.slots.partition_point(|s| s.finish <= earliest);
         // Summaries cover a prefix of the slots; past it, scan to the end.
-        let indexed = self.summaries.len() * BLOCK;
+        let indexed = self.max_holes.len() * BLOCK;
         while i < self.slots.len() {
             let mut end = self.slots.len();
             if i < indexed {
-                let sum = &self.summaries[i / BLOCK];
                 *visited += 1;
                 end = (i / BLOCK + 1) * BLOCK;
                 // `candidate` is at least every earlier slot's finish, so
-                // no hole this query sees in the block exceeds `max_hole`.
-                if sum.max_hole < duration {
-                    candidate = candidate.max(sum.max_finish);
+                // no hole this query sees in the block exceeds its largest.
+                if self.max_holes[i / BLOCK] < duration {
+                    candidate = candidate.max(self.slots[end - 1].finish);
                     i = end;
                     continue;
                 }
@@ -193,30 +185,29 @@ impl<T: Copy + PartialEq> Track<T> {
     /// blocks it summarizes; a no-op on an indexed track.
     pub fn reindex(&mut self) {
         let complete = self.slots.len() / BLOCK;
-        while self.summaries.len() < complete {
-            let b = self.summaries.len();
-            let mut max_finish = b.checked_sub(1).map_or(0, |p| self.summaries[p].max_finish);
+        while self.max_holes.len() < complete {
+            let b = self.max_holes.len();
+            let mut prev_finish = (b * BLOCK)
+                .checked_sub(1)
+                .map_or(0, |p| self.slots[p].finish);
             let mut max_hole = 0;
             for s in &self.slots[b * BLOCK..(b + 1) * BLOCK] {
-                max_hole = max_hole.max(s.start.saturating_sub(max_finish));
-                max_finish = max_finish.max(s.finish);
+                max_hole = max_hole.max(s.start - prev_finish);
+                prev_finish = s.finish;
             }
-            self.summaries.push(Summary {
-                max_hole,
-                max_finish,
-            });
+            self.max_holes.push(max_hole);
         }
     }
 
     /// Insert `slot` at index `idx`, dropping the summaries it shifts.
     fn insert_at(&mut self, idx: usize, slot: Slot<T>) {
-        self.summaries.truncate(idx / BLOCK);
+        self.max_holes.truncate(idx / BLOCK);
         self.slots.insert(idx, slot);
     }
 
     /// Remove the slot at index `idx`, dropping the summaries it shifts.
     fn remove_index(&mut self, idx: usize) -> Slot<T> {
-        self.summaries.truncate(idx / BLOCK);
+        self.max_holes.truncate(idx / BLOCK);
         self.slots.remove(idx)
     }
 
@@ -272,7 +263,7 @@ impl<T: Copy + PartialEq> Track<T> {
     /// [`Track::remove_at`] calls cost O(n) *each* — how a network rollback
     /// (`Network::truncate`) frees a link.
     pub fn retain(&mut self, f: impl FnMut(&Slot<T>) -> bool) {
-        self.summaries.clear();
+        self.max_holes.clear();
         self.slots.retain(f);
     }
 

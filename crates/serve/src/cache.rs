@@ -47,6 +47,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
+use dagsched_graph::binio;
 use dagsched_obs::registry::{global, Metric};
 
 const SHARDS: usize = 8;
@@ -92,25 +93,15 @@ impl TierKey for CacheKey {
 pub struct WireKey(pub [u64; 2]);
 
 impl WireKey {
-    /// Hash `payload` one 8-byte word at a time in two streams with
-    /// distinct multipliers and rotations. Each stream runs as two lanes
-    /// (even and odd words) so the four multiply chains overlap; the
-    /// length seeds every lane and the zero-padded tail is one last pair
-    /// of words. A final avalanche folds each stream's lanes into one
-    /// output word.
+    /// Hash `payload` one 8-byte word at a time through
+    /// [`binio::WordHasher`] seeded with the length, two words per step
+    /// (the zero-padded tail is one last pair of words).
     pub fn of(payload: &[u8]) -> WireKey {
-        const K: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f];
-        let len = payload.len() as u64;
-        let mut a = [0xcbf2_9ce4_8422_2325 ^ len, 0x8422_2325_cbf2_9ce4 ^ len];
-        let mut b = [0x6c62_272e_07bb_0142 ^ len, 0x07bb_0142_6c62_272e ^ len];
+        let mut h = binio::WordHasher::new(payload.len() as u64);
         let mut eat = |pair: &[u8; 16]| {
-            for i in 0..2 {
-                let w = u64::from_le_bytes(pair[8 * i..8 * i + 8].try_into().expect("8 bytes"));
-                a[i] = (a[i] ^ w).wrapping_mul(K[0]).rotate_left(29);
-                b[i] = (b[i] ^ w.rotate_left(32))
-                    .wrapping_mul(K[1])
-                    .rotate_left(23);
-            }
+            let word =
+                |i: usize| u64::from_le_bytes(pair[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+            h.pair([word(0), word(1)]);
         };
         let mut pairs = payload.chunks_exact(16);
         for pair in &mut pairs {
@@ -119,18 +110,8 @@ impl WireKey {
         let mut tail = [0u8; 16];
         tail[..pairs.remainder().len()].copy_from_slice(pairs.remainder());
         eat(&tail);
-        WireKey([
-            avalanche(a[0] ^ a[1].rotate_left(32)),
-            avalanche(b[0] ^ b[1].rotate_left(32)),
-        ])
+        WireKey(h.finish())
     }
-}
-
-/// The splitmix64 finalizer.
-fn avalanche(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl TierKey for WireKey {
@@ -297,6 +278,9 @@ mod tests {
             k,
             "a pure function of the bytes"
         );
+        // Pinned, so an edit to the shared word hasher cannot re-key the
+        // wire tier unnoticed.
+        assert_eq!(k.0, [0xd995_8ed7_ef56_0b62, 0xdc6d_87c3_fbd9_c022]);
         for i in 0..base.len() {
             for bit in [0x01, 0x80] {
                 let mut flipped = base.clone();

@@ -20,8 +20,9 @@
 //! * [`metrics`] — NSL, degradation, speedup and reporting tables;
 //! * [`adversary`] — adversarial instance search and pairwise dominance
 //!   analysis over the roster;
-//! * [`obs`] — zero-cost event tracing, hot-path counters and span
-//!   profiling (the `taskbench trace` / `taskbench profile` front door);
+//! * [`obs`] — zero-cost event tracing, Chrome-trace export, hot-path
+//!   counters and histograms (the `taskbench trace` / `taskbench profile`
+//!   front door);
 //! * [`crate::bench`] — the experiment harness behind every table and
 //!   figure, plus the perf-baseline machinery;
 //! * [`serve`] — scheduling as a service: the framed TCP daemon behind

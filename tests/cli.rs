@@ -315,3 +315,35 @@ fn psg_indices_cover_the_set() {
     assert!(!ok);
     assert!(stderr.contains("out of range"));
 }
+
+#[test]
+fn profile_reports_stage_times_and_counters() {
+    let dir = std::env::temp_dir().join(format!("taskbench-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.tgf");
+    std::fs::write(&path, taskbench(&["gen", "rgnos", "40", "1.0", "2", "7"]).1).unwrap();
+    let p = path.to_str().unwrap();
+
+    let (ok, stdout, stderr) = taskbench(&["profile", "MCP", p, "-p", "4", "--reps", "3"]);
+    assert!(ok, "{stderr}");
+    // One row per stage: name, repetition count, total ms.
+    for stage in ["schedule", "validate"] {
+        let row = stdout
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(stage))
+            .unwrap_or_else(|| panic!("no {stage} row: {stdout}"));
+        let count = row.split_whitespace().nth(1);
+        assert_eq!(count, Some("3"), "{row}");
+    }
+    assert!(stdout.contains("counters (this invocation):"), "{stdout}");
+
+    let (ok, _, stderr) = taskbench(&["profile", "MCP", p, "--reps", "0"]);
+    assert!(!ok);
+    assert!(stderr.contains("reps must be at least 1"), "{stderr}");
+
+    let (ok, _, stderr) = taskbench(&["profile", "MCP", p, "--top", "5"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag `--top`"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
