@@ -73,7 +73,7 @@ impl Scheduler for Bsa {
     }
 
     fn schedule(&self, g: &TaskGraph, env: &Env) -> Result<Outcome, SchedError> {
-        run(g, env, &mut NullSink)
+        Ok(run(g, env, &mut NullSink))
     }
 
     fn schedule_traced(
@@ -82,7 +82,7 @@ impl Scheduler for Bsa {
         env: &Env,
         mut sink: &mut dyn Sink,
     ) -> Result<Outcome, SchedError> {
-        run(g, env, &mut sink)
+        Ok(run(g, env, &mut sink))
     }
 }
 
@@ -100,9 +100,8 @@ fn verdict_of(reason: CutReason) -> TrialVerdict {
 }
 
 /// The engine proper, generic over the trace sink (see `dsc::run`).
-fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, SchedError> {
-    let procs = crate::common::require_procs(env)?;
-    let topo = &env.topology;
+fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Outcome {
+    let procs = env.procs();
     let seq = cpn_dominant_sequence(g);
     let mut seq_pos = vec![0usize; g.num_tasks()];
     for (i, &n) in seq.iter().enumerate() {
@@ -113,9 +112,13 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
     let pivot = ProcId(0);
     let mut orders: Vec<Vec<TaskId>> = vec![Vec::new(); procs];
     orders[pivot.index()] = seq.clone();
-    let mut engine = ReplayEngine::new(g, env)?;
+    let mut engine = ReplayEngine::new(g, env);
     let ok = engine.apply(g, &orders);
     debug_assert!(ok, "serial injection follows a topological order");
+    // The bubbling order and the arrival ranks read the network the
+    // engine routes on (built by the engine when `env` is a `bnp`
+    // machine); one copy, since the engine is mutated below.
+    let topo = engine.state().net.topology().clone();
 
     // The *decided* schedule (the state `replay(orders)` would build)
     // is tracked through caches instead of being kept live in the
@@ -298,7 +301,7 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
     reg.add(dagsched_obs::Metric::BsaTrials, trials);
     reg.add(dagsched_obs::Metric::BsaTrialsCut, trials_cut);
     reg.add(dagsched_obs::Metric::BsaTrialsAccepted, trials_accepted);
-    Ok(engine.into_outcome())
+    engine.into_outcome()
 }
 
 /// The CPN-dominant sequence: CP nodes as early as possible, each preceded

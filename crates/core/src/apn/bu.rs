@@ -41,7 +41,7 @@ impl Scheduler for Bu {
     }
 
     fn schedule(&self, g: &TaskGraph, env: &Env) -> Result<Outcome, SchedError> {
-        let mut st = ApnState::new(g, env)?;
+        let mut st = ApnState::new(g, env);
         let procs = st.s.num_procs();
 
         // Phase 1: bottom-up processor assignment. For each task (children

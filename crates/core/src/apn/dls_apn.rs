@@ -58,7 +58,7 @@ impl Scheduler for DlsApn {
     }
 
     fn schedule(&self, g: &TaskGraph, env: &Env) -> Result<Outcome, SchedError> {
-        let mut st = ApnState::new(g, env)?;
+        let mut st = ApnState::new(g, env);
         let sl = g.levels().static_levels();
         let mut ready = ReadySet::new(g);
         let mut probes = BestFirst::new();
@@ -91,7 +91,7 @@ mod tests {
     /// reference the best-first kernel must match placement for placement
     /// and message for message.
     fn run_exhaustive(g: &TaskGraph, env: &Env) -> Outcome {
-        let mut st = ApnState::new(g, env).unwrap();
+        let mut st = ApnState::new(g, env);
         let sl = g.levels().static_levels();
         let mut ready = ReadySet::new(g);
         while !ready.is_empty() {

@@ -64,7 +64,7 @@ impl Scheduler for Mh {
     }
 
     fn schedule(&self, g: &TaskGraph, env: &Env) -> Result<Outcome, SchedError> {
-        run(g, env, &mut NullSink)
+        Ok(run(g, env, &mut NullSink))
     }
 
     fn schedule_traced(
@@ -73,13 +73,13 @@ impl Scheduler for Mh {
         env: &Env,
         mut sink: &mut dyn Sink,
     ) -> Result<Outcome, SchedError> {
-        run(g, env, &mut sink)
+        Ok(run(g, env, &mut sink))
     }
 }
 
 /// The engine proper, generic over the trace sink (see `dsc::run`).
-fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, SchedError> {
-    let mut st = ApnState::new(g, env)?;
+fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Outcome {
+    let mut st = ApnState::new(g, env);
     let bl = g.levels().b_levels();
     let mut probes = BestFirst::new();
     for n in list_order(g, bl) {
@@ -125,7 +125,7 @@ fn run<S: Sink>(g: &TaskGraph, env: &Env, sink: &mut S) -> Result<Outcome, Sched
             }
         );
     }
-    Ok(st.into_outcome())
+    st.into_outcome()
 }
 
 #[cfg(test)]
@@ -142,7 +142,7 @@ mod tests {
     /// for message.
     fn run_exhaustive(g: &TaskGraph, env: &Env) -> Outcome {
         use crate::common::ReadySet;
-        let mut st = ApnState::new(g, env).unwrap();
+        let mut st = ApnState::new(g, env);
         let bl = g.levels().b_levels();
         let mut ready = ReadySet::new(g);
         while !ready.is_empty() {

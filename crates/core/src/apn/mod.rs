@@ -54,9 +54,9 @@ use std::collections::BinaryHeap;
 
 use dagsched_graph::{TaskGraph, TaskId};
 use dagsched_obs::{emit, Event, NullSink, Sink};
-use dagsched_platform::{Network, ProcId, Schedule};
+use dagsched_platform::{Network, ProcId, Schedule, Topology};
 
-use crate::{Env, Outcome, SchedError};
+use crate::{Env, Outcome};
 
 /// Mutable scheduling state of an APN algorithm: the task schedule plus the
 /// link occupancy.
@@ -66,11 +66,17 @@ pub(crate) struct ApnState {
 }
 
 impl ApnState {
-    pub fn new(g: &TaskGraph, env: &Env) -> Result<ApnState, SchedError> {
-        Ok(ApnState {
-            s: crate::common::new_schedule(g, env)?,
-            net: Network::new(env.topology.clone()),
-        })
+    /// Empty state on `env`'s network; a `bnp` machine is routed as the
+    /// fully connected network of its processors.
+    pub fn new(g: &TaskGraph, env: &Env) -> ApnState {
+        let topo = match env.topology() {
+            Some(t) => t.clone(),
+            None => Topology::fully_connected(env.procs()).expect("an Env has a processor"),
+        };
+        ApnState {
+            s: Schedule::new(g.num_tasks(), env.procs()),
+            net: Network::new(topo),
+        }
     }
 
     /// Commit the messages from all placed parents of `n` toward `p`
@@ -434,17 +440,17 @@ pub(crate) struct ReplayEngine {
 
 impl ReplayEngine {
     /// Engine over an empty state (no orders applied yet).
-    pub fn new(g: &TaskGraph, env: &Env) -> Result<ReplayEngine, SchedError> {
+    pub fn new(g: &TaskGraph, env: &Env) -> ReplayEngine {
         let procs = env.procs();
-        Ok(ReplayEngine {
-            st: ApnState::new(g, env)?,
+        ReplayEngine {
+            st: ApnState::new(g, env),
             log: Vec::with_capacity(g.num_tasks()),
             seq: Vec::with_capacity(g.num_tasks()),
             heads: vec![0; procs],
             placed: vec![false; g.num_tasks()],
             committed_weight: vec![0; procs],
             row_weight: vec![0; procs],
-        })
+        }
     }
 
     /// The live state — valid for the last successfully applied orders.
@@ -765,7 +771,7 @@ pub(crate) mod testutil {
     use super::ApnState;
     use crate::{AlgoClass, Env, Outcome, Scheduler};
     use dagsched_graph::{GraphBuilder, TaskGraph, TaskId};
-    use dagsched_platform::{ProcId, Topology};
+    use dagsched_platform::{ProcId, Topology, TopologyKind};
     use dagsched_suites::rgnos::{self, RgnosParams};
 
     pub use crate::bnp::testutil::{chain4, classic_nine, independent};
@@ -878,6 +884,20 @@ pub(crate) mod testutil {
             let solo = Topology::fully_connected(1).unwrap();
             let out = run(algo, &g, solo);
             assert_eq!(out.schedule.makespan(), g.total_work(), "{}", algo.name());
+
+            // A `bnp` machine is routed as the fully connected network of
+            // its processors: the same placements and messages.
+            let full = topo.kind() == TopologyKind::FullyConnected;
+            for p in std::iter::once(1).chain(full.then(|| topo.num_procs())) {
+                let Ok(on_bnp) = algo.schedule(&g, &Env::bnp(p));
+                let on_full = run(algo, &g, Topology::fully_connected(p).unwrap());
+                assert_eq!(
+                    on_bnp.digest(),
+                    on_full.digest(),
+                    "{} on bnp:{p}",
+                    algo.name()
+                );
+            }
         }
     }
 }
@@ -925,7 +945,7 @@ mod tests {
         let topo = Topology::chain(3).unwrap();
         let env = Env::apn(topo.clone());
         let seq: Vec<TaskId> = g.topo_order().to_vec();
-        let mut engine = ReplayEngine::new(&g, &env).unwrap();
+        let mut engine = ReplayEngine::new(&g, &env);
 
         let mut orders: Vec<Vec<TaskId>> = vec![seq.clone(), Vec::new(), Vec::new()];
         let mut trials: Vec<Vec<Vec<TaskId>>> = vec![orders.clone()];
@@ -971,7 +991,7 @@ mod tests {
         gb.add_edge(a, b, 1).unwrap();
         let g = gb.build().unwrap();
         let env = Env::apn(Topology::fully_connected(1).unwrap());
-        let mut engine = ReplayEngine::new(&g, &env).unwrap();
+        let mut engine = ReplayEngine::new(&g, &env);
         assert!(engine.apply(&g, &[vec![a, b]]));
         let before = engine.state().s.makespan();
         assert!(!engine.apply(&g, &[vec![b, a]]));
@@ -987,7 +1007,7 @@ mod tests {
         gb.add_edge(a, b, 5).unwrap();
         let g = gb.build().unwrap();
         let env = Env::apn(Topology::chain(3).unwrap());
-        let mut st = ApnState::new(&g, &env).unwrap();
+        let mut st = ApnState::new(&g, &env);
         st.s.place(a, ProcId(0), 0, 2).unwrap();
         // A rank that puts P2 first makes the kernel return P2's exact start.
         let mut probes = BestFirst::new();
@@ -1009,7 +1029,7 @@ mod tests {
         gb.add_edge(b, c, 0).unwrap();
         let g = gb.build().unwrap();
         let env = Env::apn(Topology::chain(2).unwrap());
-        let mut st = ApnState::new(&g, &env).unwrap();
+        let mut st = ApnState::new(&g, &env);
         st.s.place(a, ProcId(0), 0, 2).unwrap();
         st.s.place(b, ProcId(1), 0, 2).unwrap();
         // c on P0: a local (no message), b remote but zero-cost (no message).

@@ -22,8 +22,8 @@ use std::cmp::Reverse;
 
 use super::priority::{Ctx, Key};
 use super::{Fill, ListPolicy, Selection, Spec};
-use crate::common::{best_proc, drt, est_on, new_schedule, ReadyQueue, ReadySet};
-use crate::{Env, Outcome, SchedError};
+use crate::common::{best_proc, drt, est_on, ReadyQueue, ReadySet};
+use crate::{Env, Outcome};
 
 /// A chosen placement: (task, processor, start time).
 type Pick = (TaskId, ProcId, u64);
@@ -59,13 +59,8 @@ impl Candidates for ReadyQueue<Reverse<u32>> {
 }
 
 /// The driver proper.
-pub(crate) fn run<S: Sink>(
-    g: &TaskGraph,
-    env: &Env,
-    spec: Spec,
-    sink: &mut S,
-) -> Result<Outcome, SchedError> {
-    let mut s = new_schedule(g, env)?;
+pub(crate) fn run<S: Sink>(g: &TaskGraph, env: &Env, spec: Spec, sink: &mut S) -> Outcome {
+    let mut s = Schedule::new(g.num_tasks(), env.procs());
     let cx = Ctx::new(g, spec);
     match spec.list {
         ListPolicy::Static => {
@@ -120,10 +115,10 @@ pub(crate) fn run<S: Sink>(
             }
         }
     }
-    Ok(Outcome {
+    Outcome {
         schedule: s,
         network: None,
-    })
+    }
 }
 
 /// Scan every processor for the selected task's best start under the slot

@@ -461,7 +461,7 @@ impl Scheduler for ComposedScheduler {
     }
 
     fn schedule(&self, g: &TaskGraph, env: &Env) -> Result<Outcome, SchedError> {
-        driver::run(g, env, self.spec, &mut NullSink)
+        Ok(driver::run(g, env, self.spec, &mut NullSink))
     }
 
     fn schedule_traced(
@@ -470,7 +470,7 @@ impl Scheduler for ComposedScheduler {
         env: &Env,
         mut sink: &mut dyn Sink,
     ) -> Result<Outcome, SchedError> {
-        driver::run(g, env, self.spec, &mut sink)
+        Ok(driver::run(g, env, self.spec, &mut sink))
     }
 }
 

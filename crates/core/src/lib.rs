@@ -114,25 +114,33 @@ impl fmt::Display for AlgoClass {
     }
 }
 
-/// The machine a scheduler targets.
+/// The machine a scheduler targets: a processor count, plus the network
+/// when the machine is an arbitrary one.
 ///
-/// * BNP algorithms read only the processor count (links are ignored:
-///   the machine is contention-free by model).
+/// * BNP algorithms read only the processor count: the machine is fully
+///   connected and contention-free by model, so [`Env::bnp`] builds no
+///   topology.
 /// * UNC algorithms ignore the environment entirely: they may open as many
 ///   clusters as there are tasks.
-/// * APN algorithms use the full topology and schedule messages on its
-///   links.
+/// * APN algorithms route messages over [`Env::topology`]; handed a
+///   `bnp` machine, they build its fully connected network themselves.
+///
+/// Every `Env` has at least one processor, so no scheduler needs an
+/// empty-machine check.
 #[derive(Debug, Clone)]
 pub struct Env {
-    pub topology: Topology,
+    procs: usize,
+    topology: Option<Topology>,
 }
 
 impl Env {
     /// A fully connected, contention-free machine with `p` processors —
-    /// the BNP environment.
+    /// the BNP environment. Panics if `p` is 0.
     pub fn bnp(p: usize) -> Env {
+        assert!(p >= 1, "a bnp machine needs at least 1 processor");
         Env {
-            topology: Topology::fully_connected(p).expect("p >= 1"),
+            procs: p,
+            topology: None,
         }
     }
 
@@ -148,12 +156,20 @@ impl Env {
 
     /// An arbitrary-network environment.
     pub fn apn(topology: Topology) -> Env {
-        Env { topology }
+        Env {
+            procs: topology.num_procs(),
+            topology: Some(topology),
+        }
     }
 
     /// Processor count of the environment.
     pub fn procs(&self) -> usize {
-        self.topology.num_procs()
+        self.procs
+    }
+
+    /// The network of an [`Env::apn`] machine; `None` for [`Env::bnp`].
+    pub fn topology(&self) -> Option<&Topology> {
+        self.topology.as_ref()
     }
 
     /// Parse a textual platform spec: `bnp:<procs>` for the bounded
@@ -175,31 +191,26 @@ impl Env {
 }
 
 /// Why a scheduler could not produce a schedule.
+///
+/// It has no variant: every scheduler schedules every graph the graph
+/// crate accepts on every [`Env`] (none is empty), so no `Err` can be
+/// built. The type stays at the [`Scheduler`] boundary so that callers
+/// (the CLI and the serve protocol map [`SchedError::code`]) already
+/// handle a refusal when a reachable one, such as a work budget, is added.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchedError {
-    /// The environment has no processors.
-    NoProcessors,
-    /// The graph/environment combination is unsupported (explained inside).
-    Unsupported(String),
-}
+pub enum SchedError {}
 
 impl fmt::Display for SchedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchedError::NoProcessors => write!(f, "environment has no processors"),
-            SchedError::Unsupported(why) => write!(f, "unsupported input: {why}"),
-        }
+    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {}
     }
 }
 
 impl SchedError {
     /// Stable machine-readable code, shared by the CLI and the serve
-    /// protocol (tests pin both values).
+    /// protocol.
     pub fn code(&self) -> &'static str {
-        match self {
-            SchedError::NoProcessors => "E_SCHED_NO_PROCS",
-            SchedError::Unsupported(_) => "E_SCHED_UNSUPPORTED",
-        }
+        match *self {}
     }
 }
 
@@ -322,6 +333,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least 1 processor")]
+    fn env_bnp_rejects_zero_processors() {
+        Env::bnp(0);
+    }
+
+    #[test]
     fn class_display() {
         assert_eq!(AlgoClass::Bnp.to_string(), "BNP");
         assert_eq!(AlgoClass::Unc.to_string(), "UNC");
@@ -329,29 +346,25 @@ mod tests {
     }
 
     #[test]
-    fn sched_error_display() {
-        assert!(SchedError::NoProcessors
-            .to_string()
-            .contains("no processors"));
-        assert!(SchedError::Unsupported("x".into())
-            .to_string()
-            .contains('x'));
-    }
-
-    #[test]
-    fn sched_error_codes_are_pinned() {
-        assert_eq!(SchedError::NoProcessors.code(), "E_SCHED_NO_PROCS");
-        assert_eq!(
-            SchedError::Unsupported("x".into()).code(),
-            "E_SCHED_UNSUPPORTED"
-        );
-    }
-
-    #[test]
     fn env_parse_spec_covers_both_machine_families() {
         assert_eq!(Env::parse_spec("bnp:8").unwrap().procs(), 8);
         assert_eq!(Env::parse_spec("hypercube:3").unwrap().procs(), 8);
         assert_eq!(Env::parse_spec("mesh:2x4").unwrap().procs(), 8);
+        // A `bnp:` machine is a processor count: no network is built.
+        for spec in ["bnp:8", "bnp:256"] {
+            assert!(
+                Env::parse_spec(spec).unwrap().topology().is_none(),
+                "{spec}"
+            );
+        }
+        for (spec, procs) in [("full:8", 8), ("hypercube:3", 8)] {
+            let env = Env::parse_spec(spec).unwrap();
+            assert_eq!(
+                env.topology().map(Topology::num_procs),
+                Some(procs),
+                "{spec}"
+            );
+        }
         for bad in ["bnp:0", "bnp:x", "nope:3", "bnp"] {
             assert!(Env::parse_spec(bad).is_err(), "{bad}");
         }

@@ -70,7 +70,7 @@ impl Scheduler for Dcp {
     }
 
     fn schedule(&self, g: &TaskGraph, _env: &Env) -> Result<Outcome, SchedError> {
-        run(g, self.lookahead, &mut NullSink)
+        Ok(run(g, self.lookahead, &mut NullSink))
     }
 
     fn schedule_traced(
@@ -79,12 +79,12 @@ impl Scheduler for Dcp {
         _env: &Env,
         mut sink: &mut dyn Sink,
     ) -> Result<Outcome, SchedError> {
-        run(g, self.lookahead, &mut sink)
+        Ok(run(g, self.lookahead, &mut sink))
     }
 }
 
 /// The engine proper, generic over the trace sink (see `dsc::run`).
-fn run<S: Sink>(g: &TaskGraph, lookahead: bool, sink: &mut S) -> Result<Outcome, SchedError> {
+fn run<S: Sink>(g: &TaskGraph, lookahead: bool, sink: &mut S) -> Outcome {
     let v = g.num_tasks();
     let mut s = Schedule::new(v, v);
     let mut ready = ReadySet::new(g);
@@ -183,10 +183,10 @@ fn run<S: Sink>(g: &TaskGraph, lookahead: bool, sink: &mut S) -> Result<Outcome,
     }
 
     d.flush_to_registry();
-    Ok(Outcome {
+    Outcome {
         schedule: s,
         network: None,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ impl Scheduler for Dsc {
     }
 
     fn schedule(&self, g: &TaskGraph, _env: &Env) -> Result<Outcome, SchedError> {
-        run(g, &mut NullSink)
+        Ok(run(g, &mut NullSink))
     }
 
     fn schedule_traced(
@@ -76,13 +76,13 @@ impl Scheduler for Dsc {
         _env: &Env,
         mut sink: &mut dyn Sink,
     ) -> Result<Outcome, SchedError> {
-        run(g, &mut sink)
+        Ok(run(g, &mut sink))
     }
 }
 
 /// The engine proper, generic over the trace sink so the untraced entry
 /// point monomorphizes with [`NullSink`] and pays nothing for the events.
-fn run<S: Sink>(g: &TaskGraph, sink: &mut S) -> Result<Outcome, SchedError> {
+fn run<S: Sink>(g: &TaskGraph, sink: &mut S) -> Outcome {
     let v = g.num_tasks();
     let bl = g.levels().b_levels(); // static b-levels, as in the original
     let mut s = Schedule::new(v, v);
@@ -237,10 +237,10 @@ fn run<S: Sink>(g: &TaskGraph, sink: &mut S) -> Result<Outcome, SchedError> {
     }
 
     free.ops().merged(partial.ops()).flush_to_registry();
-    Ok(Outcome {
+    Outcome {
         schedule: s,
         network: None,
-    })
+    }
 }
 
 #[inline]

@@ -135,7 +135,6 @@ impl<S: Scheduler> Scheduler for UncCs<S> {
     }
 
     fn schedule(&self, g: &TaskGraph, env: &Env) -> Result<Outcome, SchedError> {
-        crate::common::require_procs(env)?;
         let unc = self.inner.schedule(g, env)?;
         let schedule = map_clusters(g, &unc.schedule, env.procs(), self.mapping);
         Ok(Outcome {

@@ -47,7 +47,7 @@ impl Scheduler for Md {
     }
 
     fn schedule(&self, g: &TaskGraph, _env: &Env) -> Result<Outcome, SchedError> {
-        run(g, &mut NullSink)
+        Ok(run(g, &mut NullSink))
     }
 
     fn schedule_traced(
@@ -56,12 +56,12 @@ impl Scheduler for Md {
         _env: &Env,
         mut sink: &mut dyn Sink,
     ) -> Result<Outcome, SchedError> {
-        run(g, &mut sink)
+        Ok(run(g, &mut sink))
     }
 }
 
 /// The engine proper, generic over the trace sink (see `dsc::run`).
-fn run<S: Sink>(g: &TaskGraph, sink: &mut S) -> Result<Outcome, SchedError> {
+fn run<S: Sink>(g: &TaskGraph, sink: &mut S) -> Outcome {
     let v = g.num_tasks();
     let mut s = Schedule::new(v, v);
     let mut ready = ReadySet::new(g);
@@ -146,10 +146,10 @@ fn run<S: Sink>(g: &TaskGraph, sink: &mut S) -> Result<Outcome, SchedError> {
     }
 
     d.flush_to_registry();
-    Ok(Outcome {
+    Outcome {
         schedule: s,
         network: None,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -439,19 +439,18 @@ fn solve_with<S: Sink>(g: &TaskGraph, params: &OptimalParams, sink: &mut S) -> O
     if params.heuristic_incumbent {
         let env = Env::bnp(procs);
         for algo in registry::bnp().into_iter().chain(registry::unc()) {
-            if let Ok(out) = algo.schedule(g, &env) {
-                debug_assert!(out.validate(g).is_ok());
-                // UNC algorithms may use more than `procs` processors; only
-                // accept schedules that fit the machine.
-                if out.schedule.procs_used() <= procs {
-                    let m = out.schedule.makespan();
-                    if m < best_len {
-                        best_len = m;
-                        let compact = out.schedule.compact_procs();
-                        for n in g.tasks() {
-                            let pl = compact.placement(n).expect("complete");
-                            best[n.index()] = (pl.proc, pl.start);
-                        }
+            let Ok(out) = algo.schedule(g, &env);
+            debug_assert!(out.validate(g).is_ok());
+            // UNC algorithms may use more than `procs` processors; only
+            // accept schedules that fit the machine.
+            if out.schedule.procs_used() <= procs {
+                let m = out.schedule.makespan();
+                if m < best_len {
+                    best_len = m;
+                    let compact = out.schedule.compact_procs();
+                    for n in g.tasks() {
+                        let pl = compact.placement(n).expect("complete");
+                        best[n.index()] = (pl.proc, pl.start);
                     }
                 }
             }

@@ -5,9 +5,9 @@
 //! the network as an undirected graph of processors and precomputes
 //! deterministic BFS shortest-path routes.
 //!
-//! The BNP/UNC classes use [`Topology::fully_connected`], whose links are
-//! never contended (they exist so that the same `Schedule` machinery can
-//! describe all three classes).
+//! The BNP/UNC classes need no topology: their machine is a processor
+//! count, fully connected and contention-free by model. An APN algorithm
+//! handed such a machine routes over [`Topology::fully_connected`].
 //!
 //! A link is a single full-duplex-shared resource: at most one message
 //! occupies it at a time, regardless of direction. This matches the

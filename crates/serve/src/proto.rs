@@ -27,9 +27,11 @@
 //!
 //! Error codes come from one shared vocabulary: [`GraphError::code`] for
 //! graph decode failures, [`dagsched_core::registry::UnknownAlgo::code`]
-//! for algorithm misses, [`dagsched_core::SchedError::code`] for
-//! scheduler refusals, and the serve-level codes in [`code`]. Clients
-//! branch on the code string, never on message text.
+//! for algorithm misses, and the serve-level codes in [`code`]. Schedulers
+//! never refuse a decoded graph on a parsed platform:
+//! [`dagsched_core::SchedError`] has no variant, so its
+//! [`code`](dagsched_core::SchedError::code) is mapped but never sent.
+//! Clients branch on the code string, never on message text.
 
 use dagsched_graph::TaskId;
 use dagsched_platform::{ProcId, Schedule};

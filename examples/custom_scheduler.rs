@@ -29,9 +29,6 @@ impl Scheduler for LargestTaskFirst {
     }
 
     fn schedule(&self, g: &TaskGraph, env: &Env) -> Result<Outcome, SchedError> {
-        if env.procs() == 0 {
-            return Err(SchedError::NoProcessors);
-        }
         let mut s = Schedule::new(g.num_tasks(), env.procs());
         let mut ready = ReadySet::new(g);
         while !ready.is_empty() {

@@ -210,13 +210,6 @@ fn load(path: &str) -> Result<TaskGraph, String> {
     taskbench::graph::io::from_tgf(&text).map_err(|e| format!("{path}: [{}] {e}", e.code()))
 }
 
-/// One topology grammar for the whole workspace: the CLI `--topology`
-/// flag and the serve protocol's platform field both resolve through
-/// [`Topology::parse_spec`].
-fn parse_topology(spec: &str) -> Result<Topology, String> {
-    Topology::parse_spec(spec)
-}
-
 /// Registry lookup. On a miss the error leads with its stable code
 /// (`[E_ALGO_UNKNOWN]` / `[E_ALGO_COMPOSE_PARSE]` — shared with the
 /// serve protocol) followed by the full roster and `compose:` grammar.
@@ -225,8 +218,9 @@ fn lookup_algo(name: &str) -> Result<Box<dyn Scheduler>, String> {
 }
 
 /// Shared `-p` / `--topology` parsing for the run/trace/profile commands.
-/// Both go through the checked platform parsers the serve protocol uses,
-/// so a zero or oversize machine is an error, not a panic or an abort.
+/// Both go through the checked platform parsers the serve protocol uses
+/// ([`Env::checked_bnp`] and [`Topology::parse_spec`]), so a zero or
+/// oversize machine is an error, not a panic or an abort.
 /// Flags this parser doesn't own are handed to `extra`; it returns how
 /// many arguments it consumed (0 = unknown flag, an error).
 fn parse_env_flags(
@@ -244,7 +238,9 @@ fn parse_env_flags(
                 i += 2;
             }
             "--topology" => {
-                *topo = Some(parse_topology(args.get(i + 1).ok_or("missing topology")?)?);
+                *topo = Some(Topology::parse_spec(
+                    args.get(i + 1).ok_or("missing topology")?,
+                )?);
                 i += 2;
             }
             other => match extra(other, args.get(i + 1))? {

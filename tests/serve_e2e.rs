@@ -118,6 +118,35 @@ fn served_schedules_are_byte_identical_for_the_whole_roster() {
     handle.shutdown();
 }
 
+/// A `bnp:` platform is a processor count: the `MAX_PROCS` machine serves
+/// BNP and UNC algorithms, and an APN algorithm takes a `bnp:` spec too;
+/// all byte-identical to in-process.
+#[test]
+fn bnp_platforms_serve_every_class_byte_identically() {
+    let g = suite_graph();
+    let tgf = to_tgf(&g).into_bytes();
+    let handle = start(Config::default()).expect("bind");
+    let mut stream = TcpStream::connect(handle.addr().to_string()).expect("connect");
+    let mut reader = FrameReader::new();
+    for (algo, platform) in [("MCP", "bnp:256"), ("DSC", "bnp:256"), ("MH", "bnp:8")] {
+        match request(
+            &mut stream,
+            &mut reader,
+            GraphWire::Tgf,
+            platform,
+            algo,
+            &tgf,
+        ) {
+            Response::Ok { schedule, .. } => {
+                assert_eq!(schedule, oracle(algo, &g, platform), "{algo} on {platform}");
+            }
+            other => panic!("{algo} on {platform}: {other:?}"),
+        }
+    }
+    drop(stream);
+    handle.shutdown();
+}
+
 /// Bad inputs come back as structured errors with stable codes — and the
 /// same connection keeps working afterwards.
 #[test]
